@@ -343,6 +343,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the parser and the pattern walks recurse on nesting depth
+        print("ERROR InstanceTooLarge: input nested too deeply to process", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -35,12 +35,14 @@ class SolutionSet:
     mappings: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
+        members = frozenset(self.mappings)
         unique = sorted(
-            set(self.mappings),
+            members,
             key=lambda m: tuple((k.name, v.name) for k, v in m.items()),
         )
         unique.sort(key=lambda m: tuple(sorted(k.name for k, _ in m.items())))
         object.__setattr__(self, "mappings", tuple(unique))
+        object.__setattr__(self, "_members", members)
 
     def __iter__(self):
         return iter(self.mappings)
@@ -49,28 +51,17 @@ class SolutionSet:
         return len(self.mappings)
 
     def __contains__(self, m: Mapping) -> bool:
-        return m in set(self.mappings)
+        return m in self._members
 
     def __str__(self) -> str:
         return "\n".join(str(m) for m in self.mappings)
 
 
 def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
-    out = []
-    for u in graph:
-        binding: dict = {}
-        ok = True
-        for a, b in zip(t.terms, u.terms):
-            if a.is_iri:
-                if a != b:
-                    ok = False
-                    break
-            elif binding.setdefault(a, b) != b:
-                ok = False
-                break
-        if ok:
-            out.append(Mapping.of(binding))
-    return out
+    slots = [(pos, x) for pos, x in enumerate(t.terms) if x.is_var]
+    return [
+        Mapping.of({x: u.terms[pos] for pos, x in slots}) for u in graph.matching(t)
+    ]
 
 
 def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:

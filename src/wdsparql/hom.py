@@ -4,9 +4,12 @@ A generalized t-graph is a pair (S, X) of a t-graph and a set of
 distinguished variables; homomorphisms between two such pairs sharing X
 must fix X pointwise, and IRIs always behave as rigid constants.
 
-The search is a backtracking solver with statically filtered candidate
-domains and a fixed variable order (descending occurrence count, ties by
-name), so results are deterministic run to run.
+The search is a backtracking solver with a fixed variable order
+(descending occurrence count, ties by name), so results are deterministic
+run to run.  A variable's candidate domain is the set of terms it meets
+in the target's matches of every source triple holding it; the matches of
+each source triple come once from the target's (position, IRI) index
+(`TGraph.matching`), never from a scan of the whole target.
 """
 
 from __future__ import annotations
@@ -50,20 +53,6 @@ class GeneralizedTGraph:
 # backtracking search
 
 
-def _rigid_match(t: Triple, u: Triple) -> bool:
-    for a, b in zip(t.terms, u.terms):
-        if a.is_iri and a != b:
-            return False
-    # repeated variables must land on equal terms
-    if t.s == t.p and u.s != u.p:
-        return False
-    if t.s == t.o and u.s != u.o:
-        return False
-    if t.p == t.o and u.p != u.o:
-        return False
-    return True
-
-
 def _solve(
     source: TGraph,
     target: TGraph,
@@ -78,31 +67,32 @@ def _solve(
         ok = all(t in target for t in source)
         return [{}] if ok else []
 
-    occurrences: dict[Term, list[tuple[Triple, int]]] = {v: [] for v in src_vars}
+    occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
+    cands: dict[Term, set[Term]] = {}
     for t in source:
+        matches = target.matching(t)
+        if not matches:
+            return []
         for pos, term in enumerate(t.terms):
             if term.is_var:
-                occurrences[term].append((t, pos))
-
-    target_list = list(target)
-    target_set = frozenset(target)
+                occurrences[term] += 1
+                here = {u.terms[pos] for u in matches}
+                cands[term] = cands[term] & here if term in cands else here
     domains: dict[Term, list[Term]] = {}
     for v in src_vars:
-        cands: set[Term] | None = None
-        for t, pos in occurrences[v]:
-            here = {u.terms[pos] for u in target_list if _rigid_match(t, u)}
-            cands = here if cands is None else cands & here
+        here = cands[v]
         if v in fixed:
-            cands = cands & {fixed[v]} if cands is not None else {fixed[v]}
-        if not cands:
+            here = here & {fixed[v]}
+        if not here:
             return []
-        domains[v] = sorted(cands, key=str)
+        domains[v] = sorted(here, key=str)
 
     order = sorted(
         (v for v in src_vars if v not in fixed),
-        key=lambda v: (-len(occurrences[v]), v.name),
+        key=lambda v: (-occurrences[v], v.name),
     )
     assigned = {v: fixed[v] for v in src_vars if v in fixed}
+    target_set = target.triple_set
 
     # triples become checkable once their last variable is assigned
     rank = {v: i for i, v in enumerate(order)}

@@ -8,6 +8,16 @@ every further variable within the family.  The Duplicator wins exactly
 when the empty assignment survives.  Deletion order does not matter (the
 rules are monotone), so a worklist suffices.
 
+The family is generated level by level, as in arc consistency with support
+sets (Dalmau, Kolaitis and Vardi 2002).  The values tried for a new
+variable x come from the graph's (position, IRI) index: every triple
+template whose only unbound variable, once the member is substituted, is
+x admits exactly the values x meets in that template's matches.  Only
+when no template constrains x is the whole IRI domain tried.  Each member
+then keeps, per variable it lacks, the set of values whose one-point
+extensions are alive; an empty set breaks the forth property, and a dead
+member's one-point extensions are found in its own sets.
+
 Special case worth stating: if the graph has an empty IRI domain and free
 variables remain, the Duplicator has nowhere to put a pebble and loses.
 """
@@ -15,7 +25,6 @@ variables remain, the Duplicator has nowhere to put a pebble and loses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .errors import DomainMismatch, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph
@@ -51,8 +60,8 @@ def _fixpoint(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> set[_Member]:
     free = sorted(g.free_vars(), key=lambda v: v.name)
-    domain = sorted(graph.iris(), key=lambda t: t.name)
-    target = frozenset(graph)
+    domain = graph.iris()
+    target = graph.triple_set
     mu_sub = dict(mu.items())
 
     # per-triple templates with distinguished variables already substituted
@@ -63,15 +72,20 @@ def _fixpoint(
     by_var: dict[Term, list] = {v: [] for v in free}
     for needs, t in templates:
         for v in needs:
-            by_var[v].append((needs, t))
+            by_var[v].append((needs, t, t.terms.index(v)))
 
-    def extension_ok(member_sub: dict, x: Term) -> bool:
-        dom = set(member_sub)
-        return all(
-            substitute(t, member_sub) in target
-            for needs, t in by_var[x]
-            if needs <= dom
-        )
+    def candidates(member_sub: dict, x: Term):
+        """The values a for which member_sub + {x: a} maps every template
+        over dom(member_sub) + {x} into the graph."""
+        bound = member_sub.keys() | {x}
+        found = None
+        for needs, t, pos in by_var[x]:
+            if needs <= bound:
+                here = {u.terms[pos] for u in graph.matching(substitute(t, member_sub))}
+                found = here if found is None else found & here
+                if not found:
+                    break
+        return domain if found is None else found
 
     # bottom-up generation of all partial homomorphisms of size <= k
     if any(t not in target for needs, t in templates if not needs):
@@ -82,25 +96,19 @@ def _fixpoint(
         level: set[_Member] = set()
         for f in levels[size - 1]:
             highest = max((rank[v] for v, _ in f), default=-1)
+            base = dict(f)
             for x in free[highest + 1 :]:
-                base = dict(f)
-                for a in domain:
-                    base[x] = a
-                    if extension_ok(base, x):
-                        level.add(f | {(x, a)})
+                for a in candidates(base, x):
+                    level.add(f | {(x, a)})
         levels.append(level)
     alive: set[_Member] = set().union(*levels)
 
-    # forth counters: surviving one-point extensions per (member, variable)
-    counts: dict[tuple[_Member, Term], int] = {}
+    # support sets: per (member, variable), the values of its surviving
+    # one-point extensions; every restriction of a member is generated too
+    support: dict[tuple[_Member, Term], set[Term]] = {}
     for f in alive:
-        if len(f) == 0:
-            continue
         for pair in f:
-            parent = f - {pair}
-            if parent in alive:
-                key = (parent, pair[0])
-                counts[key] = counts.get(key, 0) + 1
+            support.setdefault((f - {pair}, pair[0]), set()).add(pair[1])
 
     dead: list[_Member] = []
     gone: set[_Member] = set()
@@ -113,10 +121,8 @@ def _fixpoint(
     for f in alive:
         if len(f) < k:
             held = {v for v, _ in f}
-            for x in free:
-                if x not in held and counts.get((f, x), 0) == 0:
-                    kill(f)
-                    break
+            if any(x not in held and (f, x) not in support for x in free):
+                kill(f)
 
     while dead:
         f = dead.pop()
@@ -124,19 +130,16 @@ def _fixpoint(
         for pair in f:  # parents lose an extension
             parent = f - {pair}
             if parent in alive:
-                key = (parent, pair[0])
-                counts[key] -= 1
-                if counts[key] == 0:
+                values = support[(parent, pair[0])]
+                values.discard(pair[1])
+                if not values:
                     kill(parent)
-        if len(f) < k:  # one-point supersets have a deleted restriction
+        if len(f) < k:  # one-point extensions have a deleted restriction
             held = {v for v, _ in f}
             for x in free:
-                if x in held:
-                    continue
-                for a in domain:
-                    up = f | {(x, a)}
-                    if up in alive:
-                        kill(up)
+                if x not in held:
+                    for a in support.get((f, x), ()):
+                        kill(f | {(x, a)})
     return alive
 
 

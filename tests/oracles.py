@@ -3,7 +3,8 @@
 These deliberately share no code path with the implementations they check:
 homomorphisms by enumerating every assignment, treewidth by trying every
 elimination order, the pebble game by solving the actual two-player game,
-tree evaluation by enumerating every subtree instead of the greedy scan.
+the consistency family by naive deletion to a fixpoint, tree evaluation
+by enumerating every subtree instead of the greedy scan.
 """
 
 from __future__ import annotations
@@ -135,6 +136,51 @@ def duplicator_wins_game(
         ):
             return False
     return True
+
+
+def consistency_family_by_iteration(
+    g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
+) -> frozenset[Mapping]:
+    """The greatest family of partial homomorphisms of size <= k (free
+    variables to IRIs of the graph) closed under restriction and with the
+    forth property, by deleting violators from the full family until
+    nothing changes."""
+    free = sorted(g.free_vars(), key=str)
+    domain = sorted(graph.iris(), key=str)
+    mu_sub = dict(mu.items())
+    target = set(graph)
+
+    def partial_hom(pairs) -> bool:
+        sub = dict(mu_sub)
+        sub.update(pairs)
+        return all(
+            substitute(t, sub) in target
+            for t in g.tgraph
+            if all(v in sub for v in t.vars())
+        )
+
+    family = {
+        frozenset(zip(xs, values))
+        for size in range(min(k, len(free)) + 1)
+        for xs in combinations(free, size)
+        for values in product(domain, repeat=size)
+        if partial_hom(zip(xs, values))
+    }
+    changed = True
+    while changed:
+        changed = False
+        for f in list(family):
+            held = {x for x, _ in f}
+            closed = all(f - {pair} in family for pair in f)
+            forth = len(f) >= k or all(
+                any(f | {(x, a)} in family for a in domain)
+                for x in free
+                if x not in held
+            )
+            if not (closed and forth):
+                family.discard(f)
+                changed = True
+    return frozenset(Mapping(tuple(f)) for f in family)
 
 
 def eval_tree_by_subtree_enumeration(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:

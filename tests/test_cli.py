@@ -176,3 +176,14 @@ def test_eval_rejects_non_ground_graph(tmp_path):
     code, _, err = run("eval", "--pattern", pattern, "--graph", graph, "--mapping", mapping)
     assert code == 1
     assert err.startswith("ERROR NonGroundGraph:")
+
+
+def test_deep_nesting_is_one_error_line(tmp_path):
+    depth = 1500
+    text = "(" * depth + "(?x,p,?y)" + " AND (?x,p,?y))" * depth
+    pattern = write(tmp_path, "deep.sparql", text)
+    code, out, err = run("check-wd", "--pattern", pattern)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR InstanceTooLarge:")
+    assert len(err.splitlines()) == 1

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +83,19 @@ def test_roundtrips():
     assert parse_graph(serialize_graph(g)) == g
     mp = m(x="a", y="b")
     assert parse_mapping(serialize_mapping(mp)) == mp
+
+
+def test_values_are_immutable_and_copy_by_value():
+    g = parse_graph("a p ?x\n?x q ?x")
+    t = Triple(iri("a"), iri("p"), var("x"))
+    for value in (var("x"), t, g, m(x="a")):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert hash(copy.deepcopy(t)) == hash(t)
+    with pytest.raises(AttributeError):
+        t.s = iri("b")
+    with pytest.raises(AttributeError):
+        g.triples = ()
 
 
 def test_canonical_order_is_stable():
