@@ -70,6 +70,7 @@ from .trees import (
     to_forest,
 )
 from .width import (
+    Analysis,
     HardWitness,
     branch_treewidth,
     domination_width,

@@ -326,10 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built once per process; each call parses afresh
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import (
     ComponentMismatch,
@@ -35,7 +35,7 @@ from .graphs import UndirectedGraph, grid_graph
 from .hom import GeneralizedTGraph, core, gaifman
 from .terms import Mapping, TGraph, Term, Triple, iri, parse_term, substitute, var
 from .trees import WdPF, subtree_vars
-from .width import HardWitness, domination_width, find_hard_witness
+from .width import Analysis, HardWitness
 
 FROZEN_PREFIX = "frz:"
 MAX_GRID_CELLS = 9
@@ -186,16 +186,22 @@ def pair_bijection(k: int) -> tuple[frozenset, ...]:
 
 
 def build_clique_gadget(
-    g: GeneralizedTGraph, inst: CliqueInstance, mm: MinorMap
+    g: GeneralizedTGraph,
+    inst: CliqueInstance,
+    mm: MinorMap,
+    *,
+    cored: GeneralizedTGraph | None = None,
 ) -> GeneralizedTGraph:
     """The t-graph (B, X) whose homomorphism test encodes k-clique search.
 
     One fresh variable per (graph vertex, graph edge, grid row, grid column,
     anchor) combination with `vertex in edge  iff  row in pair(column)`; the
     triples of the core whose free variables lie in the chosen component are
-    re-instantiated over those, filtered by the two consistency rules (same
-    row forces the same vertex, same column the same edge).  Triples leaning
-    on other components are kept verbatim.
+    re-instantiated over every combination of those that keeps the two
+    consistency rules (same row forces the same vertex, same column the
+    same edge).  Triples leaning on other components are kept verbatim.
+    `cored` is the core of g when the caller has it already (an analysis
+    does); it must be a subgraph of g with g's distinguished set.
     """
     k = inst.k
     pairs = pair_bijection(k)
@@ -203,10 +209,13 @@ def build_clique_gadget(
     for v in inst.graph.vertices:
         if not isinstance(v, str) or not _H_NAME.match(v):
             raise ValueError(f"graph vertex names must be plain tokens, got {v!r}")
-    cored = core(g)
-    comps = gaifman(cored).components()
+    if cored is None:
+        cored = core(g)
+    elif cored.dist != g.dist or not cored.tgraph.triple_set <= g.tgraph.triple_set:
+        raise ValueError("the given core is not a subgraph of the t-graph")
+    gaif = gaifman(cored)
     covered = mm.covered()
-    if covered not in comps:
+    if covered not in gaif.components():
         raise ComponentMismatch(
             "minor-map target is not a connected component of the core's Gaifman graph"
         )
@@ -214,31 +223,31 @@ def build_clique_gadget(
         raise InvalidMinorMap(
             f"expected a ({k} x {big_k})-grid map, got ({mm.rows} x {mm.cols})"
         )
-    if not verify_minor_map(mm, gaifman(cored).subgraph(covered)):
+    if not verify_minor_map(mm, gaif.subgraph(covered)):
         raise InvalidMinorMap("minor map fails verification against the component")
-
-    cell_of: dict[Term, tuple[int, int]] = {}
-    for cell, vs in mm.cells:
-        for a in vs:
-            cell_of[a] = cell
 
     h_vertices = sorted(inst.graph.vertices)
     h_edges = [tuple(sorted(e)) for e in inst.graph.edges]
     h_edges.sort()
 
-    info: dict[Term, tuple[str, tuple[str, str], int, int, Term]] = {}
-
-    def gadget_vars(anchor: Term) -> list[Term]:
-        i, p = cell_of[anchor]
-        members = pairs[p - 1]
-        out = []
-        for v in h_vertices:
-            for e in h_edges:
-                if (v in e) == (i in members):
-                    term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
-                    info[term] = (v, e, i, p, anchor)
-                    out.append(term)
-        return out
+    # Per anchor: its cell and its gadget variables, listed under every key
+    # (vertex or None, edge or None) they agree with, so that the variables
+    # consistent with a partial combination are one lookup away.
+    projection: dict[Term, Term] = {}
+    anchors: dict[Term, tuple[int, int, dict]] = {}
+    for cell, vs in mm.cells:
+        i, p = cell
+        in_pair = i in pairs[p - 1]
+        for anchor in vs:
+            options: dict[tuple, list[tuple[Term, str, tuple[str, str]]]] = {}
+            for v in h_vertices:
+                for e in h_edges:
+                    if (v in e) == in_pair:
+                        term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
+                        projection[term] = anchor
+                        for key in ((v, e), (v, None), (None, e), (None, None)):
+                            options.setdefault(key, []).append((term, v, e))
+            anchors[anchor] = (i, p, options)
 
     dist = cored.dist
     triples: list[Triple] = []
@@ -246,24 +255,23 @@ def build_clique_gadget(
         if any(v not in dist and v not in covered for v in t.vars()):
             triples.append(t)  # leans on another component; projects to itself
             continue
-        options = [
-            gadget_vars(term) if term.is_var and term in covered else [term]
-            for term in t.terms
-        ]
-        for combo in product(*options):
-            chosen = [info[c] for c in combo if c in info]
-            consistent = True
-            for a, b in combinations(chosen, 2):
-                if a[2] == b[2] and a[0] != b[0]:
-                    consistent = False
-                    break
-                if a[3] == b[3] and a[1] != b[1]:
-                    consistent = False
-                    break
-            if consistent:
-                triples.append(Triple(*combo))
+        # partial combinations: (terms so far, (vertex, edge, row, column) per gadget variable)
+        partial: list[tuple[tuple[Term, ...], tuple]] = [((), ())]
+        for term in t.terms:
+            if term not in anchors:
+                partial = [(terms + (term,), chosen) for terms, chosen in partial]
+                continue
+            i, p, options = anchors[term]
+            grown = []
+            for terms, chosen in partial:
+                need_v = next((cv for cv, _, ci, _ in chosen if ci == i), None)
+                need_e = next((ce for _, ce, _, cp in chosen if cp == p), None)
+                for gv, v, e in options.get((need_v, need_e), ()):
+                    grown.append((terms + (gv,), chosen + ((v, e, i, p),)))
+            partial = grown
+        triples.extend(Triple(*terms) for terms, _ in partial)
     gadget = GeneralizedTGraph(TGraph(tuple(triples)), dist, declared=True)
-    _check_gadget(g, cored, gadget, {t: a for t, (_, _, _, _, a) in info.items()})
+    _check_gadget(g, cored, gadget, projection)
     return gadget
 
 
@@ -347,32 +355,27 @@ def generate_hard_instance(
 ) -> HardInstance:
     """Build (G, mu) such that H has a k-clique iff mu is not a solution.
 
-    Runs the hard-witness extraction at the forest's exact domination width,
-    finds (or checks) a grid-minor witness on the core's Gaifman components,
-    builds the gadget and freezes it.
+    Takes the hard witness at the forest's exact domination width, its core
+    and (unless the caller gives one, which is checked) a grid-minor map on
+    one of the core's Gaifman components from the forest's `Analysis`, so
+    they are found once per forest; builds the gadget and freezes it.
     """
-    forest.ensure_nr()
-    width = domination_width(forest)
-    witness = find_hard_witness(forest, width)
+    analysis = Analysis.of(forest)
+    witness = analysis.witness(analysis.width)
     if witness is None:
         raise NoHardWitness(
             "the forest has no subtree with associated t-graphs to build from"
         )
     k = inst.k
     big_k = k * (k - 1) // 2
-    cored = core(witness.tgraph)
-    comps = gaifman(cored).components()
     if mm is None:
-        for comp in comps:
-            found = find_grid_minor(gaifman(cored).subgraph(comp), k, big_k)
-            if found is not None:
-                mm = found
-                break
+        mm = analysis.grid_minor(k, big_k)
         if mm is None:
             raise NoGridMinorFound(
                 f"no component of the witness core carries a ({k} x {big_k})-grid minor"
             )
-    gadget = build_clique_gadget(witness.tgraph, inst, mm)
+    cored, _ = analysis.witness_core
+    gadget = build_clique_gadget(witness.tgraph, inst, mm, cored=cored)
     frozen = freeze(gadget)
     if frozen.mapping.domain != subtree_vars(forest, witness.subtree):
         raise AssertionError("frozen mapping domain must equal the subtree variables")

@@ -9,13 +9,17 @@ The search is a backtracking solver with a fixed variable order
 run to run.  A variable's candidate domain is the set of terms it meets
 in the target's matches of every source triple holding it; the matches of
 each source triple come once from the target's (position, IRI) index
-(`TGraph.matching`), never from a scan of the whole target.
+(`TGraph.matching`), never from a scan of the whole target, with the
+pinned values substituted first, so a variable next to a pinned one is
+drawn from that value's neighbours only.
+
+Nothing here is cached across calls: `ctw` memoizes only into a dict its
+caller passes, which `width.Analysis` keeps for as long as its forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainMismatch, MismatchedDistinguishedSets, NonGroundGraph
 from .graphs import DEFAULT_TW_CAP, UndirectedGraph, treewidth
@@ -67,22 +71,25 @@ def _solve(
         ok = all(t in target for t in source)
         return [{}] if ok else []
 
+    # IRI values are substituted before the index lookup; a variable pinned
+    # to a variable of the target is checked on the matches instead
+    iri_fixed = {v: c for v, c in fixed.items() if c.is_iri}
     occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
     cands: dict[Term, set[Term]] = {}
     for t in source:
-        matches = target.matching(t)
+        matches = target.matching(substitute(t, iri_fixed) if iri_fixed else t)
+        for pos, term in enumerate(t.terms):
+            if term in fixed and not fixed[term].is_iri:
+                matches = [u for u in matches if u.terms[pos] == fixed[term]]
         if not matches:
             return []
         for pos, term in enumerate(t.terms):
-            if term.is_var:
+            if term.is_var and term not in fixed:
                 occurrences[term] += 1
                 here = {u.terms[pos] for u in matches}
                 cands[term] = cands[term] & here if term in cands else here
     domains: dict[Term, list[Term]] = {}
-    for v in src_vars:
-        here = cands[v]
-        if v in fixed:
-            here = here & {fixed[v]}
+    for v, here in cands.items():
         if not here:
             return []
         domains[v] = sorted(here, key=str)
@@ -217,11 +224,19 @@ def tgraph_treewidth(g: GeneralizedTGraph, cap: int = DEFAULT_TW_CAP) -> int:
     return treewidth(gaifman(g), cap=cap)
 
 
-@lru_cache(maxsize=None)
-def _ctw(g: GeneralizedTGraph, cap: int) -> int:
-    return treewidth(gaifman(core(g)), cap=cap)
+def ctw(
+    g: GeneralizedTGraph,
+    cap: int = DEFAULT_TW_CAP,
+    memo: dict[tuple[GeneralizedTGraph, int], int] | None = None,
+) -> int:
+    """Treewidth of the core of (S, X).
 
-
-def ctw(g: GeneralizedTGraph, cap: int = DEFAULT_TW_CAP) -> int:
-    """Treewidth of the core of (S, X)."""
-    return _ctw(g, cap)
+    Kept in `memo` when the caller passes one (a `width.Analysis` passes its
+    own); nothing is kept otherwise.
+    """
+    if memo is None:
+        memo = {}
+    key = (g, cap)
+    if key not in memo:
+        memo[key] = treewidth(gaifman(core(g)), cap=cap)
+    return memo[key]

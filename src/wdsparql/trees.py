@@ -15,7 +15,7 @@ generalized t-graphs associated with a subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import NotNRNormalForm
@@ -87,7 +87,8 @@ class WdPT:
         return TGraph(out)
 
     def vars(self, nodes=None) -> frozenset[Term]:
-        return self.pat(nodes).vars()
+        picked = self.labels if nodes is None else nodes
+        return frozenset().union(*(self.labels[n].vars() for n in picked))
 
     def depth(self, n: int) -> int:
         d = 0
@@ -151,6 +152,9 @@ class WdPF:
     """An ordered forest of wdPTs; indices are stable and 0-based."""
 
     trees: tuple[WdPT, ...]
+    # width.Analysis per treewidth cap, built on first use; not part of the
+    # value, and it lives exactly as long as the forest
+    analyses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:

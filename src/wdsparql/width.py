@@ -9,17 +9,22 @@ a member that is maximal under the homomorphism preorder; the hardness
 generator builds its reduction instances from that witness.
 
 Everything here is exact and desk-scale: instance caps raise rather than
-degrade to heuristics, and homomorphism/ctw results are memoized across a
-single analysis.
+degrade to heuristics.  There is no process-global cache: what these
+functions derive from a forest (associated sets, homomorphism tests, ctw
+values, the width, the witnesses, the witness core and its grid minors)
+is kept in the forest's `Analysis`, built on first use, so the memo lives
+exactly as long as the forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, NoHardWitness
 from .graphs import DEFAULT_TW_CAP
-from .hom import GeneralizedTGraph, ctw, find_homomorphism
+from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
 from .trees import (
     ChildrenAssignment,
     Subtree,
@@ -29,22 +34,37 @@ from .trees import (
     subtrees,
 )
 
+if TYPE_CHECKING:
+    from .hardness import MinorMap
+
 MAX_TREES = 4
 MAX_NODES_PER_TREE = 12
 MAX_VARS_PER_MEMBER = 14
 
 
 class HomCache:
-    """Memo for directed homomorphism tests between generalized t-graphs."""
+    """Memo of directed homomorphism tests between generalized t-graphs, and
+    of their ctw values, for one analysis at one treewidth cap."""
 
-    def __init__(self):
+    def __init__(self, cap: int = DEFAULT_TW_CAP):
+        self.cap = cap
         self._seen: dict[tuple[GeneralizedTGraph, GeneralizedTGraph], bool] = {}
+        self._ctws: dict[tuple[GeneralizedTGraph, int], int] = {}
 
     def maps(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
         key = (a, b)
         if key not in self._seen:
             self._seen[key] = find_homomorphism(a, b) is not None
         return self._seen[key]
+
+    def ctw(self, g: GeneralizedTGraph) -> int:
+        """ctw of a member of an associated set, within the instance caps."""
+        if len(g.tgraph.vars()) > MAX_VARS_PER_MEMBER:
+            raise InstanceTooLarge(
+                f"{len(g.tgraph.vars())} variables in a merged t-graph, "
+                f"cap is {MAX_VARS_PER_MEMBER}"
+            )
+        return ctw(g, cap=self.cap, memo=self._ctws)
 
 
 @dataclass(frozen=True)
@@ -72,15 +92,6 @@ def _check_caps(forest: WdPF) -> None:
             raise InstanceTooLarge(
                 f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
             )
-
-
-def _member_ctw(g: GeneralizedTGraph, cap: int) -> int:
-    if len(g.tgraph.vars()) > MAX_VARS_PER_MEMBER:
-        raise InstanceTooLarge(
-            f"{len(g.tgraph.vars())} variables in a merged t-graph, "
-            f"cap is {MAX_VARS_PER_MEMBER}"
-        )
-    return ctw(g, cap=cap)
 
 
 def branch_treewidth(tree: WdPT, cap: int = DEFAULT_TW_CAP) -> int:
@@ -124,9 +135,9 @@ def is_k_dominated(
 
     Vacuously true for the empty set.
     """
-    cache = cache or HomCache()
+    cache = cache or HomCache(cap)
     members = list(gset)
-    low = [g for g in members if _member_ctw(g, cap) <= k]
+    low = [g for g in members if cache.ctw(g) <= k]
     for g in members:
         if g in low:
             continue
@@ -135,26 +146,103 @@ def is_k_dominated(
     return True
 
 
-def _subtree_demand(gset, cache: HomCache, cap: int) -> int:
+def _subtree_demand(gset, cache: HomCache) -> int:
     """Least k making the set k-dominated (1 for the empty set)."""
     if not gset:
         return 1
-    top = max(_member_ctw(g, cap) for g in gset)
+    top = max(cache.ctw(g) for g in gset)
     for k in range(1, top + 1):
-        if is_k_dominated(gset, k, cache, cap):
+        if is_k_dominated(gset, k, cache):
             return k
     return top  # unreachable: the set always dominates itself at its max ctw
 
 
+class Analysis:
+    """What the width measures and the hardness generator derive from one
+    forest, each part computed when first asked for and then kept.
+
+    `Analysis.of` keeps one per treewidth cap on the forest itself, so it
+    lives exactly as long as the forest: the subtrees, their associated
+    t-graphs, one `HomCache` (homomorphism tests and ctw values), the
+    per-subtree demands, the domination width, the hard witness per k, the
+    core of the witness at the exact width with its Gaifman components, and
+    the grid minor per grid shape.  Asking for the width builds no witness
+    and searches no minor.
+    """
+
+    def __init__(self, forest: WdPF, cap: int):
+        forest.ensure_nr()
+        _check_caps(forest)
+        self.forest = forest
+        self.cap = cap
+        self.cache = HomCache(cap)
+        self.subtrees = subtrees(forest)
+        self._associated: dict[Subtree, tuple] = {}
+        self._demands: dict[Subtree, int] = {}
+        self._witnesses: dict[int, HardWitness | None] = {}
+        self._minors: dict[tuple[int, int], MinorMap | None] = {}
+
+    @classmethod
+    def of(cls, forest: WdPF, cap: int = DEFAULT_TW_CAP) -> "Analysis":
+        """The forest's analysis at this cap; a forest that fails the NR or
+        size checks gets none, so every call raises again."""
+        found = forest.analyses.get(cap)
+        if found is None:
+            found = forest.analyses[cap] = cls(forest, cap)
+        return found
+
+    def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
+        if sub not in self._associated:
+            self._associated[sub] = associated_with_provenance(self.forest, sub)
+        return self._associated[sub]
+
+    def demand(self, sub: Subtree) -> int:
+        """Least k making the subtree's associated set k-dominated."""
+        if sub not in self._demands:
+            gset = [g for _, g in self.associated(sub)]
+            self._demands[sub] = _subtree_demand(gset, self.cache)
+        return self._demands[sub]
+
+    @cached_property
+    def width(self) -> int:
+        return domination_width(self.forest, self.cap)
+
+    def witness(self, k: int) -> HardWitness | None:
+        if k not in self._witnesses:
+            self._witnesses[k] = find_hard_witness(self.forest, k, self.cap)
+        return self._witnesses[k]
+
+    @cached_property
+    def witness_core(self) -> tuple[GeneralizedTGraph, tuple[frozenset, ...]]:
+        """The core of the hard witness at the exact width, and the vertex
+        sets of its Gaifman graph's components.  Needs a witness."""
+        witness = self.witness(self.width)
+        if witness is None:
+            raise NoHardWitness("the forest has no hard witness to take the core of")
+        cored = core(witness.tgraph)
+        return cored, gaifman(cored).components()
+
+    def grid_minor(self, rows: int, cols: int) -> MinorMap | None:
+        """A minor map of the (rows x cols)-grid onto one Gaifman component
+        of the witness core (the first that carries one), or None."""
+        from .hardness import find_grid_minor  # hardness builds on this module
+
+        shape = (rows, cols)
+        if shape not in self._minors:
+            cored, comps = self.witness_core
+            gaif = gaifman(cored)
+            found = None
+            for comp in comps:
+                found = find_grid_minor(gaif.subgraph(comp), rows, cols)
+                if found is not None:
+                    break
+            self._minors[shape] = found
+        return self._minors[shape]
+
+
 def domination_width(forest: WdPF, cap: int = DEFAULT_TW_CAP) -> int:
-    forest.ensure_nr()
-    _check_caps(forest)
-    cache = HomCache()
-    worst = 1
-    for sub in subtrees(forest):
-        gset = [g for _, g in associated_with_provenance(forest, sub)]
-        worst = max(worst, _subtree_demand(gset, cache, cap))
-    return worst
+    a = Analysis.of(forest, cap)
+    return max((a.demand(sub) for sub in a.subtrees), default=1)
 
 
 def width_report(forest: WdPF, measure: str, cap: int = DEFAULT_TW_CAP) -> WidthReport:
@@ -176,16 +264,13 @@ def width_report(forest: WdPF, measure: str, cap: int = DEFAULT_TW_CAP) -> Width
                 rows.append((f"tree {i} node n{n}", value))
         return WidthReport("local", max((v for _, v in rows), default=1), tuple(rows))
     if measure == "dw":
-        forest.ensure_nr()
-        _check_caps(forest)
-        cache = HomCache()
+        a = Analysis.of(forest, cap)
         rows = []
-        for sub in subtrees(forest):
-            pairs = associated_with_provenance(forest, sub)
-            gset = [g for _, g in pairs]
+        for sub in a.subtrees:
+            pairs = a.associated(sub)
             domains = ", ".join(str(set(ca.domain)) for ca, _ in pairs) or "none"
-            label = f"{sub} ({len(gset)} members; assignment domains: {domains})"
-            rows.append((label, _subtree_demand(gset, cache, cap)))
+            label = f"{sub} ({len(pairs)} members; assignment domains: {domains})"
+            rows.append((label, a.demand(sub)))
         return WidthReport("dw", max((v for _, v in rows), default=1), tuple(rows))
     raise ValueError(f"unknown measure {measure!r}")
 
@@ -208,25 +293,24 @@ def find_hard_witness(forest: WdPF, k: int, cap: int = DEFAULT_TW_CAP) -> HardWi
     homomorphism digraph.  The returned pair is re-verified against the full
     member set before being handed out.
     """
-    forest.ensure_nr()
-    _check_caps(forest)
-    cache = HomCache()
-    for sub in subtrees(forest):
-        pairs = associated_with_provenance(forest, sub)
+    a = Analysis.of(forest, cap)
+    cache = a.cache
+    for sub in a.subtrees:
+        pairs = a.associated(sub)
         gset = [g for _, g in pairs]
-        if is_k_dominated(gset, k - 1, cache, cap):
+        if is_k_dominated(gset, k - 1, cache):
             continue
-        low = [g for g in gset if _member_ctw(g, cap) <= k - 1]
+        low = [g for g in gset if cache.ctw(g) <= k - 1]
         hard = [
             g
             for g in gset
-            if _member_ctw(g, cap) >= k and not any(cache.maps(d, g) for d in low)
+            if cache.ctw(g) >= k and not any(cache.maps(d, g) for d in low)
         ]
         picked = _source_component_member(hard, cache)
         for ca, g in pairs:
             if g == picked:
                 witness = HardWitness(sub, ca, g)
-                _verify_witness(witness, gset, k, cache, cap)
+                _verify_witness(witness, gset, k, cache)
                 return witness
     return None
 
@@ -245,8 +329,8 @@ def _source_component_member(hard, cache: HomCache) -> GeneralizedTGraph:
     raise AssertionError("a finite digraph always has a source component")
 
 
-def _verify_witness(w: HardWitness, gset, k: int, cache: HomCache, cap: int) -> None:
-    if _member_ctw(w.tgraph, cap) < k:
+def _verify_witness(w: HardWitness, gset, k: int, cache: HomCache) -> None:
+    if cache.ctw(w.tgraph) < k:
         raise AssertionError("hard witness lost its width")
     for other in gset:
         if cache.maps(other, w.tgraph) and not cache.maps(w.tgraph, other):

@@ -4,7 +4,8 @@ These deliberately share no code path with the implementations they check:
 homomorphisms by enumerating every assignment, treewidth by trying every
 elimination order, the pebble game by solving the actual two-player game,
 the consistency family by naive deletion to a fixpoint, tree evaluation
-by enumerating every subtree instead of the greedy scan.
+by enumerating every subtree instead of the greedy scan, the clique gadget
+by filtering the full product of gadget variables per triple.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from wdsparql.graphs import UndirectedGraph
-from wdsparql.hom import GeneralizedTGraph
-from wdsparql.terms import Mapping, TGraph, Term, substitute
+from wdsparql.hom import GeneralizedTGraph, core
+from wdsparql.terms import Mapping, TGraph, Term, Triple, substitute, var
 from wdsparql.trees import WdPF, WdPT
 
 
@@ -237,3 +238,43 @@ def has_clique_by_edge_count(h: UndirectedGraph, k: int) -> bool:
     return any(
         all(h.has_edge(a, b) for a, b in combinations(group, 2)) for group in groups
     )
+
+
+def clique_gadget_by_product(g: GeneralizedTGraph, h: UndirectedGraph, k: int, cells) -> GeneralizedTGraph:
+    """The clique gadget built the brute-force way: per core triple, every
+    combination of the gadget variables of its anchors (itertools.product),
+    kept when each pair of them agrees on the vertex where they share a grid
+    row and on the edge where they share a column.  `cells` maps each grid
+    cell (row, column) to its branch set; the caller checks the minor map."""
+    pairs = [frozenset(p) for p in combinations(range(1, k + 1), 2)]
+    cell_of = {a: cell for cell, vs in cells.items() for a in vs}
+    vertices = sorted(h.vertices)
+    edges = sorted(tuple(sorted(e)) for e in h.edges)
+    info = {}
+
+    def gadget_vars(anchor):
+        i, p = cell_of[anchor]
+        out = []
+        for v in vertices:
+            for e in edges:
+                if (v in e) == (i in pairs[p - 1]):
+                    term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
+                    info[term] = (v, e, i, p)
+                    out.append(term)
+        return out
+
+    cored = core(g)
+    triples = []
+    for t in cored.tgraph:
+        if any(v not in cored.dist and v not in cell_of for v in t.vars()):
+            triples.append(t)
+            continue
+        options = [gadget_vars(x) if x in cell_of else [x] for x in t.terms]
+        for combo in product(*options):
+            chosen = [info[c] for c in combo if c in info]
+            if all(
+                (a[2] != b[2] or a[0] == b[0]) and (a[3] != b[3] or a[1] == b[1])
+                for a, b in combinations(chosen, 2)
+            ):
+                triples.append(Triple(*combo))
+    return GeneralizedTGraph(TGraph(tuple(triples)), cored.dist, declared=True)

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from fixtures import P1_TEXT, P2_TEXT
+from wdsparql import cli
 from wdsparql.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -90,6 +91,26 @@ def test_width_command():
     assert code == 0
     assert out.splitlines()[0] == "dw = 1"
     assert any(line.startswith("  tree 0") for line in out.splitlines()[1:])
+
+
+def test_parser_built_once_and_each_call_parses_afresh(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    pattern = str(DATA / "clique3.sparql")
+    code, out, _ = run("--help")
+    assert code == 0 and out.startswith("usage:")
+    assert run("width")[0] == 1  # --pattern missing
+    assert run("no-such-command")[0] == 1
+    assert run("width", "--pattern", pattern, "--report")[1].startswith("dw = 1")
+    assert run("width", "--pattern", pattern)[1] == "1\n"  # no --report left over
+    assert len(built) == 1
 
 
 def test_width_of_union_family():

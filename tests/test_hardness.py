@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 
 from fixtures import forest_family
-from oracles import has_clique_by_edge_count, hom_exists
+from oracles import clique_gadget_by_product, has_clique_by_edge_count, hom_exists
+from wdsparql import hardness, width
 from wdsparql.errors import (
     ComponentMismatch,
+    InstanceTooLarge,
     InvalidMinorMap,
     ParseError,
     ReservedPrefixCollision,
@@ -29,7 +31,8 @@ from wdsparql.hardness import (
 )
 from wdsparql.hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman, maps_into_graph
 from wdsparql.terms import Mapping, TGraph, iri, parse_graph, var
-from wdsparql.width import find_hard_witness
+from wdsparql.trees import WdPF, WdPT
+from wdsparql.width import Analysis, find_hard_witness
 
 
 def ug(n, edges):
@@ -106,35 +109,63 @@ def test_gadget_smallest_scale_equivalence():
     assert find_homomorphism(g, no) is None
 
 
+def family_gadget_inputs(clique_size, k):
+    """The hard witness of the two-tree family, its core and a
+    (k x C(k,2))-grid minor map on the core's clique component."""
+    witness = find_hard_witness(forest_family(clique_size), 2)
+    cored = core(witness.tgraph)
+    comp = gaifman(cored).components()[0]
+    mm = find_grid_minor(gaifman(cored).subgraph(comp), k, k * (k - 1) // 2)
+    assert mm is not None
+    return witness.tgraph, cored, mm
+
+
+def assert_gadget_is_reference(g, h, k, mm, cored=None):
+    gadget = build_clique_gadget(g, CliqueInstance(h, k), mm, cored=cored)
+    reference = clique_gadget_by_product(g, h, k, dict(mm.cells))
+    assert gadget.tgraph == reference.tgraph and gadget.dist == reference.dist
+    return gadget
+
+
 def test_gadget_k2_full_sweep():
     g, mm = smallest_gadget_inputs()
+    family_g, family_core, family_mm = family_gadget_inputs(3, 2)
     for n in range(1, 5):
         for mask in range(2 ** (n * (n - 1) // 2)):
             pairs = list(combinations(range(n), 2))
             edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
             h = ug(n, edges)
-            gadget = build_clique_gadget(g, CliqueInstance(h, 2), mm)
+            gadget = assert_gadget_is_reference(g, h, 2, mm)
             expected = has_clique(h, 2)
             assert (find_homomorphism(g, gadget) is not None) == expected
             assert hom_exists(g, gadget) == expected  # brute-force double check
+            assert_gadget_is_reference(family_g, h, 2, family_mm)
+            assert_gadget_is_reference(family_g, h, 2, family_mm, cored=family_core)
+
+
+def test_gadget_rejects_a_core_that_is_not_a_subgraph():
+    g, _, mm = family_gadget_inputs(3, 2)
+    other = GeneralizedTGraph(parse_graph("?y p ?x"), g.dist, declared=True)
+    with pytest.raises(ValueError):
+        build_clique_gadget(g, CliqueInstance(ug(2, [(0, 1)]), 2), mm, cored=other)
 
 
 def test_gadget_keeps_distinguished_triples_and_projects_back():
     # a (k x C(k,2))-grid minor needs k*C(k,2) branch sets, so the witness
     # clique must have at least that many free variables
+    rng = random.Random(13)
     for k, clique_size in ((2, 3), (3, 9)):
-        family = forest_family(clique_size)
-        witness = find_hard_witness(family, 2)
-        cored = core(witness.tgraph)
-        comp = gaifman(cored).components()[0]
-        mm = find_grid_minor(gaifman(cored).subgraph(comp), k, k * (k - 1) // 2)
-        assert mm is not None
+        g, cored, mm = family_gadget_inputs(clique_size, k)
         h = ug(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        gadget = build_clique_gadget(witness.tgraph, CliqueInstance(h, k), mm)
-        for t in witness.tgraph.tgraph:
-            if t.vars() <= witness.tgraph.dist:
+        gadget = assert_gadget_is_reference(g, h, k, mm, cored=cored)
+        for t in g.tgraph:
+            if t.vars() <= g.dist:
                 assert t in gadget.tgraph
-        assert find_homomorphism(gadget, witness.tgraph) is not None
+        assert find_homomorphism(gadget, g) is not None
+        for _ in range(6):
+            n = rng.randint(3, 5)
+            h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+            assert_gadget_is_reference(g, h, k, mm, cored=cored)
 
 
 def test_gadget_rejects_bad_minor_maps():
@@ -249,3 +280,64 @@ def test_generate_errors():
     # the witness carries a triangle component: no 3x3 grid fits for k=3
     with pytest.raises(NoGridMinorFound):
         generate_hard_instance(forest_family(3), CliqueInstance(ug(3, [(0, 1)]), 3))
+
+
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Counts, by name, the calls of the analysis steps of a forest."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("domination_width", "find_hard_witness", "core"):
+        count(width, name)
+    count(hardness, "find_grid_minor")
+    return calls
+
+
+def test_generate_hard_instance_analyses_the_forest_once(analysis_calls):
+    family = forest_family(3)
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        inst = generate_hard_instance(family, CliqueInstance(h, 2))
+        assert has_clique(h, 2) == (not eval_forest(family, inst.graph, inst.mapping))
+    assert analysis_calls == {"domination_width": 1, "find_hard_witness": 1, "core": 1, "find_grid_minor": 1}
+
+
+def test_domination_width_builds_only_what_it_needs(analysis_calls):
+    family = forest_family(3)
+    assert width.domination_width(family) == 2
+    assert width.domination_width(family) == 2
+    assert analysis_calls == {"domination_width": 2}
+
+
+def test_warm_forest_keeps_every_check():
+    family = forest_family(3)
+    h = ug(3, [(0, 1)])
+    generate_hard_instance(family, CliqueInstance(h, 2))  # warms the analysis
+    (component,) = Analysis.of(family).witness_core[1]
+    o1, o2, o3 = sorted(component, key=str)
+    overlapping = MinorMap.of(2, 1, {(1, 1): frozenset({o1, o2}), (2, 1): frozenset({o2, o3})})
+    wrong_shape = MinorMap.of(1, 1, {(1, 1): component})
+    for _ in range(2):
+        for bad in (overlapping, wrong_shape):
+            with pytest.raises(InvalidMinorMap):
+                generate_hard_instance(family, CliqueInstance(h, 2), bad)
+    # too many trees: no analysis is kept, so every call is refused again
+    tree = WdPT(0, {}, {0: parse_graph("?x p ?y")})
+    over_cap = WdPF((tree,) * (width.MAX_TREES + 1))
+    for _ in range(3):
+        with pytest.raises(InstanceTooLarge):
+            generate_hard_instance(over_cap, CliqueInstance(h, 2))
+        with pytest.raises(InstanceTooLarge):
+            width.domination_width(over_cap)
+    assert over_cap.analyses == {}

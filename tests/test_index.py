@@ -5,18 +5,21 @@ searches built on it (homomorphisms, the pebble fixpoint) against the
 brute-force oracles, on seeded random instances.  The instances use five
 predicates, IRIs in subject and object position, a predicate that also
 occurs as a node, variables in predicate position and repeated variables
-such as ``(?x, p, ?x)``.
+such as ``(?x, p, ?x)``.  The searches are also run with values pinned
+for some variables (IRIs, and variables of a non-ground target), since
+the search substitutes pinned values before it looks triples up.
 """
 
 import random
 
 from oracles import (
+    all_assignment_homs,
     consistency_family_by_iteration,
     duplicator_wins_game,
     hom_exists,
     hom_into_graph_exists,
 )
-from wdsparql.hom import GeneralizedTGraph, find_homomorphism, maps_into_graph
+from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
 from wdsparql.terms import Mapping, TGraph, Triple, iri, substitute, var
 
@@ -91,7 +94,7 @@ def test_matching_equals_full_scan():
 
 def test_find_homomorphism_agrees_with_oracle():
     rng = random.Random(202)
-    outcomes = set()
+    outcomes, pinned_outcomes = set(), set()
     for _ in range(200):
         a = random_source(rng)
         pool = TARGET_VARS + tuple(sorted(a.dist, key=str))
@@ -106,12 +109,32 @@ def test_find_homomorphism_agrees_with_oracle():
             assert all(h[x] == x for x in a.dist if x in h)
             assert all(substitute(t, h) in target for t in a.tgraph)
         outcomes.add(h is not None)
+        # pins to IRIs or to variables, not only to themselves; a variable
+        # named like another source variable must not be read as that one
+        terms = NODES + tuple(sorted(target.vars() | a.tgraph.vars(), key=str))
+        pins = {v: rng.choice(terms) for v in sorted(a.tgraph.vars(), key=str) if rng.random() < 0.4}
+        found = all_homomorphisms(a.tgraph, target, pins)
+        expected = all_assignment_homs(a.tgraph, target, pins)
+        assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
+        pinned_outcomes.add(bool(found) if pins else None)
     assert outcomes == {True, False}
+    assert pinned_outcomes == {True, False, None}
+
+
+def sorted_items(h):
+    return sorted((str(k), str(v)) for k, v in h.items())
+
+
+def test_pinned_variable_named_like_another_source_variable():
+    x0, x1 = VARS[:2]
+    source = TGraph((Triple(x1, PREDICATES[0], x0),))
+    target = TGraph((Triple(x0, PREDICATES[0], NODES[0]),))
+    assert all_homomorphisms(source, target, {x1: x0}) == [{x1: x0, x0: NODES[0]}]
 
 
 def test_maps_into_graph_agrees_with_oracle():
     rng = random.Random(303)
-    outcomes = set()
+    outcomes, pinned_outcomes = set(), set()
     for _ in range(200):
         g = random_source(rng)
         graph = random_target(rng, rng.randint(1, 12))
@@ -125,7 +148,14 @@ def test_maps_into_graph_agrees_with_oracle():
             assert all(h[x] == mu.get(x) for x in g.dist)
             assert all(substitute(t, h) in graph for t in g.tgraph)
         outcomes.add(h is not None)
-    assert outcomes == {True, False}
+        # every variable pinned, each to its planted value or to a random IRI
+        every = sorted(g.tgraph.vars(), key=str)
+        mu = Mapping.of({v: image[v] if rng.random() < 0.7 else rng.choice(NODES) for v in every})
+        pinned = GeneralizedTGraph(g.tgraph, frozenset(every))
+        h = maps_into_graph(pinned, graph, mu)
+        assert (h is not None) == hom_into_graph_exists(pinned, graph, mu)
+        pinned_outcomes.add(h is not None)
+    assert outcomes == pinned_outcomes == {True, False}
 
 
 def random_game(rng):
