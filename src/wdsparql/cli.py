@@ -3,7 +3,8 @@
 Exit codes: 0 = yes/success, 2 = no (decision negative or not well
 designed), 1 = usage/parse/runtime error.  Decisions travel through the
 exit code only; diagnostics go to stderr, results to stdout.  Library
-errors are printed as one machine-parsable line ``ERROR <Kind>: <detail>``.
+errors are printed as one machine-parsable line ``ERROR <Kind>: <detail>``;
+any other exception, a defect, as ``ERROR Internal: <Type>: <detail>``.
 """
 
 from __future__ import annotations
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
     except RecursionError:
         # the parser and the pattern walks recurse on nesting depth
         print("ERROR InstanceTooLarge: input nested too deeply to process", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect: still one line, never a traceback
+        print(f"ERROR Internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,25 +5,30 @@ Three routes:
 * `eval_naive` implements the compositional set semantics directly on the
   pattern AST (works for arbitrary patterns, not just well-designed ones).
 * `eval_tree` / `eval_forest` decide membership of a single mapping via the
-  subtree characterization for NR-normal-form trees; `enumerate_solutions`
-  turns the same characterization into a solution enumerator and is the
-  exponential oracle of the package, capped rather than clever.
-* `eval_pebble` is the polynomial-time relaxation: the same per-tree scan,
-  but children extensions are tested with the existential (k+1)-pebble game
-  instead of a homomorphism search.  Rejection is always correct; acceptance
-  is guaranteed correct when the forest's domination width is at most k.
+  subtree characterization for NR-normal-form trees: one per-tree scan
+  (`_scan`) finds mu's matched subtree and accepts when no child of it
+  "extends", a test it takes as an argument; here the test is exact, a
+  homomorphism search.  `enumerate_solutions` turns the same
+  characterization into a solution enumerator and is the exponential
+  oracle of the package, capped rather than clever.
+* `eval_pebble` is the polynomial-time relaxation: the same scan, with the
+  existential (k+1)-pebble game as the "child extends" test.  Rejection is
+  always correct; acceptance is guaranteed correct when the forest's
+  domination width is at most k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
 from .terms import Mapping, TGraph, Triple
-from .trees import Subtree, WdPF, WdPT, subtree_children, subtree_pat
+from .trees import WdPF, WdPT
 
 DEFAULT_ENUM_VAR_CAP = 12
 
@@ -120,13 +125,26 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     return frozenset(keep)
 
 
-def _child_extends(
-    tree: WdPT, nodes: frozenset[int], child: int, graph: TGraph, mu: Mapping
-) -> bool:
-    merged = GeneralizedTGraph(
-        tree.pat(nodes) | tree.label(child), tree.vars(nodes)
+def _child_tgraphs(tree: WdPT, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
+    """Per child of the subtree `nodes`, built as it is asked for: the
+    subtree's pattern plus the child's label, with the subtree's variables
+    distinguished."""
+    kids = [c for n in nodes for c in tree.children(n) if c not in nodes]
+    if kids:
+        pat, dist = tree.pat(nodes), tree.vars(nodes)
+        yield from (GeneralizedTGraph(pat | tree.label(c), dist) for c in kids)
+
+
+def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
+    return maps_into_graph(g, graph, mu) is not None
+
+
+def _scan(tree: WdPT, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
+    """mu's matched subtree exists and no child of it passes `extends`."""
+    nodes = matched_subtree(tree, graph, mu)
+    return nodes is not None and not any(
+        extends(g, graph, mu) for g in _child_tgraphs(tree, nodes)
     )
-    return maps_into_graph(merged, graph, mu) is not None
 
 
 def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
@@ -134,13 +152,7 @@ def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
     admits a homomorphism into the graph compatible with mu."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    nodes = matched_subtree(tree, graph, mu)
-    if nodes is None:
-        return False
-    outside = [
-        c for n in nodes for c in tree.children(n) if c not in nodes
-    ]
-    return not any(_child_extends(tree, nodes, c, graph, mu) for c in outside)
+    return _scan(tree, graph, mu, _exact_extends)
 
 
 def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
@@ -163,16 +175,12 @@ def enumerate_solutions(
             f"{n_vars} pattern variables exceed the enumeration cap of {var_cap}"
         )
     found: list[Mapping] = []
-    for i, tree in enumerate(forest):
+    for tree in forest:
         for nodeset in tree.subtree_nodesets():
-            sub = Subtree(i, nodeset)
-            pat = subtree_pat(forest, sub)
-            kids = subtree_children(forest, sub)
-            for h in all_homomorphisms(pat, graph):
-                mu = Mapping.of(h)  # dom(h) = vars(sub) by construction
-                if not any(
-                    _child_extends(tree, nodeset, c, graph, mu) for c in kids
-                ):
+            kids = list(_child_tgraphs(tree, nodeset))
+            for h in all_homomorphisms(tree.pat(nodeset), graph):
+                mu = Mapping.of(h)  # dom(h) = vars(nodeset) by construction
+                if not any(_exact_extends(g, graph, mu) for g in kids):
                     found.append(mu)
     return SolutionSet(tuple(found))
 
@@ -184,19 +192,5 @@ def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:
     forest.ensure_nr()
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    for tree in forest:
-        nodes = matched_subtree(tree, graph, mu)
-        if nodes is None:
-            continue
-        outside = [c for n in nodes for c in tree.children(n) if c not in nodes]
-        extendable = False
-        for c in outside:
-            merged = GeneralizedTGraph(
-                tree.pat(nodes) | tree.label(c), tree.vars(nodes)
-            )
-            if pebble_wins(merged, graph, mu, k + 1):
-                extendable = True
-                break
-        if not extendable:
-            return True
-    return False
+    extends = partial(pebble_wins, k=k + 1)
+    return any(_scan(tree, graph, mu, extends) for tree in forest)

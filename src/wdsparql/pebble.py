@@ -1,22 +1,43 @@
-"""The existential k-pebble game, decided by the k-consistency fixpoint.
+"""The existential k-pebble game, decided in one of two regimes.
 
-Instead of playing the two-player game we compute the largest family of
-partial assignments (non-distinguished variables to IRIs of the graph, at
-most k at a time) that are partial homomorphisms, closed under restriction
-and satisfying the forth property: every member smaller than k extends to
-every further variable within the family.  The Duplicator wins exactly
-when the empty assignment survives.  Deletion order does not matter (the
-rules are monotone), so a worklist suffices.
+With at least as many pebbles as free variables (|free| <= k) the Spoiler
+can pebble every free variable at once, so the Duplicator wins exactly when
+a homomorphism extending mu exists (Kolaitis and Vardi 2000).
+`pebble_wins` then runs the homomorphism search, which covers at most k
+free variables and so stays inside the game's own |dom|^k bound, and
+builds no family.
+
+Otherwise, instead of playing the two-player game we compute the largest
+family of partial assignments (non-distinguished variables to IRIs of the
+graph, at most k at a time) that are partial homomorphisms, closed under
+restriction and satisfying the forth property: every member smaller than k
+extends to every further variable within the family.  The Duplicator wins
+exactly when the empty assignment survives.  Deletion order does not
+matter (the rules are monotone), so a worklist suffices.
+`consistency_family` always builds this family.
+
+Before any member is generated, each free variable's domain is pruned to
+arc consistency: the values that unary templates admit, shrunk until,
+under every template over exactly two free variables (read once from the
+graph's (position, IRI) index as a relation of value pairs), each value
+has a partner in the other variable's domain.  This keeps the fixpoint
+the same, because k >= 2 consistency implies arc consistency (Dalmau,
+Kolaitis and Vardi 2002): a one-point member of the fixpoint extends, by
+the forth property, to every other variable, and that extension is a
+partial homomorphism whose restrictions are members, so the one-point
+members form an arc-consistent assignment inside the unary candidates;
+every member's values are those of its one-point restrictions.  Only
+members that would die anyway are no longer generated.  An empty domain
+empties the family.
 
 The family is generated level by level, as in arc consistency with support
-sets (Dalmau, Kolaitis and Vardi 2002).  The values tried for a new
-variable x come from the graph's (position, IRI) index: every triple
-template whose only unbound variable, once the member is substituted, is
-x admits exactly the values x meets in that template's matches.  Only
-when no template constrains x is the whole IRI domain tried.  Each member
-then keeps, per variable it lacks, the set of values whose one-point
-extensions are alive; an empty set breaks the forth property, and a dead
-member's one-point extensions are found in its own sets.
+sets.  The values tried for a new variable x are those of its pruned
+domain that every template whose only unbound variable, once the member is
+substituted, is x admits among that template's matches in the index.  Each
+member then keeps, per variable it lacks, the set of values whose
+one-point extensions are alive; an empty set breaks the forth property,
+and a dead member's one-point extensions are found in its own sets.  The
+generation raises `SearchTooLarge` past MAX_FAMILY_MEMBERS members.
 
 Special case worth stating: if the graph has an empty IRI domain and free
 variables remain, the Duplicator has nowhere to put a pebble and loses.
@@ -26,11 +47,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, InvalidK, NonGroundGraph
-from .hom import GeneralizedTGraph
+from .errors import DomainMismatch, InvalidK, NonGroundGraph, SearchTooLarge
+from .hom import GeneralizedTGraph, maps_into_graph
 from .terms import Mapping, TGraph, Term, substitute
 
 _Member = frozenset  # of (variable, iri) pairs
+
+# The most members (partial assignments, the empty one included) the
+# fixpoint generates before it raises SearchTooLarge.  Without it the family
+# grows as C(|free|, k) * |dom|^k; each member costs about 0.7 kB with its
+# support sets, so the cap holds the family to about 70 MB and about a
+# second.  The test suite and the membership benchmark generate families of
+# at most a few hundred members.
+MAX_FAMILY_MEMBERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,8 +89,6 @@ def _fixpoint(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> set[_Member]:
     free = sorted(g.free_vars(), key=lambda v: v.name)
-    domain = graph.iris()
-    target = graph.triple_set
     mu_sub = dict(mu.items())
 
     # per-triple templates with distinguished variables already substituted
@@ -69,29 +96,67 @@ def _fixpoint(
     for t in g.tgraph:
         needs = frozenset(v for v in t.vars() if v not in g.dist)
         templates.append((needs, substitute(t, mu_sub)))
+    if any(t not in graph.triple_set for needs, t in templates if not needs):
+        return set()
+    # unary templates give each variable's candidates, binary ones a
+    # relation (each value of the first variable to its partners), both
+    # read once from the index; templates of one shape share the read
+    domains = {v: graph.iris() for v in free}
+    relations: dict[tuple, dict[Term, set[Term]]] = {}
+    arcs = []
     by_var: dict[Term, list] = {v: [] for v in free}
     for needs, t in templates:
+        pos = {v: t.terms.index(v) for v in needs}
+        if len(needs) == 1:
+            (x,) = needs
+            domains[x] = domains[x] & {u.terms[pos[x]] for u in graph.matching(t)}
+            continue
+        if len(needs) == 2:
+            x, y = sorted(needs, key=pos.get)
+            shape = tuple(0 if u == x else 1 if u == y else u for u in t.terms)
+            if shape not in relations:
+                partners: dict[Term, set[Term]] = {}
+                for u in graph.matching(t):
+                    partners.setdefault(u.terms[pos[x]], set()).add(u.terms[pos[y]])
+                relations[shape] = partners
+            arcs.append((x, y, relations[shape]))
         for v in needs:
-            by_var[v].append((needs, t, t.terms.index(v)))
+            by_var[v].append((needs, t, pos[v]))
 
-    def candidates(member_sub: dict, x: Term):
-        """The values a for which member_sub + {x: a} maps every template
-        over dom(member_sub) + {x} into the graph."""
+    # arc consistency: shrink the domains until, under every binary
+    # template over {x, y}, each value of x has a partner in y's domain and
+    # each value of y is a partner of one in x's; the set operations
+    # between sets of terms reuse their stored hashes
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for x, y, partners in arcs:
+            dx, dy = domains[x], domains[y]
+            keep_x = {a for a in dx & partners.keys() if not partners[a].isdisjoint(dy)}
+            keep_y = dy & set().union(*(partners[a] for a in keep_x))
+            if len(keep_x) < len(dx) or len(keep_y) < len(dy):
+                domains[x], domains[y] = keep_x, keep_y
+                shrunk = True
+    if not all(domains.values()):
+        return set()
+
+    def candidates(member_sub: dict, x: Term) -> set[Term]:
+        """The values a in x's domain for which member_sub + {x: a} maps
+        every template over dom(member_sub) + {x} into the graph."""
         bound = member_sub.keys() | {x}
-        found = None
+        found = domains[x]
         for needs, t, pos in by_var[x]:
             if needs <= bound:
-                here = {u.terms[pos] for u in graph.matching(substitute(t, member_sub))}
-                found = here if found is None else found & here
+                found = found & {u.terms[pos] for u in graph.matching(substitute(t, member_sub))}
                 if not found:
                     break
-        return domain if found is None else found
+        return found
 
-    # bottom-up generation of all partial homomorphisms of size <= k
-    if any(t not in target for needs, t in templates if not needs):
-        return set()
+    # bottom-up generation of all partial homomorphisms of size <= k whose
+    # values lie in the pruned domains
     rank = {v: i for i, v in enumerate(free)}
     levels: list[set[_Member]] = [{frozenset()}]
+    total = 1
     for size in range(1, min(k, len(free)) + 1):
         level: set[_Member] = set()
         for f in levels[size - 1]:
@@ -100,6 +165,11 @@ def _fixpoint(
             for x in free[highest + 1 :]:
                 for a in candidates(base, x):
                     level.add(f | {(x, a)})
+            if total + len(level) > MAX_FAMILY_MEMBERS:
+                raise SearchTooLarge(
+                    f"the {k}-consistency family exceeds {MAX_FAMILY_MEMBERS} members"
+                )
+        total += len(level)
         levels.append(level)
     alive: set[_Member] = set().union(*levels)
 
@@ -154,4 +224,6 @@ def consistency_family(
 def pebble_wins(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int) -> bool:
     """Whether the Duplicator wins the existential k-pebble game."""
     _check_inputs(g, graph, mu, k)
+    if len(g.free_vars()) <= k:  # the Spoiler can pebble every free variable
+        return maps_into_graph(g, graph, mu) is not None
     return frozenset() in _fixpoint(g, graph, mu, k)

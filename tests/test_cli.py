@@ -208,3 +208,31 @@ def test_deep_nesting_is_one_error_line(tmp_path):
     assert out == ""
     assert err.startswith("ERROR InstanceTooLarge:")
     assert len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_is_one_internal_error_line(monkeypatch, tmp_path):
+    def boom(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check_wd", boom)
+    monkeypatch.setattr(cli, "_parser", None)  # rebuilt around the patched command
+    pattern = write(tmp_path, "p.sparql", P1_TEXT)
+    code, out, err = run("check-wd", "--pattern", pattern)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["ERROR Internal: KeyError: 'boom'"]
+    assert "Traceback" not in err
+
+
+def test_pebble_family_cap_is_one_error_line(monkeypatch):
+    from wdsparql import pebble
+
+    monkeypatch.setattr(pebble, "MAX_FAMILY_MEMBERS", 5)
+    code, out, err = run(
+        "pebble", "--tgraph", str(DATA / "probe.tg"),
+        "--graph", str(DATA / "twocycle.nt"), "--k", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ERROR SearchTooLarge:")

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from oracles import duplicator_wins_game, hom_into_graph_exists
-from wdsparql.errors import DomainMismatch, InvalidK
+from oracles import consistency_family_by_iteration, duplicator_wins_game, hom_into_graph_exists
+from wdsparql.errors import DomainMismatch, InvalidK, SearchTooLarge
 from wdsparql.hom import GeneralizedTGraph, ctw, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
 from wdsparql.randgen import random_game_instance
-from wdsparql.terms import Mapping, TGraph, iri, parse_graph, substitute, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, substitute, var
 
 
 def gt(text, dist=()):
@@ -146,3 +146,104 @@ def test_two_pebbles_win_without_homomorphism():
     assert not hom_into_graph_exists(g, graph, Mapping())
     assert pebble_wins(g, graph, Mapping(), 2)
     assert duplicator_wins_game(g, graph, Mapping(), 2)
+
+
+# ---------------------------------------------------------------------------
+# both regimes against the oracles: |free| <= k decided by the homomorphism
+# search, |free| > k by the arc-consistent k-consistency fixpoint
+
+NODES = (iri("a"), iri("b"), iri("c"))
+PREDS = (iri("p"), iri("q"))
+
+
+def planted_instance(rng):
+    """One to four free variables, maybe a distinguished one, a few triples,
+    a graph over a, b, c, p and q, and in half the cases a planted image of
+    the whole t-graph, so that wins are common.  One instance in six is a
+    directed 3-cycle (maybe with a tail) over a graph holding a 2-cycle:
+    two pebbles cannot tell the cycles apart, yet no homomorphism exists."""
+    if rng.random() < 1 / 6:
+        text = "?u0 p ?u1\n?u1 p ?u2\n?u2 p ?u0" + rng.choice(("", "\n?u3 p ?u0"))
+        graph = parse_graph("a p b\nb p a" + rng.choice(("", "\nb q c", "\nc p c")))
+        return gt(text), graph, Mapping()
+    free = [var(f"u{i}") for i in range(rng.randint(1, 4))]
+    dist = [var("x")] if rng.random() < 0.4 else []
+    pool = free + dist
+
+    def node():
+        return rng.choice(pool) if rng.random() < 0.75 else rng.choice(NODES)
+
+    triples = [Triple(node(), rng.choice(PREDS), node()) for _ in range(rng.randint(1, 3))]
+    triples += [Triple(v, rng.choice(PREDS), rng.choice(pool)) for v in pool]  # every var occurs
+    g = GeneralizedTGraph(TGraph(tuple(triples)), frozenset(dist))
+    graph = TGraph(tuple(
+        Triple(rng.choice(NODES), rng.choice(PREDS), rng.choice(NODES))
+        for _ in range(rng.randint(1, 6))
+    ))
+    image = {v: rng.choice(NODES) for v in sorted(g.tgraph.vars(), key=str)}
+    if rng.random() < 0.5:
+        graph = graph | TGraph(tuple(substitute(t, image) for t in g.tgraph))
+    mu = Mapping.of({x: image[x] for x in dist})
+    return g, graph, mu
+
+
+def planted_instances(seed, n):
+    rng = random.Random(seed)
+    return [planted_instance(rng) for _ in range(n)]
+
+
+def test_both_regimes_agree_with_the_oracles():
+    tally = {}
+    for g, graph, mu in planted_instances(29, 120):
+        hom = hom_into_graph_exists(g, graph, mu)
+        for k in (2, 3):
+            won = pebble_wins(g, graph, mu, k)
+            assert won == duplicator_wins_game(g, graph, mu, k), (str(g), str(graph), k)
+            family = consistency_family(g, graph, mu, k)
+            assert family.members == consistency_family_by_iteration(g, graph, mu, k)
+            assert family.wins() == won
+            key = (k, len(g.free_vars()) <= k)
+            runs, wins, gaps = tally.get(key, (0, 0, 0))
+            tally[key] = (runs + 1, wins + won, gaps + (won and not hom))
+    runs = {key: r for key, (r, _, _) in tally.items()}
+    assert runs == {(2, True): 55, (2, False): 65, (3, True): 83, (3, False): 37}
+    for r, wins, _ in tally.values():
+        assert wins >= 0.2 * r
+    # two pebbles miss some odd cycles: the fixpoint regime is a relaxation
+    assert tally[(2, False)][2] > 0
+    assert tally[(2, True)][2] == tally[(3, True)][2] == 0
+
+
+def test_few_free_variables_never_build_the_family(monkeypatch):
+    import wdsparql.pebble as pebble
+
+    def refuse(*args):
+        raise AssertionError("the fixpoint ran with every free variable under a pebble")
+
+    monkeypatch.setattr(pebble, "_fixpoint", refuse)
+    checked = 0
+    for g, graph, mu in planted_instances(31, 60):
+        for k in (2, 3):
+            if len(g.free_vars()) <= k:
+                hom = hom_into_graph_exists(g, graph, mu)
+                assert pebble_wins(g, graph, mu, k) == hom
+                checked += 1
+    assert checked >= 50
+
+
+def test_family_cap_raises_search_too_large(monkeypatch):
+    import wdsparql.pebble as pebble
+
+    # a directed triangle over a 2-cycle: 1 + 3 * 2 + 3 * 2 generated members
+    g = gt("?u1 p ?u2\n?u2 p ?u3\n?u3 p ?u1")
+    graph = parse_graph("a p b\nb p a")
+    monkeypatch.setattr(pebble, "MAX_FAMILY_MEMBERS", 13)
+    assert pebble_wins(g, graph, Mapping(), 2)
+    assert consistency_family(g, graph, Mapping(), 2).wins()
+    monkeypatch.setattr(pebble, "MAX_FAMILY_MEMBERS", 12)
+    with pytest.raises(SearchTooLarge):
+        pebble_wins(g, graph, Mapping(), 2)
+    with pytest.raises(SearchTooLarge):
+        consistency_family(g, graph, Mapping(), 2)
+    # with a pebble per free variable no family is built, so no cap applies
+    assert pebble_wins(g, graph, Mapping(), 3) is False
