@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import randgen
-from .errors import DomainMismatch, WdError
+from .errors import DomainMismatch, InvalidK, WdError
 from .evaluator import enumerate_solutions, eval_forest, eval_naive, eval_pebble
 from .hardness import (
     CliqueInstance,
@@ -35,7 +35,7 @@ from .terms import (
     serialize_mapping,
 )
 from .trees import render_forest, to_forest
-from .width import branch_treewidth, domination_width, local_tractability_width, width_report
+from .width import domination_width, width_report
 
 
 def _read(path: str) -> str:
@@ -90,7 +90,7 @@ def cmd_eval(args) -> int:
         try:
             k = int(mode.split(":", 1)[1])
         except ValueError:
-            raise WdError(f"bad pebble width in --mode {mode!r}")
+            raise InvalidK(f"bad pebble width in --mode {mode!r}") from None
         if args.check_width:
             width = domination_width(forest)
             if k < width:
@@ -100,7 +100,7 @@ def cmd_eval(args) -> int:
                     file=sys.stderr,
                 )
         return 0 if eval_pebble(forest, graph, mu, k) else 2
-    raise WdError(f"unknown --mode {mode!r}")
+    raise ValueError(f"unknown --mode {mode!r}")
 
 
 def cmd_eval_all(args) -> int:
@@ -111,26 +111,18 @@ def cmd_eval_all(args) -> int:
     elif args.mode == "lemma1":
         solutions = enumerate_solutions(to_forest(pattern), graph)
     else:
-        raise WdError(f"unknown --mode {args.mode!r}")
+        raise ValueError(f"unknown --mode {args.mode!r}")
     for m in solutions:
         print(m)
     return 0
 
 
 def cmd_width(args) -> int:
-    forest = to_forest(_load_pattern(args.pattern))
+    report = width_report(to_forest(_load_pattern(args.pattern)), args.measure)
     if args.report:
-        sys.stdout.write(width_report(forest, args.measure).render())
-        return 0
-    if args.measure == "dw":
-        value = domination_width(forest)
-    elif args.measure == "bw":
-        value = max(branch_treewidth(t) for t in forest)
-    elif args.measure == "local":
-        value = local_tractability_width(forest)
+        sys.stdout.write(report.render())
     else:
-        raise WdError(f"unknown --measure {args.measure!r}")
-    print(value)
+        print(report.value)
     return 0
 
 

@@ -111,25 +111,17 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
         label = tree.label(n)
         return label.vars() <= dom and all(mu.apply(t) in graph for t in label)
 
-    if not fits(tree.root):
+    nodes = tree.maximal_subtree(fits)
+    if nodes is None or tree.vars(nodes) != dom:
         return None
-    keep = {tree.root}
-    queue = list(tree.children(tree.root))
-    while queue:
-        n = queue.pop(0)
-        if fits(n):
-            keep.add(n)
-            queue.extend(tree.children(n))
-    if tree.vars(keep) != dom:
-        return None
-    return frozenset(keep)
+    return nodes
 
 
 def _child_tgraphs(tree: WdPT, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
     """Per child of the subtree `nodes`, built as it is asked for: the
     subtree's pattern plus the child's label, with the subtree's variables
     distinguished."""
-    kids = [c for n in nodes for c in tree.children(n) if c not in nodes]
+    kids = tree.frontier(nodes)
     if kids:
         pat, dist = tree.pat(nodes), tree.vars(nodes)
         yield from (GeneralizedTGraph(pat | tree.label(c), dist) for c in kids)

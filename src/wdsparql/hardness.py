@@ -19,7 +19,7 @@ witness instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -114,24 +114,17 @@ def verify_minor_map(mm: MinorMap, target: UndirectedGraph) -> bool:
     return True
 
 
-def find_grid_minor(
-    target: UndirectedGraph,
-    rows: int,
-    cols: int,
-    *,
-    max_cells: int = MAX_GRID_CELLS,
-    max_vertices: int = MAX_MINOR_TARGET,
-) -> MinorMap | None:
+def find_grid_minor(target: UndirectedGraph, rows: int, cols: int) -> MinorMap | None:
     """Exhaustive search for an onto minor map of the (rows x cols)-grid.
 
     Cells are filled in row-major order; each takes a connected set of the
     remaining vertices with an edge to every already-placed grid neighbour.
     """
-    if rows * cols > max_cells:
-        raise SearchTooLarge(f"{rows * cols} grid cells exceed the cap of {max_cells}")
-    if len(target.vertices) > max_vertices:
+    if rows * cols > MAX_GRID_CELLS:
+        raise SearchTooLarge(f"{rows * cols} grid cells exceed the cap of {MAX_GRID_CELLS}")
+    if len(target.vertices) > MAX_MINOR_TARGET:
         raise SearchTooLarge(
-            f"{len(target.vertices)} target vertices exceed the cap of {max_vertices}"
+            f"{len(target.vertices)} target vertices exceed the cap of {MAX_MINOR_TARGET}"
         )
     vertices = sorted(target.vertices, key=str)
     adj = target.adjacency()
@@ -297,14 +290,11 @@ class FrozenInstance:
 
     graph: TGraph
     mapping: Mapping
-    freeze_map: Mapping
-    thaw_map: tuple[tuple[Term, Term], ...]
+    # frozen IRI -> its variable; graph and mapping determine it
+    thaw_map: dict[Term, Term] = field(compare=False)
 
     def thaw(self, t: Term) -> Term:
-        for a, b in self.thaw_map:
-            if a == t:
-                return b
-        return t
+        return self.thaw_map.get(t, t)
 
 
 def freeze(b: GeneralizedTGraph) -> FrozenInstance:
@@ -313,13 +303,10 @@ def freeze(b: GeneralizedTGraph) -> FrozenInstance:
             raise ReservedPrefixCollision(
                 f"IRI {x} already uses the reserved prefix {FROZEN_PREFIX!r}"
             )
-    frozen = {v: iri(FROZEN_PREFIX + v.name) for v in sorted(b.tgraph.vars() | b.dist, key=str)}
+    frozen = {v: iri(FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
     graph = TGraph(tuple(substitute(t, frozen) for t in b.tgraph))
-    freeze_map = Mapping.of(frozen)
     mu = Mapping.of({x: frozen[x] for x in b.dist})
-    thaw = tuple(sorted(((a, v) for v, a in frozen.items()), key=lambda kv: kv[0].name))
-    thaw += tuple(sorted(((x, x) for x in graph.iris() if not x.name.startswith(FROZEN_PREFIX)), key=lambda kv: kv[0].name))
-    inst = FrozenInstance(graph, mu, freeze_map, thaw)
+    inst = FrozenInstance(graph, mu, {a: v for v, a in frozen.items()})
     for t in b.tgraph:  # the freeze map itself witnesses (B, X) ->^mu G
         if substitute(t, frozen) not in graph:
             raise AssertionError("freezing failed to preserve a triple")
@@ -382,10 +369,12 @@ def generate_hard_instance(
     return HardInstance(frozen.graph, frozen.mapping, witness, mm, frozen)
 
 
-def has_clique(h: UndirectedGraph, k: int, cap: int = MAX_CLIQUE_VERTICES) -> bool:
+def has_clique(h: UndirectedGraph, k: int) -> bool:
     """Exhaustive k-clique test (exact, capped)."""
-    if len(h.vertices) > cap:
-        raise SearchTooLarge(f"{len(h.vertices)} vertices exceed the cap of {cap}")
+    if len(h.vertices) > MAX_CLIQUE_VERTICES:
+        raise SearchTooLarge(
+            f"{len(h.vertices)} vertices exceed the cap of {MAX_CLIQUE_VERTICES}"
+        )
     if k <= 0:
         return True
     if k == 1:

@@ -14,7 +14,8 @@ pinned values substituted first, so a variable next to a pinned one is
 drawn from that value's neighbours only.
 
 Nothing here is cached across calls: `ctw` memoizes only into a dict its
-caller passes, which `width.Analysis` keeps for as long as its forest.
+caller passes, keyed by the generalized t-graph alone, which
+`width.Analysis` keeps for as long as its forest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, MismatchedDistinguishedSets, NonGroundGraph
-from .graphs import DEFAULT_TW_CAP, UndirectedGraph, treewidth
+from .graphs import UndirectedGraph, treewidth
 from .terms import Mapping, TGraph, Term, Triple, substitute
 
 
@@ -40,10 +41,6 @@ class GeneralizedTGraph:
         if not self.declared and not self.dist <= self.tgraph.vars():
             extra = min(self.dist - self.tgraph.vars(), key=str)
             raise ValueError(f"distinguished variable {extra} does not occur in the t-graph")
-
-    @classmethod
-    def of(cls, triples, dist) -> "GeneralizedTGraph":
-        return cls(TGraph(tuple(triples)), frozenset(dist))
 
     def free_vars(self) -> frozenset[Term]:
         return self.tgraph.vars() - self.dist
@@ -112,22 +109,31 @@ def _solve(
         else:
             ready[max(steps)].append(t)
 
-    solutions: list[dict[Term, Term]] = []
+    if not order:
+        return [dict(assigned)]
 
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            solutions.append(dict(assigned))
-            return not find_all
+    # depth first over `order` with an explicit stack of candidate
+    # iterators, one per assigned variable, so that the depth of the search
+    # is not bounded by the interpreter's recursion limit
+    solutions: list[dict[Term, Term]] = []
+    stack = [iter(domains[order[0]])]
+    while stack:
+        i = len(stack) - 1
         v = order[i]
-        for c in domains[v]:
+        for c in stack[i]:
             assigned[v] = c
             if all(substitute(t, assigned) in target_set for t in ready[i]):
-                if dfs(i + 1):
-                    return True
-        del assigned[v]
-        return False
-
-    dfs(0)
+                break
+        else:  # level i is exhausted: backtrack
+            del assigned[v]
+            stack.pop()
+            continue
+        if i + 1 < len(order):
+            stack.append(iter(domains[order[i + 1]]))
+        else:
+            solutions.append(dict(assigned))
+            if not find_all:
+                break
     return solutions
 
 
@@ -220,23 +226,14 @@ def gaifman(g: GeneralizedTGraph) -> UndirectedGraph:
     return UndirectedGraph(frozenset(vertices), frozenset(edges))
 
 
-def tgraph_treewidth(g: GeneralizedTGraph, cap: int = DEFAULT_TW_CAP) -> int:
-    return treewidth(gaifman(g), cap=cap)
-
-
-def ctw(
-    g: GeneralizedTGraph,
-    cap: int = DEFAULT_TW_CAP,
-    memo: dict[tuple[GeneralizedTGraph, int], int] | None = None,
-) -> int:
+def ctw(g: GeneralizedTGraph, memo: dict[GeneralizedTGraph, int] | None = None) -> int:
     """Treewidth of the core of (S, X).
 
-    Kept in `memo` when the caller passes one (a `width.Analysis` passes its
-    own); nothing is kept otherwise.
+    Kept in `memo`, keyed by the t-graph, when the caller passes one (a
+    `width.Analysis` passes its own); nothing is kept otherwise.
     """
     if memo is None:
         memo = {}
-    key = (g, cap)
-    if key not in memo:
-        memo[key] = treewidth(gaifman(core(g)), cap=cap)
-    return memo[key]
+    if g not in memo:
+        memo[g] = treewidth(gaifman(core(g)))
+    return memo[g]

@@ -326,21 +326,9 @@ class Mapping:
             raise UnboundVariable(f"variable {worst} is not bound")
         return substitute(t, self._map)
 
-    def restrict(self, keep) -> "Mapping":
-        keep = frozenset(keep)
-        return Mapping(tuple((k, v) for k, v in self.bindings if k in keep))
-
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.bindings)
         return "{" + inner + "}"
-
-
-def compatible(m1: Mapping, m2: Mapping) -> bool:
-    return m1.compatible(m2)
-
-
-def merge(m1: Mapping, m2: Mapping) -> Mapping:
-    return m1.merge(m2)
 
 
 # ---------------------------------------------------------------------------

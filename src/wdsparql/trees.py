@@ -118,6 +118,24 @@ class WdPT:
 
         return tuple(sorted(grow(self.root), key=lambda s: tuple(sorted(s))))
 
+    def maximal_subtree(self, fits) -> frozenset[int] | None:
+        """The largest root-containing subtree all of whose nodes pass
+        `fits`, grown breadth first; None when the root fails."""
+        if not fits(self.root):
+            return None
+        keep = {self.root}
+        queue = list(self.children(self.root))
+        while queue:
+            n = queue.pop(0)
+            if fits(n):
+                keep.add(n)
+                queue.extend(self.children(n))
+        return frozenset(keep)
+
+    def frontier(self, nodes) -> tuple[int, ...]:
+        """Nodes outside `nodes` whose parent lies inside it, sorted."""
+        return tuple(sorted(c for n in nodes for c in self.children(n) if c not in nodes))
+
     def renumbered(self) -> "WdPT":
         order = []
         queue = [self.root]
@@ -152,9 +170,9 @@ class WdPF:
     """An ordered forest of wdPTs; indices are stable and 0-based."""
 
     trees: tuple[WdPT, ...]
-    # width.Analysis per treewidth cap, built on first use; not part of the
-    # value, and it lives exactly as long as the forest
-    analyses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # width.Analysis, built on first use; not part of the value, and it
+    # lives exactly as long as the forest
+    analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
@@ -199,11 +217,7 @@ def subtree_vars(forest: WdPF, sub: Subtree) -> frozenset[Term]:
 
 def subtree_children(forest: WdPF, sub: Subtree) -> tuple[int, ...]:
     """Nodes outside the subtree whose parent lies inside it."""
-    tree = forest.trees[sub.tree_index]
-    out = []
-    for n in sub.nodes:
-        out.extend(c for c in tree.children(n) if c not in sub.nodes)
-    return tuple(sorted(out))
+    return forest.trees[sub.tree_index].frontier(sub.nodes)
 
 
 def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
@@ -347,18 +361,9 @@ def support(forest: WdPF, sub: Subtree) -> dict[int, Subtree]:
     target = subtree_vars(forest, sub)
     out: dict[int, Subtree] = {}
     for i, tree in enumerate(forest.trees):
-        if not tree.node_vars(tree.root) <= target:
-            continue
-        keep = {tree.root}
-        queue = list(tree.children(tree.root))
-        while queue:
-            n = queue.pop(0)
-            if tree.node_vars(n) <= target:
-                keep.add(n)
-                queue.extend(tree.children(n))
-        witness = Subtree(i, frozenset(keep))
-        if subtree_vars(forest, witness) == target:
-            out[i] = witness
+        keep = tree.maximal_subtree(lambda n: tree.node_vars(n) <= target)
+        if keep is not None and tree.vars(keep) == target:
+            out[i] = Subtree(i, keep)
     return out
 
 

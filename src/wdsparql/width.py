@@ -8,12 +8,16 @@ branches.  `find_hard_witness` extracts, from a forest of width at least k,
 a member that is maximal under the homomorphism preorder; the hardness
 generator builds its reduction instances from that witness.
 
+`width_report` is the one place that tabulates a measure row by row;
+`local_tractability_width` reads its value, and `branch_treewidth` is the
+per-tree primitive behind its bw rows.
+
 Everything here is exact and desk-scale: instance caps raise rather than
 degrade to heuristics.  There is no process-global cache: what these
 functions derive from a forest (associated sets, homomorphism tests, ctw
-values, the width, the witnesses, the witness core and its grid minors)
-is kept in the forest's `Analysis`, built on first use, so the memo lives
-exactly as long as the forest.
+values keyed by the t-graph alone, the width, the witnesses, the witness
+core and its grid minors) is kept in the forest's one `Analysis`, built on
+first use, so the memo lives exactly as long as the forest.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InstanceTooLarge, NoHardWitness
-from .graphs import DEFAULT_TW_CAP
 from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
 from .trees import (
     ChildrenAssignment,
@@ -44,12 +47,11 @@ MAX_VARS_PER_MEMBER = 14
 
 class HomCache:
     """Memo of directed homomorphism tests between generalized t-graphs, and
-    of their ctw values, for one analysis at one treewidth cap."""
+    of their ctw values, for one analysis."""
 
-    def __init__(self, cap: int = DEFAULT_TW_CAP):
-        self.cap = cap
+    def __init__(self):
         self._seen: dict[tuple[GeneralizedTGraph, GeneralizedTGraph], bool] = {}
-        self._ctws: dict[tuple[GeneralizedTGraph, int], int] = {}
+        self._ctws: dict[GeneralizedTGraph, int] = {}
 
     def maps(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
         key = (a, b)
@@ -64,7 +66,7 @@ class HomCache:
                 f"{len(g.tgraph.vars())} variables in a merged t-graph, "
                 f"cap is {MAX_VARS_PER_MEMBER}"
             )
-        return ctw(g, cap=self.cap, memo=self._ctws)
+        return ctw(g, memo=self._ctws)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _check_caps(forest: WdPF) -> None:
             )
 
 
-def branch_treewidth(tree: WdPT, cap: int = DEFAULT_TW_CAP) -> int:
+def branch_treewidth(tree: WdPT) -> int:
     """Max over non-root nodes of the ctw of the branch t-graph above them."""
     tree.ensure_nr()
     worst = 1
@@ -108,34 +110,21 @@ def branch_treewidth(tree: WdPT, cap: int = DEFAULT_TW_CAP) -> int:
             up = tree.parent(up)
         above = tree.pat(branch)
         g = GeneralizedTGraph(tree.label(n) | above, above.vars())
-        worst = max(worst, ctw(g, cap=cap))
+        worst = max(worst, ctw(g))
     return worst
 
 
-def local_tractability_width(forest: WdPF, cap: int = DEFAULT_TW_CAP) -> int:
+def local_tractability_width(forest: WdPF) -> int:
     """Max over non-root nodes of ctw(pat(n), vars(n) intersect vars(parent))."""
-    forest.ensure_nr()
-    worst = 1
-    for tree in forest:
-        for n in tree.nodes:
-            if n == tree.root:
-                continue
-            shared = tree.node_vars(n) & tree.node_vars(tree.parent(n))
-            worst = max(worst, ctw(GeneralizedTGraph(tree.label(n), shared), cap=cap))
-    return worst
+    return width_report(forest, "local").value
 
 
-def is_k_dominated(
-    gset,
-    k: int,
-    cache: HomCache | None = None,
-    cap: int = DEFAULT_TW_CAP,
-) -> bool:
+def is_k_dominated(gset, k: int, cache: HomCache | None = None) -> bool:
     """Do the members of ctw <= k homomorphically cover everything else?
 
     Vacuously true for the empty set.
     """
-    cache = cache or HomCache(cap)
+    cache = cache or HomCache()
     members = list(gset)
     low = [g for g in members if cache.ctw(g) <= k]
     for g in members:
@@ -161,8 +150,8 @@ class Analysis:
     """What the width measures and the hardness generator derive from one
     forest, each part computed when first asked for and then kept.
 
-    `Analysis.of` keeps one per treewidth cap on the forest itself, so it
-    lives exactly as long as the forest: the subtrees, their associated
+    `Analysis.of` keeps it on the forest itself, so it lives exactly as
+    long as the forest: the subtrees, their associated
     t-graphs, one `HomCache` (homomorphism tests and ctw values), the
     per-subtree demands, the domination width, the hard witness per k, the
     core of the witness at the exact width with its Gaifman components, and
@@ -170,12 +159,11 @@ class Analysis:
     and searches no minor.
     """
 
-    def __init__(self, forest: WdPF, cap: int):
+    def __init__(self, forest: WdPF):
         forest.ensure_nr()
         _check_caps(forest)
         self.forest = forest
-        self.cap = cap
-        self.cache = HomCache(cap)
+        self.cache = HomCache()
         self.subtrees = subtrees(forest)
         self._associated: dict[Subtree, tuple] = {}
         self._demands: dict[Subtree, int] = {}
@@ -183,13 +171,12 @@ class Analysis:
         self._minors: dict[tuple[int, int], MinorMap | None] = {}
 
     @classmethod
-    def of(cls, forest: WdPF, cap: int = DEFAULT_TW_CAP) -> "Analysis":
-        """The forest's analysis at this cap; a forest that fails the NR or
-        size checks gets none, so every call raises again."""
-        found = forest.analyses.get(cap)
-        if found is None:
-            found = forest.analyses[cap] = cls(forest, cap)
-        return found
+    def of(cls, forest: WdPF) -> "Analysis":
+        """The forest's analysis; a forest that fails the NR or size checks
+        gets none, so every call raises again."""
+        if forest.analysis is None:
+            object.__setattr__(forest, "analysis", cls(forest))
+        return forest.analysis
 
     def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
         if sub not in self._associated:
@@ -205,11 +192,11 @@ class Analysis:
 
     @cached_property
     def width(self) -> int:
-        return domination_width(self.forest, self.cap)
+        return domination_width(self.forest)
 
     def witness(self, k: int) -> HardWitness | None:
         if k not in self._witnesses:
-            self._witnesses[k] = find_hard_witness(self.forest, k, self.cap)
+            self._witnesses[k] = find_hard_witness(self.forest, k)
         return self._witnesses[k]
 
     @cached_property
@@ -240,39 +227,36 @@ class Analysis:
         return self._minors[shape]
 
 
-def domination_width(forest: WdPF, cap: int = DEFAULT_TW_CAP) -> int:
-    a = Analysis.of(forest, cap)
+def domination_width(forest: WdPF) -> int:
+    a = Analysis.of(forest)
     return max((a.demand(sub) for sub in a.subtrees), default=1)
 
 
-def width_report(forest: WdPF, measure: str, cap: int = DEFAULT_TW_CAP) -> WidthReport:
+def width_report(forest: WdPF, measure: str) -> WidthReport:
+    """The measure's value with one row per tree (bw), non-root node
+    (local) or subtree (dw); the one place the measures are tabulated."""
+    rows = []
     if measure == "bw":
-        rows = [
-            (f"tree {i}", branch_treewidth(tree, cap=cap))
-            for i, tree in enumerate(forest)
-        ]
-        return WidthReport("bw", max(v for _, v in rows), tuple(rows))
-    if measure == "local":
+        rows = [(f"tree {i}", branch_treewidth(tree)) for i, tree in enumerate(forest)]
+    elif measure == "local":
         forest.ensure_nr()
-        rows = []
         for i, tree in enumerate(forest):
             for n in tree.nodes:
                 if n == tree.root:
                     continue
                 shared = tree.node_vars(n) & tree.node_vars(tree.parent(n))
-                value = ctw(GeneralizedTGraph(tree.label(n), shared), cap=cap)
+                value = ctw(GeneralizedTGraph(tree.label(n), shared))
                 rows.append((f"tree {i} node n{n}", value))
-        return WidthReport("local", max((v for _, v in rows), default=1), tuple(rows))
-    if measure == "dw":
-        a = Analysis.of(forest, cap)
-        rows = []
+    elif measure == "dw":
+        a = Analysis.of(forest)
         for sub in a.subtrees:
             pairs = a.associated(sub)
             domains = ", ".join(str(set(ca.domain)) for ca, _ in pairs) or "none"
             label = f"{sub} ({len(pairs)} members; assignment domains: {domains})"
             rows.append((label, a.demand(sub)))
-        return WidthReport("dw", max((v for _, v in rows), default=1), tuple(rows))
-    raise ValueError(f"unknown measure {measure!r}")
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    return WidthReport(measure, max((v for _, v in rows), default=1), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -282,7 +266,7 @@ class HardWitness:
     tgraph: GeneralizedTGraph
 
 
-def find_hard_witness(forest: WdPF, k: int, cap: int = DEFAULT_TW_CAP) -> HardWitness | None:
+def find_hard_witness(forest: WdPF, k: int) -> HardWitness | None:
     """From a forest of domination width >= k, a subtree and an associated
     t-graph of ctw >= k that is maximal under the homomorphism preorder:
     whatever set member maps into it, it maps back.  None iff dw < k.
@@ -293,7 +277,7 @@ def find_hard_witness(forest: WdPF, k: int, cap: int = DEFAULT_TW_CAP) -> HardWi
     homomorphism digraph.  The returned pair is re-verified against the full
     member set before being handed out.
     """
-    a = Analysis.of(forest, cap)
+    a = Analysis.of(forest)
     cache = a.cache
     for sub in a.subtrees:
         pairs = a.associated(sub)

@@ -215,6 +215,20 @@ def eval_forest_by_enumeration(forest: WdPF, graph: TGraph, mu: Mapping) -> bool
     return any(eval_tree_by_subtree_enumeration(t, graph, mu) for t in forest)
 
 
+def matched_subtree_by_enumeration(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset | None:
+    """The subtree with exactly mu's variables whose pattern mu maps into the
+    graph, found among all subtrees; None when there is none."""
+    sub = dict(mu.items())
+    hits = [
+        nodes
+        for nodes in tree.subtree_nodesets()
+        if tree.vars(nodes) == mu.domain
+        and all(substitute(t, sub) in set(graph) for t in tree.pat(nodes))
+    ]
+    assert len(hits) <= 1, "NR normal form allows one subtree per variable set"
+    return hits[0] if hits else None
+
+
 def support_by_enumeration(forest: WdPF, target_vars) -> dict[int, list[frozenset]]:
     """All witness subtrees with exactly the target variables, per tree."""
     target_vars = frozenset(target_vars)

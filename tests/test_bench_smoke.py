@@ -7,7 +7,9 @@ in the library that breaks the harness (for instance of a method that
 layertrace.py counts) fails here first.
 """
 
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +20,8 @@ import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OPS = 3
+# per-layer names that count a method, not a function of the layer
+COUNTERS = {"terms.tgraph_contains", "terms.mapping_get"}
 
 
 def _load_gen():
@@ -65,3 +69,29 @@ def test_workload_runs_plain_and_traced(workload, tmp_path):
     assert traced["failures"] == {}
     assert "terms.tgraph_contains" in traced["counts"]
     assert "terms.mapping_get" in traced["counts"]
+
+
+def _public_functions(layer: str) -> set[str]:
+    module = importlib.import_module(f"wdsparql.{layer}")
+    return {
+        name
+        for name, fn in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__
+    }
+
+
+def test_benchmark_per_layer_names_resolve():
+    """Every per-layer metric of BENCHMARK.json names a layer, or a public
+    function its layer defines, that the tracer can wrap."""
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for row in spec["per_layer"]:
+        name = row["name"]
+        layer, what, *stat = name.split(".")
+        if name == "trace.overhead_ratio" or f"{layer}.{what}" in COUNTERS:
+            continue
+        if not stat:
+            assert what == "self_s", name
+            assert _public_functions(layer), name
+        else:
+            assert len(stat) == 1, name
+            assert what in _public_functions(layer), name

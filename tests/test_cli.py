@@ -236,3 +236,28 @@ def test_pebble_family_cap_is_one_error_line(monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("ERROR SearchTooLarge:")
+
+
+def test_pebble_on_a_path_deeper_than_the_recursion_limit(tmp_path):
+    lines = "".join(f"?v{i} p ?v{i + 1}\n" for i in range(3000))
+    tg = write(tmp_path, "path.tg", lines)
+    graph = write(tmp_path, "g.nt", "a p a")
+    code, out, err = run("pebble", "--tgraph", tg, "--graph", graph, "--k", "4000")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_bad_eval_modes_are_one_typed_error_line():
+    pattern = str(DATA / "clique3.sparql")
+    graph = str(DATA / "selfloop.nt")
+    sol = str(DATA / "solution.map")
+    cases = (
+        (("eval", "--mapping", sol, "--mode", "pebble:x"), "ERROR InvalidK:"),
+        (("eval", "--mapping", sol, "--mode", "nope"), "ERROR InvalidInput:"),
+        (("eval-all", "--mode", "nope"), "ERROR InvalidInput:"),
+    )
+    for (command, *rest), kind in cases:
+        code, out, err = run(command, "--pattern", pattern, "--graph", graph, *rest)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(kind), err

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fixtures import forest_family, two_node_clique_tree
-from oracles import eval_forest_by_enumeration
+from oracles import eval_forest_by_enumeration, matched_subtree_by_enumeration
 from wdsparql.errors import InstanceTooLarge, InvalidK, NotNRNormalForm
 from wdsparql.evaluator import (
     SolutionSet,
@@ -12,14 +12,17 @@ from wdsparql.evaluator import (
     eval_naive,
     eval_pebble,
     eval_tree,
+    matched_subtree,
 )
 from wdsparql.patterns import parse_pattern
 from wdsparql.randgen import (
+    IRIS,
     random_candidate_mapping,
     random_forest,
     random_rdf_graph,
+    random_tree,
 )
-from wdsparql.terms import Mapping, iri, parse_graph, var
+from wdsparql.terms import Mapping, TGraph, iri, parse_graph, substitute, var
 from wdsparql.trees import WdPF, WdPT, forest_pattern, to_forest
 from wdsparql.width import domination_width
 
@@ -168,3 +171,42 @@ def test_single_node_forest_solutions_are_triple_matches():
     rule_one = eval_naive(parse_pattern("(?x, p, ?y)"), graph)
     assert set(sols) == set(rule_one)
     assert len(sols) == 2
+
+
+def test_matched_subtree_matches_enumeration():
+    """The greedy walk against every subtree, on mappings built from a
+    random subtree's image, some with a variable dropped, one added, or the
+    variables of a node outside the subtree added."""
+    rng = random.Random(23)
+    outcomes = {"none": 0, "found": 0, "dropped": 0, "added": 0, "node added": 0}
+    trials = 300
+    for _ in range(trials):
+        tree = random_tree(rng, max_nodes=5)
+        nodesets = tree.subtree_nodesets()
+        nodes = nodesets[rng.randrange(len(nodesets))]
+        image = {v: rng.choice(IRIS[:3]) for v in sorted(tree.vars(), key=str)}
+        planted = tree.pat() if rng.random() < 0.4 else tree.pat(nodes)
+        graph = random_rdf_graph(rng, max_iris=3, max_triples=4)
+        if rng.random() < 0.8:
+            graph = graph | TGraph(tuple(substitute(t, image) for t in planted))
+        keep = sorted(tree.vars(nodes), key=str)
+        roll = rng.random()
+        if roll < 0.2:
+            keep.remove(rng.choice(keep))
+            outcomes["dropped"] += 1
+        elif roll < 0.35:
+            extra = sorted(tree.vars() - tree.vars(nodes), key=str) or [var("extra")]
+            keep.append(rng.choice(extra))
+            image.setdefault(var("extra"), IRIS[0])
+            outcomes["added"] += 1
+        elif roll < 0.7 and len(nodes) < len(tree):
+            # a node whose parent may not fit: the walk must not take it
+            n = rng.choice(sorted(set(tree.nodes) - nodes))
+            keep = sorted(set(keep) | tree.node_vars(n), key=str)
+            outcomes["node added"] += 1
+        mu = Mapping.of({v: image[v] for v in keep})
+        found = matched_subtree(tree, graph, mu)
+        assert found == matched_subtree_by_enumeration(tree, graph, mu)
+        outcomes["none" if found is None else "found"] += 1
+    assert outcomes["none"] >= trials // 5 and outcomes["found"] >= trials // 5, outcomes
+    assert min(outcomes["dropped"], outcomes["added"], outcomes["node added"]) >= 30, outcomes

@@ -13,6 +13,7 @@ from wdsparql.errors import GraphTooLarge, MismatchedDistinguishedSets
 from wdsparql.graphs import UndirectedGraph, grid_graph, tree_decomposition, treewidth
 from wdsparql.hom import (
     GeneralizedTGraph,
+    all_homomorphisms,
     core,
     ctw,
     find_homomorphism,
@@ -21,7 +22,7 @@ from wdsparql.hom import (
     maps_into_graph,
 )
 from wdsparql.randgen import random_game_instance, random_generalized_tgraph, random_rdf_graph
-from wdsparql.terms import Mapping, TGraph, iri, parse_graph, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, var
 
 
 def gt(text, dist=()):
@@ -198,3 +199,16 @@ def test_all_homomorphisms_matches_oracle():
         oracle = {tuple(sorted((k.name, v.name) for k, v in h.items()))
                   for h in all_assignment_homs(src, graph)}
         assert mine == oracle
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a directed path over 3,001 variables, far deeper than Python's
+    # default recursion limit of 1,000, onto a single loop
+    n = 3000
+    path = TGraph(tuple(Triple(var(f"v{i}"), iri("p"), var(f"v{i + 1}")) for i in range(n)))
+    loop = parse_graph("a p a")
+    everything_to_a = {var(f"v{i}"): iri("a") for i in range(n + 1)}
+    assert maps_into_graph(GeneralizedTGraph(path, frozenset()), loop, Mapping()) == everything_to_a
+    assert all_homomorphisms(path, loop) == [everything_to_a]
+    h = find_homomorphism(GeneralizedTGraph(path, frozenset()), gt("?w p ?w"))
+    assert h == {var(f"v{i}"): var("w") for i in range(n + 1)}
