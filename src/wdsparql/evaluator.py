@@ -15,13 +15,27 @@ Three routes:
   existential (k+1)-pebble game as the "child extends" test.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
   domination width is at most k.
+
+`eval_forest` and `eval_pebble` decide each child t-graph on its core,
+which the forest's `width.Analysis` builds on first use and keeps (a
+forest outside the analysis caps is decided on its children as they
+are).  Both tests read the same on a child and on its core: the two are
+homomorphically equivalent with the distinguished variables fixed, and
+a homomorphism extending mu exists from one iff it exists from the other
+(compose with the map between them), while the existential pebble game
+is preserved in the same way, its Duplicator strategies carried across
+by those maps (Kolaitis and Vardi 2000; Dalmau, Kolaitis and Vardi
+2002).  A core has no more free variables than its child, so the
+relaxation more often fits every free variable under a pebble and runs a
+homomorphism search instead of the consistency fixpoint.  `eval_tree`
+and the enumerator build the children per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
@@ -29,6 +43,7 @@ from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
 from .terms import Mapping, TGraph, Triple
 from .trees import WdPF, WdPT
+from .width import Analysis
 
 DEFAULT_ENUM_VAR_CAP = 12
 
@@ -117,26 +132,29 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     return nodes
 
 
-def _child_tgraphs(tree: WdPT, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
-    """Per child of the subtree `nodes`, built as it is asked for: the
-    subtree's pattern plus the child's label, with the subtree's variables
-    distinguished."""
-    kids = tree.frontier(nodes)
-    if kids:
-        pat, dist = tree.pat(nodes), tree.vars(nodes)
-        yield from (GeneralizedTGraph(pat | tree.label(c), dist) for c in kids)
+_Children = Callable[[frozenset[int]], Iterable[GeneralizedTGraph]]
 
 
 def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
     return maps_into_graph(g, graph, mu) is not None
 
 
-def _scan(tree: WdPT, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
-    """mu's matched subtree exists and no child of it passes `extends`."""
+def _scan(
+    tree: WdPT, graph: TGraph, mu: Mapping, extends: Callable[..., bool], children: _Children
+) -> bool:
+    """mu's matched subtree exists and no child t-graph of it, as `children`
+    supplies them for the subtree's nodes, passes `extends`."""
     nodes = matched_subtree(tree, graph, mu)
-    return nodes is not None and not any(
-        extends(g, graph, mu) for g in _child_tgraphs(tree, nodes)
-    )
+    return nodes is not None and not any(extends(g, graph, mu) for g in children(nodes))
+
+
+def _forest_children(forest: WdPF) -> Iterator[tuple[WdPT, _Children]]:
+    """Each tree with the supplier of its child t-graphs: the cores kept in
+    the forest's analysis, or, for a forest outside the analysis caps, the
+    children themselves, built per call."""
+    a = Analysis.within_caps(forest)
+    for i, tree in enumerate(forest):
+        yield tree, tree.child_tgraphs if a is None else partial(a.child_cores, i)
 
 
 def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
@@ -144,11 +162,18 @@ def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
     admits a homomorphism into the graph compatible with mu."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    return _scan(tree, graph, mu, _exact_extends)
+    return _scan(tree, graph, mu, _exact_extends, tree.child_tgraphs)
 
 
 def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
-    return any(eval_tree(tree, graph, mu) for tree in forest)
+    """Whether some tree of the forest accepts mu, as `eval_tree` decides
+    it, each child tested on its kept core."""
+    if not graph.is_ground():
+        raise NonGroundGraph("evaluation target must be a ground RDF graph")
+    return any(
+        _scan(tree, graph, mu, _exact_extends, children)
+        for tree, children in _forest_children(forest)
+    )
 
 
 def enumerate_solutions(
@@ -169,7 +194,7 @@ def enumerate_solutions(
     found: list[Mapping] = []
     for tree in forest:
         for nodeset in tree.subtree_nodesets():
-            kids = list(_child_tgraphs(tree, nodeset))
+            kids = list(tree.child_tgraphs(nodeset))
             for h in all_homomorphisms(tree.pat(nodeset), graph):
                 mu = Mapping.of(h)  # dom(h) = vars(nodeset) by construction
                 if not any(_exact_extends(g, graph, mu) for g in kids):
@@ -185,4 +210,7 @@ def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
     extends = partial(pebble_wins, k=k + 1)
-    return any(_scan(tree, graph, mu, extends) for tree in forest)
+    return any(
+        _scan(tree, graph, mu, extends, children)
+        for tree, children in _forest_children(forest)
+    )

@@ -193,17 +193,17 @@ def core(g: GeneralizedTGraph) -> GeneralizedTGraph:
     order, so the representative is stable (uniqueness is up to renaming).
     """
     current = g.tgraph
-    fixed_base = g.dist
+    fixed = {x: x for x in g.dist if x in current.vars()}
     changed = True
     while changed:
         changed = False
         for skip in current:
             rest = TGraph(tuple(t for t in current if t != skip))
-            fixed = {x: x for x in fixed_base if x in current.vars()}
             found = _solve(current, rest, fixed)
             if found:
                 h = found[0]
                 current = TGraph(tuple(substitute(t, h) for t in current))
+                fixed = {x: x for x in g.dist if x in current.vars()}
                 changed = True
                 break
     return GeneralizedTGraph(current, g.dist, declared=g.declared)

@@ -41,6 +41,15 @@ generation raises `SearchTooLarge` past MAX_FAMILY_MEMBERS members.
 
 Special case worth stating: if the graph has an empty IRI domain and free
 variables remain, the Duplicator has nowhere to put a pebble and loses.
+
+The outcome depends on the generalized t-graph only up to homomorphic
+equivalence with its distinguished variables fixed: a homomorphism
+h: (S, X) -> (S', X) turns a Duplicator strategy on S' into one on S
+(answer a pebble on x with the answer on h(x)), so two equivalent
+t-graphs, a t-graph and its core among them, give the same result, and
+so does the homomorphism test (Kolaitis and Vardi 2000; Dalmau, Kolaitis
+and Vardi 2002).  `evaluator.eval_pebble` passes the cores of the child
+t-graphs, whose free variables fit under the pebbles more often.
 """
 
 from __future__ import annotations

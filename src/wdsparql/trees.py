@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import Iterator
 
 from .errors import NotNRNormalForm
 from .hom import GeneralizedTGraph, find_homomorphism
@@ -135,6 +136,15 @@ class WdPT:
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
         return tuple(sorted(c for n in nodes for c in self.children(n) if c not in nodes))
+
+    def child_tgraphs(self, nodes) -> Iterator[GeneralizedTGraph]:
+        """Per child of the subtree `nodes`, in frontier order and built as
+        it is asked for: the subtree's pattern plus the child's label, with
+        the subtree's variables distinguished."""
+        kids = self.frontier(nodes)
+        if kids:
+            pat, dist = self.pat(nodes), self.vars(nodes)
+            yield from (GeneralizedTGraph(pat | self.label(c), dist) for c in kids)
 
     def renumbered(self) -> "WdPT":
         order = []

@@ -16,17 +16,19 @@ Everything here is exact and desk-scale: instance caps raise rather than
 degrade to heuristics.  There is no process-global cache: what these
 functions derive from a forest (associated sets, homomorphism tests, ctw
 values keyed by the t-graph alone, the width, the witnesses, the witness
-core and its grid minors) is kept in the forest's one `Analysis`, built on
-first use, so the memo lives exactly as long as the forest.
+core and its grid minors, and the cored child t-graphs the evaluator
+decides) is kept in the forest's one `Analysis`, built on first use, so
+the memo lives exactly as long as the forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .errors import InstanceTooLarge, NoHardWitness
+from . import hom
+from .errors import InstanceTooLarge, NoHardWitness, NotNRNormalForm
 from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
 from .trees import (
     ChildrenAssignment,
@@ -154,9 +156,11 @@ class Analysis:
     long as the forest: the subtrees, their associated
     t-graphs, one `HomCache` (homomorphism tests and ctw values), the
     per-subtree demands, the domination width, the hard witness per k, the
-    core of the witness at the exact width with its Gaifman components, and
-    the grid minor per grid shape.  Asking for the width builds no witness
-    and searches no minor.
+    core of the witness at the exact width with its Gaifman components,
+    the grid minor per grid shape, and the cored child t-graphs of each
+    subtree the evaluator has matched.  Asking for the width builds no
+    witness and searches no minor; evaluating cores only the children it
+    reaches.
     """
 
     def __init__(self, forest: WdPF):
@@ -164,7 +168,7 @@ class Analysis:
         _check_caps(forest)
         self.forest = forest
         self.cache = HomCache()
-        self.subtrees = subtrees(forest)
+        self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
         self._associated: dict[Subtree, tuple] = {}
         self._demands: dict[Subtree, int] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
@@ -177,6 +181,39 @@ class Analysis:
         if forest.analysis is None:
             object.__setattr__(forest, "analysis", cls(forest))
         return forest.analysis
+
+    @classmethod
+    def within_caps(cls, forest: WdPF) -> "Analysis | None":
+        """The forest's analysis, or None for a forest that fails the NR or
+        size checks (it then keeps none); raises nothing."""
+        try:
+            return cls.of(forest)
+        except (InstanceTooLarge, NotNRNormalForm):
+            return None
+
+    @cached_property
+    def subtrees(self) -> tuple[Subtree, ...]:
+        return subtrees(self.forest)
+
+    def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
+        """The child t-graphs of the subtree `nodes` of one tree, in the
+        order `WdPT.child_tgraphs` builds them, each cored when first asked
+        for and then kept.  A child of more than MAX_VARS_PER_MEMBER
+        variables is kept uncored.  A core is homomorphically equivalent to
+        its child with the distinguished variables fixed, so the evaluator's
+        tests read the same on either."""
+        key = (tree_index, nodes)
+        if key not in self._children:
+            kids = tuple(self.forest.trees[tree_index].child_tgraphs(nodes))
+            self._children[key] = (kids, [])
+        kids, cores = self._children[key]
+        for i, g in enumerate(kids):
+            if i == len(cores):  # cores grow as a prefix of kids
+                small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
+                # looked up on hom at each call, so rebinding hom.core (to
+                # count or time it) reaches this step too
+                cores.append(hom.core(g) if small else g)
+            yield cores[i]
 
     def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
         if sub not in self._associated:

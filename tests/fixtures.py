@@ -117,3 +117,17 @@ def forest_family(k: int, with_third_tree: bool = False) -> WdPF:
             )
         )
     return WdPF(tuple(trees))
+
+
+# ?x p ?a with one child: a directed triangle b -> c -> d -> b hanging off
+# ?x, and a tail b -> e (dw = 2).  The tail folds into the triangle, so the
+# child's core has three free variables, one per pebble of eval_pebble(k=2).
+TRIANGLE_TAIL_TEXT = (
+    "((?x,p,?a) OPT (((((?x,p,?b) AND (?b,p,?c)) AND (?c,p,?d)) AND (?d,p,?b)) AND (?b,p,?e)))"
+)
+TRIANGLE_TAIL_MAPPING_TEXT = "?x = i0\n?a = i1"
+
+
+def complete_graph_text(n: int, predicate: str = "p") -> str:
+    """Every triple i<j> predicate i<k> over n IRIs, loops included."""
+    return "\n".join(f"i{j} {predicate} i{k}" for j in range(n) for k in range(n))

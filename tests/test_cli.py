@@ -3,7 +3,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from fixtures import P1_TEXT, P2_TEXT
+from fixtures import P1_TEXT, P2_TEXT, TRIANGLE_TAIL_MAPPING_TEXT, TRIANGLE_TAIL_TEXT, complete_graph_text
 from wdsparql import cli
 from wdsparql.cli import main
 
@@ -261,3 +261,13 @@ def test_bad_eval_modes_are_one_typed_error_line():
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(kind), err
+
+
+def test_dense_triangle_with_a_tail_is_an_answer_not_an_error(tmp_path):
+    pattern = write(tmp_path, "p.sparql", TRIANGLE_TAIL_TEXT)
+    graph = write(tmp_path, "g.nt", complete_graph_text(40))
+    mapping = write(tmp_path, "m.map", TRIANGLE_TAIL_MAPPING_TEXT)
+    code, out, err = run(
+        "eval", "--pattern", pattern, "--graph", graph, "--mapping", mapping, "--mode", "pebble:2",
+    )
+    assert (code, err) == (2, "")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fixtures import forest_family, two_node_clique_tree
-from oracles import eval_forest_by_enumeration, matched_subtree_by_enumeration
+from oracles import duplicator_wins_game, eval_forest_by_enumeration, matched_subtree_by_enumeration
 from wdsparql.errors import InstanceTooLarge, InvalidK, NotNRNormalForm
 from wdsparql.evaluator import (
     SolutionSet,
@@ -14,7 +14,9 @@ from wdsparql.evaluator import (
     eval_tree,
     matched_subtree,
 )
+from wdsparql.hom import core, find_homomorphism
 from wdsparql.patterns import parse_pattern
+from wdsparql.pebble import pebble_wins
 from wdsparql.randgen import (
     IRIS,
     random_candidate_mapping,
@@ -22,9 +24,9 @@ from wdsparql.randgen import (
     random_rdf_graph,
     random_tree,
 )
-from wdsparql.terms import Mapping, TGraph, iri, parse_graph, substitute, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, substitute, var
 from wdsparql.trees import WdPF, WdPT, forest_pattern, to_forest
-from wdsparql.width import domination_width
+from wdsparql.width import MAX_TREES, Analysis, domination_width
 
 
 def m(**kv):
@@ -210,3 +212,114 @@ def test_matched_subtree_matches_enumeration():
         outcomes["none" if found is None else "found"] += 1
     assert outcomes["none"] >= trials // 5 and outcomes["found"] >= trials // 5, outcomes
     assert min(outcomes["dropped"], outcomes["added"], outcomes["node added"]) >= 30, outcomes
+
+
+# ---------------------------------------------------------------------------
+# children decided on their cores
+
+R = iri("r")
+
+
+def with_planted_loops(rng, forest):
+    """The forest with, in about half of its non-root nodes, a loop ?y r ?y
+    on a variable y of the parent and a fresh ?w with ?y r ?w: ?w folds
+    onto the loop, so every child t-graph of such a node has a proper core."""
+    trees = []
+    for i, tree in enumerate(forest):
+        labels = dict(tree.labels)
+        for n in tree.nodes:
+            if n != tree.root and rng.random() < 0.5:
+                y = rng.choice(sorted(tree.node_vars(tree.parent(n)), key=str))
+                w = var(f"w{i}_{n}")
+                labels[n] = labels[n] | TGraph((Triple(y, R, y), Triple(y, R, w)))
+        trees.append(WdPT(tree.root, tree.parents, labels))
+    return WdPF(tuple(trees))
+
+
+def planted_call(rng, forest):
+    """A graph over two IRIs holding the image of a random subtree of the
+    forest, in half the cases with the loop a r a, and mu, that image on
+    the subtree's variables."""
+    tree = rng.choice(forest.trees)
+    nodes = rng.choice(tree.subtree_nodesets())
+    image = {v: rng.choice(IRIS[:2]) for v in sorted(forest.vars(), key=str)}
+    graph = random_rdf_graph(rng, max_iris=2, max_triples=5)
+    graph = graph | TGraph(tuple(substitute(t, image) for t in tree.pat(nodes)))
+    if rng.random() < 0.5:
+        graph = graph | TGraph((Triple(IRIS[0], R, IRIS[0]),))
+    return graph, Mapping.of({v: image[v] for v in sorted(tree.vars(nodes), key=str)})
+
+
+def test_cored_children_decide_as_the_children():
+    rng = random.Random(97)
+    reached = proper = 0
+    for _ in range(200):
+        forest = with_planted_loops(rng, random_forest(rng))
+        dw = domination_width(forest)
+        analysis = Analysis.of(forest)
+        for _ in range(4):
+            graph, mu = planted_call(rng, forest)
+            exact = eval_forest(forest, graph, mu)
+            assert exact == eval_forest_by_enumeration(forest, graph, mu)
+            assert eval_pebble(forest, graph, mu, dw) == exact
+            for i, tree in enumerate(forest):
+                nodes = matched_subtree(tree, graph, mu)
+                if nodes is None:
+                    continue
+                kids = tree.child_tgraphs(nodes)
+                for child, cored in zip(kids, analysis.child_cores(i, nodes)):
+                    reached += 1
+                    proper += len(cored.tgraph) < len(child.tgraph)
+                    # a retract with X fixed: equivalent to the child
+                    assert cored.dist == child.dist and set(cored.tgraph) <= set(child.tgraph)
+                    assert find_homomorphism(child, cored) is not None
+                    won = pebble_wins(cored, graph, mu, dw + 1)
+                    assert won == duplicator_wins_game(child, graph, mu, dw + 1)
+    assert reached >= 100 and proper >= 0.2 * reached, (reached, proper)
+
+
+def test_each_child_is_cored_once_per_forest(monkeypatch):
+    import wdsparql.hom as hom
+
+    rng = random.Random(101)
+    forest = with_planted_loops(rng, forest_family(2))
+    dw = domination_width(forest)
+    cored = []
+
+    def counted(g):
+        cored.append(g)
+        return core(g)
+
+    monkeypatch.setattr(hom, "core", counted)
+    calls = [planted_call(rng, forest) for _ in range(50)]
+    for j, (graph, mu) in enumerate(calls):
+        if j % 2:
+            assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)
+        else:
+            assert eval_pebble(forest, graph, mu, dw) == eval_forest(forest, graph, mu)
+    children = {
+        g
+        for i, tree in enumerate(forest)
+        for nodes in tree.subtree_nodesets()
+        for g in tree.child_tgraphs(nodes)
+    }
+    assert len(cored) == len(set(cored)) >= 3
+    assert set(cored) <= children
+    before = len(cored)
+    for graph, mu in calls:
+        eval_forest(forest, graph, mu)
+        eval_pebble(forest, graph, mu, dw)
+    assert len(cored) == before
+
+
+def test_forest_past_the_caps_is_decided_on_its_children():
+    tree = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y r ?y\n?y r ?z")})
+    over_cap = WdPF((tree,) * (MAX_TREES + 1))
+    graph = parse_graph("a p b\nb r c")
+    for mu, expected in ((m(x="a", y="b"), True), (m(x="a", y="b", z="c"), False)):
+        assert eval_forest(over_cap, graph, mu) is expected
+        assert eval_pebble(over_cap, graph, mu, 1) is expected
+    looped = graph | parse_graph("b r b")
+    assert eval_forest(over_cap, looped, m(x="a", y="b")) is False
+    assert eval_pebble(over_cap, looped, m(x="a", y="b"), 1) is False
+    assert over_cap.analysis is None

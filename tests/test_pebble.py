@@ -2,12 +2,22 @@ import random
 
 import pytest
 
-from oracles import consistency_family_by_iteration, duplicator_wins_game, hom_into_graph_exists
+from fixtures import TRIANGLE_TAIL_MAPPING_TEXT, TRIANGLE_TAIL_TEXT, complete_graph_text
+from oracles import (
+    consistency_family_by_iteration,
+    duplicator_wins_game,
+    eval_forest_by_enumeration,
+    hom_into_graph_exists,
+)
 from wdsparql.errors import DomainMismatch, InvalidK, SearchTooLarge
+from wdsparql.evaluator import eval_forest, eval_pebble
 from wdsparql.hom import GeneralizedTGraph, ctw, maps_into_graph
+from wdsparql.patterns import parse_pattern
 from wdsparql.pebble import consistency_family, pebble_wins
 from wdsparql.randgen import random_game_instance
-from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, substitute, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, parse_mapping, substitute, var
+from wdsparql.trees import WdPF, WdPT, to_forest
+from wdsparql.width import domination_width
 
 
 def gt(text, dist=()):
@@ -247,3 +257,41 @@ def test_family_cap_raises_search_too_large(monkeypatch):
         consistency_family(g, graph, Mapping(), 2)
     # with a pebble per free variable no family is built, so no cap applies
     assert pebble_wins(g, graph, Mapping(), 3) is False
+
+
+# ---------------------------------------------------------------------------
+# eval_pebble decides each child on its core
+
+
+def test_triangle_with_a_loop_reaches_no_fixpoint(monkeypatch):
+    import wdsparql.pebble as pebble
+
+    # the child t-graph {?y p ?z, the triangle o1 o2 o3, ?y r ?o1, ?y r ?y}
+    # with X = {?y, ?z} cores to {?y p ?z, ?y r ?y}: no free variable left
+    tree = WdPT(0, {1: 0}, {
+        0: parse_graph("?y p ?z"),
+        1: parse_graph("?o1 r ?o2\n?o1 r ?o3\n?o2 r ?o3\n?y r ?o1\n?y r ?y"),
+    })
+    forest = WdPF((tree,))
+    dw = domination_width(forest)
+
+    def refuse(*args):
+        raise AssertionError("the fixpoint ran on a child whose core has no free variable")
+
+    monkeypatch.setattr(pebble, "_fixpoint", refuse)
+    mu = Mapping.of({var("y"): iri("a"), var("z"): iri("b")})
+    for text, expected in (("a p b\na r c\nc r d\nc r e\nd r e", True), ("a p b\na r a", False)):
+        graph = parse_graph(text)
+        assert eval_forest(forest, graph, mu) is expected
+        assert eval_forest_by_enumeration(forest, graph, mu) is expected
+        for k in sorted({1, dw}):
+            assert eval_pebble(forest, graph, mu, k) is expected
+
+
+def test_dense_triangle_with_a_tail_is_decided_on_its_core():
+    forest = to_forest(parse_pattern(TRIANGLE_TAIL_TEXT))
+    graph = parse_graph(complete_graph_text(40))
+    mu = parse_mapping(TRIANGLE_TAIL_MAPPING_TEXT)
+    assert domination_width(forest) == 2
+    assert eval_forest(forest, graph, mu) is False
+    assert eval_pebble(forest, graph, mu, 2) is False
