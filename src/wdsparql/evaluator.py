@@ -4,38 +4,38 @@ Three routes:
 
 * `eval_naive` implements the compositional set semantics directly on the
   pattern AST (works for arbitrary patterns, not just well-designed ones).
-* `eval_tree` / `eval_forest` decide membership of a single mapping via the
-  subtree characterization for NR-normal-form trees: one per-tree scan
-  (`_scan`) finds mu's matched subtree and accepts when no child of it
+* `eval_forest` decides membership of a single mapping via the subtree
+  characterization for NR-normal-form forests: one scan (`_decide`) finds
+  mu's matched subtree in each tree and accepts when no child of it
   "extends", a test it takes as an argument; here the test is exact, a
-  homomorphism search.  `enumerate_solutions` turns the same
-  characterization into a solution enumerator and is the exponential
-  oracle of the package, capped rather than clever.
+  homomorphism search.  `eval_tree` is `eval_forest` on a one-tree
+  forest.  `enumerate_solutions` turns the same characterization into a
+  solution enumerator and is the exponential oracle of the package,
+  capped rather than clever; it builds its children itself.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
   domination width is at most k.
 
-`eval_forest` and `eval_pebble` decide each child t-graph on its core,
-which the forest's `width.Analysis` builds on first use and keeps (a
-forest outside the analysis caps is decided on its children as they
-are).  Both tests read the same on a child and on its core: the two are
-homomorphically equivalent with the distinguished variables fixed, and
-a homomorphism extending mu exists from one iff it exists from the other
-(compose with the map between them), while the existential pebble game
-is preserved in the same way, its Duplicator strategies carried across
-by those maps (Kolaitis and Vardi 2000; Dalmau, Kolaitis and Vardi
-2002).  A core has no more free variables than its child, so the
-relaxation more often fits every free variable under a pebble and runs a
-homomorphism search instead of the consistency fixpoint.  `eval_tree`
-and the enumerator build the children per call.
+The scan decides each child t-graph on its core, which the forest's
+`width.Analysis` builds on first use and keeps, for every NR forest (the
+analysis caps guard only the width work).  Both tests read the same on a
+child and on its core: the two are homomorphically equivalent with the
+distinguished variables fixed, and a homomorphism extending mu exists
+from one iff it exists from the other (compose with the map between
+them), while the existential pebble game is preserved in the same way,
+its Duplicator strategies carried across by those maps (Kolaitis and
+Vardi 2000; Dalmau, Kolaitis and Vardi 2002).  A core has no more free
+variables than its child, so the relaxation more often fits every free
+variable under a pebble and runs a homomorphism search instead of the
+consistency fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
@@ -45,7 +45,7 @@ from .terms import Mapping, TGraph, Triple
 from .trees import WdPF, WdPT
 from .width import Analysis
 
-DEFAULT_ENUM_VAR_CAP = 12
+MAX_ENUM_VARS = 12
 
 
 @dataclass(frozen=True)
@@ -132,53 +132,36 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     return nodes
 
 
-_Children = Callable[[frozenset[int]], Iterable[GeneralizedTGraph]]
-
-
 def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
     return maps_into_graph(g, graph, mu) is not None
 
 
-def _scan(
-    tree: WdPT, graph: TGraph, mu: Mapping, extends: Callable[..., bool], children: _Children
-) -> bool:
-    """mu's matched subtree exists and no child t-graph of it, as `children`
-    supplies them for the subtree's nodes, passes `extends`."""
-    nodes = matched_subtree(tree, graph, mu)
-    return nodes is not None and not any(extends(g, graph, mu) for g in children(nodes))
-
-
-def _forest_children(forest: WdPF) -> Iterator[tuple[WdPT, _Children]]:
-    """Each tree with the supplier of its child t-graphs: the cores kept in
-    the forest's analysis, or, for a forest outside the analysis caps, the
-    children themselves, built per call."""
-    a = Analysis.within_caps(forest)
+def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
+    """Some tree holds mu's matched subtree, and no child t-graph of it, as
+    the forest's analysis keeps it cored, passes `extends`."""
+    if not graph.is_ground():
+        raise NonGroundGraph("evaluation target must be a ground RDF graph")
+    a = Analysis.of(forest)
     for i, tree in enumerate(forest):
-        yield tree, tree.child_tgraphs if a is None else partial(a.child_cores, i)
+        nodes = matched_subtree(tree, graph, mu)
+        if nodes is not None and not any(extends(g, graph, mu) for g in a.child_cores(i, nodes)):
+            return True
+    return False
 
 
 def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
     """mu is a solution iff its matched subtree exists and no child of it
     admits a homomorphism into the graph compatible with mu."""
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    return _scan(tree, graph, mu, _exact_extends, tree.child_tgraphs)
+    return eval_forest(WdPF((tree,)), graph, mu)
 
 
 def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
     """Whether some tree of the forest accepts mu, as `eval_tree` decides
     it, each child tested on its kept core."""
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    return any(
-        _scan(tree, graph, mu, _exact_extends, children)
-        for tree, children in _forest_children(forest)
-    )
+    return _decide(forest, graph, mu, _exact_extends)
 
 
-def enumerate_solutions(
-    forest: WdPF, graph: TGraph, *, var_cap: int = DEFAULT_ENUM_VAR_CAP
-) -> SolutionSet:
+def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
     """All solutions of the forest, by exhausting subtrees and homomorphisms.
 
     Exponential by design: this is the oracle, not the product.
@@ -187,9 +170,9 @@ def enumerate_solutions(
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
     n_vars = len(forest.vars())
-    if n_vars > var_cap:
+    if n_vars > MAX_ENUM_VARS:
         raise InstanceTooLarge(
-            f"{n_vars} pattern variables exceed the enumeration cap of {var_cap}"
+            f"{n_vars} pattern variables exceed the enumeration cap of {MAX_ENUM_VARS}"
         )
     found: list[Mapping] = []
     for tree in forest:
@@ -207,10 +190,4 @@ def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:
     if k < 1:
         raise InvalidK(f"the relaxation needs k >= 1, got {k}")
     forest.ensure_nr()
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    extends = partial(pebble_wins, k=k + 1)
-    return any(
-        _scan(tree, graph, mu, extends, children)
-        for tree, children in _forest_children(forest)
-    )
+    return _decide(forest, graph, mu, partial(pebble_wins, k=k + 1))

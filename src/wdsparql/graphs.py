@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import GraphTooLarge
 
-DEFAULT_TW_CAP = 20
+MAX_TW_VERTICES = 20
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,11 @@ def _elimination_order(graph: UndirectedGraph, comp: frozenset) -> list:
     return order
 
 
-def tree_decomposition(graph: UndirectedGraph, cap: int = DEFAULT_TW_CAP) -> TreeDecomposition:
-    """An optimal tree decomposition (exact, subject to the vertex cap)."""
-    if len(graph.vertices) > cap:
+def tree_decomposition(graph: UndirectedGraph) -> TreeDecomposition:
+    """An optimal tree decomposition (exact, up to MAX_TW_VERTICES vertices)."""
+    if len(graph.vertices) > MAX_TW_VERTICES:
         raise GraphTooLarge(
-            f"{len(graph.vertices)} vertices exceed the exact-solver cap of {cap}"
+            f"{len(graph.vertices)} vertices exceed the exact-solver cap of {MAX_TW_VERTICES}"
         )
     if not graph.vertices:
         return TreeDecomposition((frozenset(),), ())
@@ -239,14 +239,10 @@ def tree_decomposition(graph: UndirectedGraph, cap: int = DEFAULT_TW_CAP) -> Tre
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def treewidth(graph: UndirectedGraph, cap: int = DEFAULT_TW_CAP) -> int:
+def treewidth(graph: UndirectedGraph) -> int:
     """Exact treewidth; 1 for graphs with no vertices or no edges."""
-    if not graph.vertices or not graph.edges:
-        if len(graph.vertices) > cap:
-            raise GraphTooLarge(
-                f"{len(graph.vertices)} vertices exceed the exact-solver cap of {cap}"
-            )
+    if not graph.edges and len(graph.vertices) <= MAX_TW_VERTICES:
         return 1
-    td = tree_decomposition(graph, cap=cap)
+    td = tree_decomposition(graph)  # raises GraphTooLarge past the cap
     td.validate(graph)
     return td.width()

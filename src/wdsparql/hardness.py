@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import UndirectedGraph, grid_graph
 from .hom import GeneralizedTGraph, core, gaifman
-from .terms import Mapping, TGraph, Term, Triple, iri, parse_term, substitute, var
+from .terms import Mapping, TGraph, Term, Triple, _data_lines, iri, parse_term, substitute, var
 from .trees import WdPF, subtree_vars
 from .width import Analysis, HardWitness
 
@@ -398,10 +398,7 @@ def parse_undirected_graph(text: str) -> UndirectedGraph:
     """
     vertices: set[str] = set()
     edges: list[tuple[str, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _data_lines(text):
         tokens = line.split()
         for tok in tokens[1:]:
             if not _H_NAME.match(tok):
@@ -422,10 +419,7 @@ def parse_minor_map(text: str) -> MinorMap:
     """Lines `cell i j : a b c` listing the branch set of grid cell (i, j)."""
     assignment: dict[tuple[int, int], frozenset] = {}
     rows = cols = 0
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _data_lines(text):
         head, _, tail = line.partition(":")
         tokens = head.split()
         if len(tokens) != 3 or tokens[0] != "cell":

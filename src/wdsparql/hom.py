@@ -4,23 +4,27 @@ A generalized t-graph is a pair (S, X) of a t-graph and a set of
 distinguished variables; homomorphisms between two such pairs sharing X
 must fix X pointwise, and IRIs always behave as rigid constants.
 
-The search is a backtracking solver with a fixed variable order
-(descending occurrence count, ties by name), so results are deterministic
-run to run.  A variable's candidate domain is the set of terms it meets
-in the target's matches of every source triple holding it; the matches of
-each source triple come once from the target's (position, IRI) index
-(`TGraph.matching`), never from a scan of the whole target, with the
-pinned values substituted first, so a variable next to a pinned one is
-drawn from that value's neighbours only.
+The search is a backtracking solver with a fixed variable order: each
+next variable shares a source triple with one already ordered, the most
+frequent first, ties by name (a disconnected rest restarts by the same
+rule), so results are deterministic run to run, and the variables of a
+triple are assigned close together, so a value that breaks it is undone
+soon after it is tried.  A variable's candidate domain is the set of
+terms it meets in the target's matches of every source triple holding
+it; the matches of each source triple come once from the target's
+(position, IRI) index (`TGraph.matching`), never from a scan of the
+whole target, with the pinned values substituted first, so a variable
+next to a pinned one is drawn from that value's neighbours only.
 
-Nothing here is cached across calls: `ctw` memoizes only into a dict its
-caller passes, keyed by the generalized t-graph alone, which
-`width.Analysis` keeps for as long as its forest.
+Nothing here is cached across calls; `width.Analysis` keeps the ctw
+values of its forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import combinations
 
 from .errors import DomainMismatch, MismatchedDistinguishedSets, NonGroundGraph
 from .graphs import UndirectedGraph, treewidth
@@ -52,6 +56,33 @@ class GeneralizedTGraph:
 
 # ---------------------------------------------------------------------------
 # backtracking search
+
+
+def _connected_order(source: TGraph, free: list[Term], occurrences: dict[Term, int]) -> list[Term]:
+    """`free` in search order: each next variable shares a source triple with
+    one already ordered where one can, the most frequent first, ties by
+    name, and a rest that shares none restarts by the same rule.  On two
+    variables that is the frequency-then-name order, so no walk is made."""
+    by_key = {(-occurrences[v], v.name): v for v in free}
+    if len(free) <= 2:
+        return [by_key[k] for k in sorted(by_key)]
+    nbrs: dict[Term, set[Term]] = {v: set() for v in free}
+    for t in source:
+        here = t.vars() & nbrs.keys()
+        for v in here:
+            nbrs[v] |= here
+    order: list[Term] = []
+    seen: set[Term] = set()
+    for start in sorted(by_key):
+        heap = [start]
+        while heap:
+            v = by_key[heappop(heap)]
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                for u in nbrs[v] - seen:
+                    heappush(heap, (-occurrences[u], u.name))
+    return order
 
 
 def _solve(
@@ -91,10 +122,7 @@ def _solve(
             return []
         domains[v] = sorted(here, key=str)
 
-    order = sorted(
-        (v for v in src_vars if v not in fixed),
-        key=lambda v: (-occurrences[v], v.name),
-    )
+    order = _connected_order(source, [v for v in src_vars if v not in fixed], occurrences)
     assigned = {v: fixed[v] for v in src_vars if v in fixed}
     target_set = target.triple_set
 
@@ -193,20 +221,16 @@ def core(g: GeneralizedTGraph) -> GeneralizedTGraph:
     order, so the representative is stable (uniqueness is up to renaming).
     """
     current = g.tgraph
+    # a retraction fixes X, so the variables of X in S stay in every image
     fixed = {x: x for x in g.dist if x in current.vars()}
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for skip in current:
-            rest = TGraph(tuple(t for t in current if t != skip))
-            found = _solve(current, rest, fixed)
+            found = _solve(current, TGraph(tuple(t for t in current if t != skip)), fixed)
             if found:
-                h = found[0]
-                current = TGraph(tuple(substitute(t, h) for t in current))
-                fixed = {x: x for x in g.dist if x in current.vars()}
-                changed = True
+                current = TGraph(tuple(substitute(t, found[0]) for t in current))
                 break
-    return GeneralizedTGraph(current, g.dist, declared=g.declared)
+        else:  # no proper retraction is left
+            return GeneralizedTGraph(current, g.dist, declared=g.declared)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +240,10 @@ def core(g: GeneralizedTGraph) -> GeneralizedTGraph:
 def gaifman(g: GeneralizedTGraph) -> UndirectedGraph:
     """Co-occurrence graph of the non-distinguished variables."""
     vertices = g.free_vars()
-    edges = set()
-    for t in g.tgraph:
-        here = sorted(t.vars() & vertices, key=str)
-        for i, a in enumerate(here):
-            for b in here[i + 1 :]:
-                if a != b:
-                    edges.add(frozenset((a, b)))
-    return UndirectedGraph(frozenset(vertices), frozenset(edges))
+    edges = {frozenset(e) for t in g.tgraph for e in combinations(t.vars() & vertices, 2)}
+    return UndirectedGraph(vertices, edges)
 
 
-def ctw(g: GeneralizedTGraph, memo: dict[GeneralizedTGraph, int] | None = None) -> int:
-    """Treewidth of the core of (S, X).
-
-    Kept in `memo`, keyed by the t-graph, when the caller passes one (a
-    `width.Analysis` passes its own); nothing is kept otherwise.
-    """
-    if memo is None:
-        memo = {}
-    if g not in memo:
-        memo[g] = treewidth(gaifman(core(g)))
-    return memo[g]
+def ctw(g: GeneralizedTGraph) -> int:
+    """Treewidth of the core of (S, X)."""
+    return treewidth(gaifman(core(g)))

@@ -13,12 +13,14 @@ generator builds its reduction instances from that witness.
 per-tree primitive behind its bw rows.
 
 Everything here is exact and desk-scale: instance caps raise rather than
-degrade to heuristics.  There is no process-global cache: what these
-functions derive from a forest (associated sets, homomorphism tests, ctw
-values keyed by the t-graph alone, the width, the witnesses, the witness
-core and its grid minors, and the cored child t-graphs the evaluator
-decides) is kept in the forest's one `Analysis`, built on first use, so
-the memo lives exactly as long as the forest.
+degrade to heuristics.  The caps on trees and nodes guard only the width
+work; the evaluator reads the cored children of any NR forest.  There is
+no process-global cache: what these functions derive from a forest
+(associated sets, homomorphism tests, ctw values keyed by the t-graph
+alone, the width, the witnesses, the witness core and its grid minors,
+and the cored child t-graphs the evaluator decides) is kept in the
+forest's one `Analysis`, built on first use, so the memo lives exactly
+as long as the forest.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 from . import hom
-from .errors import InstanceTooLarge, NoHardWitness, NotNRNormalForm
+from .errors import InstanceTooLarge, NoHardWitness
 from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
 from .trees import (
     ChildrenAssignment,
@@ -68,7 +70,9 @@ class HomCache:
                 f"{len(g.tgraph.vars())} variables in a merged t-graph, "
                 f"cap is {MAX_VARS_PER_MEMBER}"
             )
-        return ctw(g, memo=self._ctws)
+        if g not in self._ctws:
+            self._ctws[g] = ctw(g)
+        return self._ctws[g]
 
 
 @dataclass(frozen=True)
@@ -86,16 +90,6 @@ class WidthReport:
         lines = [f"{self.measure} = {self.value}"]
         lines.extend(f"  {label}: {v}" for label, v in self.breakdown)
         return "\n".join(lines) + "\n"
-
-
-def _check_caps(forest: WdPF) -> None:
-    if len(forest) > MAX_TREES:
-        raise InstanceTooLarge(f"{len(forest)} trees exceed the cap of {MAX_TREES}")
-    for i, tree in enumerate(forest):
-        if len(tree) > MAX_NODES_PER_TREE:
-            raise InstanceTooLarge(
-                f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
-            )
 
 
 def branch_treewidth(tree: WdPT) -> int:
@@ -159,13 +153,12 @@ class Analysis:
     core of the witness at the exact width with its Gaifman components,
     the grid minor per grid shape, and the cored child t-graphs of each
     subtree the evaluator has matched.  Asking for the width builds no
-    witness and searches no minor; evaluating cores only the children it
-    reaches.
+    witness and searches no minor; evaluating enumerates no subtree and
+    cores only the children it reaches, so it runs past the size caps.
     """
 
     def __init__(self, forest: WdPF):
         forest.ensure_nr()
-        _check_caps(forest)
         self.forest = forest
         self.cache = HomCache()
         self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
@@ -176,23 +169,23 @@ class Analysis:
 
     @classmethod
     def of(cls, forest: WdPF) -> "Analysis":
-        """The forest's analysis; a forest that fails the NR or size checks
-        gets none, so every call raises again."""
+        """The forest's analysis; a forest not in NR normal form gets none,
+        so every call raises again."""
         if forest.analysis is None:
             object.__setattr__(forest, "analysis", cls(forest))
         return forest.analysis
 
-    @classmethod
-    def within_caps(cls, forest: WdPF) -> "Analysis | None":
-        """The forest's analysis, or None for a forest that fails the NR or
-        size checks (it then keeps none); raises nothing."""
-        try:
-            return cls.of(forest)
-        except (InstanceTooLarge, NotNRNormalForm):
-            return None
-
     @cached_property
     def subtrees(self) -> tuple[Subtree, ...]:
+        """The one entry to the width work, so the one place the size caps
+        are checked; a refusal is kept nowhere and raises again."""
+        if len(self.forest) > MAX_TREES:
+            raise InstanceTooLarge(f"{len(self.forest)} trees exceed the cap of {MAX_TREES}")
+        for i, tree in enumerate(self.forest):
+            if len(tree) > MAX_NODES_PER_TREE:
+                raise InstanceTooLarge(
+                    f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
+                )
         return subtrees(self.forest)
 
     def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:

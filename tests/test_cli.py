@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,6 +10,7 @@ from wdsparql import cli
 from wdsparql.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(*argv):
@@ -159,6 +162,33 @@ def test_gen_hard_roundtrip(tmp_path):
     assert run(*base, "--graph", str(DATA / "h_isolated.ug"))[0] == 0
     assert run("eval", "--pattern", str(DATA / "family3.sparql"),
                "--graph", out_graph, "--mapping", out_map, "--mode", "lemma1")[0] == 0
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    family3 = str(DATA / "family3.sparql")
+    commands = (
+        ["gen-hard", "--pattern", family3, "--k", "2", "--graph", str(DATA / "h_edge.ug"),
+         "--out-graph", "g.nt", "--out-mapping", "m.map", "--report", "r.txt"],
+        ["width", "--pattern", family3, "--measure", "dw", "--report"],
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        work = tmp_path / seed
+        work.mkdir()
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        got = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wdsparql.cli", *argv],
+                cwd=work, env=env, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(proc.stdout)
+        got.extend((work / name).read_bytes() for name in ("g.nt", "m.map", "r.txt"))
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0][1:])
 
 
 def test_missing_file_is_exit_1(tmp_path):

@@ -85,11 +85,14 @@ def test_single_node_tree_without_children():
     assert not eval_tree(tree, parse_graph("a p b"), m(x="a"))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    import wdsparql.evaluator as evaluator
+
     rng = random.Random(1)
     forest = random_forest(rng)
+    monkeypatch.setattr(evaluator, "MAX_ENUM_VARS", 0)
     with pytest.raises(InstanceTooLarge):
-        enumerate_solutions(forest, parse_graph("a p b"), var_cap=0)
+        enumerate_solutions(forest, parse_graph("a p b"))
 
 
 def test_oracle_triangle():
@@ -312,9 +315,18 @@ def test_each_child_is_cored_once_per_forest(monkeypatch):
     assert len(cored) == before
 
 
-def test_forest_past_the_caps_is_decided_on_its_children():
+def test_forest_past_the_caps_is_decided_on_its_children(monkeypatch):
+    import wdsparql.hom as hom
+
     tree = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y r ?y\n?y r ?z")})
     over_cap = WdPF((tree,) * (MAX_TREES + 1))
+    cored = []
+
+    def counted(g):
+        cored.append(g)
+        return core(g)
+
+    monkeypatch.setattr(hom, "core", counted)
     graph = parse_graph("a p b\nb r c")
     for mu, expected in ((m(x="a", y="b"), True), (m(x="a", y="b", z="c"), False)):
         assert eval_forest(over_cap, graph, mu) is expected
@@ -322,4 +334,9 @@ def test_forest_past_the_caps_is_decided_on_its_children():
     looped = graph | parse_graph("b r b")
     assert eval_forest(over_cap, looped, m(x="a", y="b")) is False
     assert eval_pebble(over_cap, looped, m(x="a", y="b"), 1) is False
-    assert over_cap.analysis is None
+    # the root's child is reached in every tree, and cored once per tree
+    (child,) = tree.child_tgraphs(frozenset({0}))
+    assert cored == [child] * len(over_cap)
+    for _ in range(2):
+        with pytest.raises(InstanceTooLarge):
+            domination_width(over_cap)
