@@ -3,15 +3,20 @@
 Three routes:
 
 * `eval_naive` implements the compositional set semantics directly on the
-  pattern AST (works for arbitrary patterns, not just well-designed ones).
+  pattern AST (works for arbitrary patterns, not just well-designed ones):
+  AND and OPT are one hash join per pair of operand domains, on the
+  shared variables, and every intermediate result is capped at
+  MAX_JOIN_MAPPINGS mappings.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
   mu's matched subtree in each tree and accepts when no child of it
   "extends", a test it takes as an argument; here the test is exact, a
   homomorphism search.  `eval_tree` is `eval_forest` on a one-tree
   forest.  `enumerate_solutions` turns the same characterization into a
-  solution enumerator and is the exponential oracle of the package,
-  capped rather than clever; it builds its children itself.
+  solution enumerator: it grows each tree's subtrees top down from the
+  root's homomorphisms, deciding one frontier node at a time, so the
+  search that tells whether a child extends a binding is also the one
+  that extends it.  It is capped at MAX_ENUM_VARS pattern variables.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
@@ -41,11 +46,12 @@ from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
-from .terms import Mapping, TGraph, Triple
+from .terms import Mapping, TGraph, Term, Triple
 from .trees import WdPF, WdPT
 from .width import Analysis
 
 MAX_ENUM_VARS = 12
+MAX_JOIN_MAPPINGS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,28 +90,71 @@ def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
     ]
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_JOIN_MAPPINGS:
+        raise InstanceTooLarge(
+            f"an intermediate result passed {MAX_JOIN_MAPPINGS} mappings"
+        )
+
+
+def _by_domain(mappings: list[Mapping]) -> dict[frozenset[Term], list[Mapping]]:
+    groups: dict[frozenset[Term], list[Mapping]] = {}
+    for m in mappings:
+        groups.setdefault(m.domain, []).append(m)
+    return groups
+
+
+def _join(left: list[Mapping], right: list[Mapping], keep_rest: bool) -> list[Mapping]:
+    """Every merge of a left and a compatible right mapping, and with
+    `keep_rest` also every left mapping that has no compatible partner.
+
+    Per pair of domains the right mappings are indexed once on the values
+    of the shared variables, and each left mapping probes that index: two
+    mappings are compatible iff they agree there."""
+    rights = _by_domain(right)
+    out: list[Mapping] = []
+    for dom, group in _by_domain(left).items():
+        indexes = []
+        for other, candidates in rights.items():
+            shared = tuple(dom & other)
+            index: dict[tuple[Term, ...], list[Mapping]] = {}
+            for m2 in candidates:
+                index.setdefault(tuple(map(m2.get, shared)), []).append(m2)
+            indexes.append((shared, index))
+        for m1 in group:
+            before = len(out)
+            for shared, index in indexes:
+                for m2 in index.get(tuple(map(m1.get, shared)), ()):
+                    out.append(Mapping(m1.bindings + m2.bindings))
+            if keep_rest and len(out) == before:
+                out.append(m1)
+            _check_size(len(out))
+    return out
+
+
 def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
-    """The recursive set semantics; `p` need not be well designed."""
+    """The compositional set semantics; `p` need not be well designed.
+
+    Evaluated bottom up with an explicit stack; an intermediate result of
+    more than MAX_JOIN_MAPPINGS mappings raises `InstanceTooLarge`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-
-    def rec(q: GraphPattern) -> list[Mapping]:
+    done: list[list[Mapping]] = []
+    todo: list[tuple[GraphPattern, bool]] = [(p, False)]
+    while todo:
+        q, ready = todo.pop()
         if isinstance(q, Leaf):
-            return _match_triple(q.triple, graph)
-        left, right = rec(q.left), rec(q.right)
-        if q.op == UNION:
-            return left + right
-        joined = [
-            m1.merge(m2) for m1 in left for m2 in right if m1.compatible(m2)
-        ]
-        if q.op == AND:
-            return joined
-        bare = [
-            m1 for m1 in left if not any(m1.compatible(m2) for m2 in right)
-        ]
-        return joined + bare  # OPT
-
-    return SolutionSet(tuple(rec(p)))
+            rows = _match_triple(q.triple, graph)
+        elif not ready:  # evaluate the operands first, left below right
+            todo += ((q, True), (q.right, False), (q.left, False))
+            continue
+        else:
+            right = done.pop()
+            left = done.pop()
+            rows = left + right if q.op == UNION else _join(left, right, q.op == OPT)
+        _check_size(len(rows))
+        done.append(rows)
+    return SolutionSet(tuple(done[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +210,49 @@ def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
     return _decide(forest, graph, mu, _exact_extends)
 
 
-def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
-    """All solutions of the forest, by exhausting subtrees and homomorphisms.
+def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
+    """The solutions of one tree, top down: each state is a binding of the
+    nodes taken so far and the frontier still to decide.  A frontier node
+    with no extension of the binding is dropped; otherwise each extension
+    takes it, and its children join the frontier.  By well-designedness a
+    node meets the taken nodes only in its parent's variables, so its
+    extensions depend on those values alone and are searched once per
+    (node, values); siblings are decided independently, so each (subtree,
+    homomorphism) pair comes out once."""
+    shared = {
+        c: tuple(tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
+    }
+    extensions: dict[tuple[int, tuple[Term, ...]], list[dict[Term, Term]]] = {}
+    found: list[Mapping] = []
+    kids = tree.children(tree.root)
+    stack = [(h, kids) for h in all_homomorphisms(tree.label(tree.root), graph)]
+    while stack:
+        binding, frontier = stack.pop()
+        if not frontier:
+            found.append(Mapping.of(binding))
+            continue
+        c, rest = frontier[0], frontier[1:]
+        pins = shared[c]
+        values = tuple(binding[x] for x in pins)
+        exts = extensions.get((c, values))
+        if exts is None:
+            exts = extensions[c, values] = all_homomorphisms(
+                tree.label(c), graph, dict(zip(pins, values))
+            )
+        if not exts:
+            stack.append((binding, rest))
+        else:
+            grown = rest + tree.children(c)
+            stack.extend(({**binding, **h}, grown) for h in exts)
+    return found
 
-    Exponential by design: this is the oracle, not the product.
+
+def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
+    """All solutions of the forest, tree by tree, by `_tree_solutions`.
+
+    Exponential in the worst case, and capped at MAX_ENUM_VARS pattern
+    variables; it searches each node's extensions once per binding of
+    the variables it shares with its parent.
     """
     forest.ensure_nr()
     if not graph.is_ground():
@@ -176,12 +264,7 @@ def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
         )
     found: list[Mapping] = []
     for tree in forest:
-        for nodeset in tree.subtree_nodesets():
-            kids = list(tree.child_tgraphs(nodeset))
-            for h in all_homomorphisms(tree.pat(nodeset), graph):
-                mu = Mapping.of(h)  # dom(h) = vars(nodeset) by construction
-                if not any(_exact_extends(g, graph, mu) for g in kids):
-                    found.append(mu)
+        found.extend(_tree_solutions(tree, graph))
     return SolutionSet(tuple(found))
 
 

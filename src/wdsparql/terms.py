@@ -354,16 +354,19 @@ def parse_graph(text: str, *, ground: bool = False) -> TGraph:
         if len(tokens) != 3:
             raise ParseError(f"expected three terms, got {len(tokens)}", line=no)
         found = []
+        fresh_var = False
         for tok in tokens:
             term = known.get(tok)
             if term is None:
                 term = known[tok] = parse_term(tok, line=no)
+                # a ground parse stops at the first variable, so every
+                # variable token is new to the cache
+                fresh_var = fresh_var or term.is_var
             found.append(term)
-        t = Triple(*found)
-        if ground and not t.is_ground():
-            worst = min(t.vars(), key=str)
+        if ground and fresh_var:
+            worst = min((x for x in found if x.is_var), key=str)
             raise NonGroundGraph(f"variable {worst} in an RDF graph", line=no)
-        triples.append(t)
+        triples.append(Triple(*found))
     return TGraph(tuple(triples))
 
 

@@ -152,9 +152,10 @@ class Analysis:
     per-subtree demands, the domination width, the hard witness per k, the
     core of the witness at the exact width with its Gaifman components,
     the grid minor per grid shape, and the cored child t-graphs of each
-    subtree the evaluator has matched.  Asking for the width builds no
-    witness and searches no minor; evaluating enumerates no subtree and
-    cores only the children it reaches, so it runs past the size caps.
+    subtree the evaluator has matched, one core per distinct child.
+    Asking for the width builds no witness and searches no minor;
+    evaluating enumerates no subtree and cores only the children it
+    reaches, so it runs past the size caps.
     """
 
     def __init__(self, forest: WdPF):
@@ -162,6 +163,7 @@ class Analysis:
         self.forest = forest
         self.cache = HomCache()
         self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
+        self._cores: dict[GeneralizedTGraph, GeneralizedTGraph] = {}
         self._associated: dict[Subtree, tuple] = {}
         self._demands: dict[Subtree, int] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
@@ -191,7 +193,8 @@ class Analysis:
     def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
         """The child t-graphs of the subtree `nodes` of one tree, in the
         order `WdPT.child_tgraphs` builds them, each cored when first asked
-        for and then kept.  A child of more than MAX_VARS_PER_MEMBER
+        for and then kept, once per forest: equal children of different
+        trees share one core.  A child of more than MAX_VARS_PER_MEMBER
         variables is kept uncored.  A core is homomorphically equivalent to
         its child with the distinguished variables fixed, so the evaluator's
         tests read the same on either."""
@@ -202,10 +205,15 @@ class Analysis:
         kids, cores = self._children[key]
         for i, g in enumerate(kids):
             if i == len(cores):  # cores grow as a prefix of kids
-                small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
-                # looked up on hom at each call, so rebinding hom.core (to
-                # count or time it) reaches this step too
-                cores.append(hom.core(g) if small else g)
+                # an equal child under another tree shares its core; the
+                # child is hashed here only, when its slot is first filled
+                cored = self._cores.get(g)
+                if cored is None:
+                    small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
+                    # looked up on hom at each call, so rebinding hom.core
+                    # (to count or time it) reaches this step too
+                    cored = self._cores[g] = hom.core(g) if small else g
+                cores.append(cored)
             yield cores[i]
 
     def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:

@@ -4,8 +4,9 @@ These deliberately share no code path with the implementations they check:
 homomorphisms by enumerating every assignment, treewidth by trying every
 elimination order, the pebble game by solving the actual two-player game,
 the consistency family by naive deletion to a fixpoint, tree evaluation
-by enumerating every subtree instead of the greedy scan, the clique gadget
-by filtering the full product of gadget variables per triple.
+by enumerating every subtree instead of the greedy scan, pattern
+evaluation by joining every pair of mappings in nested loops, the clique
+gadget by filtering the full product of gadget variables per triple.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations, permutations, product
 
 from wdsparql.graphs import UndirectedGraph
 from wdsparql.hom import GeneralizedTGraph, core
+from wdsparql.patterns import AND, UNION, GraphPattern, Leaf
 from wdsparql.terms import Mapping, TGraph, Term, Triple, substitute, var
 from wdsparql.trees import WdPF, WdPT
 
@@ -182,6 +184,24 @@ def consistency_family_by_iteration(
                 family.discard(f)
                 changed = True
     return frozenset(Mapping(tuple(f)) for f in family)
+
+
+def eval_naive_by_nested_loops(p: GraphPattern, graph: TGraph) -> frozenset[Mapping]:
+    """The compositional set semantics, recursively, with every join a
+    nested loop over all pairs of mappings tested for compatibility."""
+    if isinstance(p, Leaf):
+        return frozenset(
+            Mapping.of(h) for h in all_assignment_homs(TGraph((p.triple,)), graph)
+        )
+    left = eval_naive_by_nested_loops(p.left, graph)
+    right = eval_naive_by_nested_loops(p.right, graph)
+    if p.op == UNION:
+        return left | right
+    joined = {m1.merge(m2) for m1 in left for m2 in right if m1.compatible(m2)}
+    if p.op == AND:
+        return frozenset(joined)
+    bare = {m1 for m1 in left if not any(m1.compatible(m2) for m2 in right)}
+    return frozenset(joined | bare)  # OPT
 
 
 def eval_tree_by_subtree_enumeration(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:

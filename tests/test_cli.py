@@ -84,6 +84,19 @@ def test_eval_all(tmp_path):
     assert out2 == out
 
 
+def test_join_cap_is_one_error_line(monkeypatch, tmp_path):
+    from wdsparql import evaluator
+
+    pattern = write(tmp_path, "p.sparql", "((?x, p, ?y) AND (?z, p, ?w))")
+    graph = write(tmp_path, "g.nt", "a p b\nb p c\n")
+    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 3)
+    code, out, err = run("eval-all", "--pattern", pattern, "--graph", graph, "--mode", "naive")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ERROR InstanceTooLarge:"), err
+
+
 def test_width_command():
     pattern = str(DATA / "clique3.sparql")
     for measure, expected in (("dw", "1"), ("bw", "1"), ("local", "2")):
@@ -166,10 +179,14 @@ def test_gen_hard_roundtrip(tmp_path):
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     family3 = str(DATA / "family3.sparql")
+    # both trees of family3 answer, with and without their optional parts
+    small = write(tmp_path, "small.nt", "a p b\nc q a\nb r c\nc r c\nb p d\nd q b\ne q d\n")
     commands = (
         ["gen-hard", "--pattern", family3, "--k", "2", "--graph", str(DATA / "h_edge.ug"),
          "--out-graph", "g.nt", "--out-mapping", "m.map", "--report", "r.txt"],
         ["width", "--pattern", family3, "--measure", "dw", "--report"],
+        ["eval-all", "--pattern", family3, "--graph", small, "--mode", "naive"],
+        ["eval-all", "--pattern", family3, "--graph", small, "--mode", "lemma1"],
     )
     outputs = []
     for seed in ("1", "2"):
@@ -189,6 +206,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(got)
     assert outputs[0] == outputs[1]
     assert all(outputs[0][1:])
+    assert outputs[0][2] == outputs[0][3] and outputs[0][2].count(b"\n") >= 4
 
 
 def test_missing_file_is_exit_1(tmp_path):

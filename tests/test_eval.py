@@ -3,7 +3,13 @@ import random
 import pytest
 
 from fixtures import forest_family, two_node_clique_tree
-from oracles import duplicator_wins_game, eval_forest_by_enumeration, matched_subtree_by_enumeration
+from oracles import (
+    duplicator_wins_game,
+    eval_forest_by_enumeration,
+    eval_naive_by_nested_loops,
+    eval_tree_by_subtree_enumeration,
+    matched_subtree_by_enumeration,
+)
 from wdsparql.errors import InstanceTooLarge, InvalidK, NotNRNormalForm
 from wdsparql.evaluator import (
     SolutionSet,
@@ -15,10 +21,11 @@ from wdsparql.evaluator import (
     matched_subtree,
 )
 from wdsparql.hom import core, find_homomorphism
-from wdsparql.patterns import parse_pattern
+from wdsparql.patterns import AND, OPT, UNION, Leaf, Node, is_well_designed, parse_pattern
 from wdsparql.pebble import pebble_wins
 from wdsparql.randgen import (
     IRIS,
+    PREDICATES,
     random_candidate_mapping,
     random_forest,
     random_rdf_graph,
@@ -218,6 +225,106 @@ def test_matched_subtree_matches_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# the hash join and the top-down enumeration against the oracles
+
+
+def random_pattern(rng, depth):
+    """An AND/OPT/UNION pattern over five variables, well designed or not,
+    with UNION anywhere, so one operand of a join may hold mappings of
+    several domains."""
+    if depth == 0 or rng.random() < 0.2:
+        pool = [var(x) for x in "abcde"] + list(IRIS[:2])
+        return Leaf(Triple(rng.choice(pool), rng.choice(PREDICATES[:2]), rng.choice(pool)))
+    op = rng.choice((AND, OPT, UNION))
+    return Node(op, random_pattern(rng, depth - 1), random_pattern(rng, depth - 1))
+
+
+def joins_over_a_union(p) -> bool:
+    """Some AND or OPT has a UNION inside one of its operands."""
+    if isinstance(p, Leaf):
+        return False
+    if p.op != UNION and any(isinstance(q, Node) and q.op == UNION for q in (p.left, p.right)):
+        return True
+    return joins_over_a_union(p.left) or joins_over_a_union(p.right)
+
+
+def test_hash_join_matches_nested_loops():
+    rng = random.Random(131)
+    mixed = not_wd = answered = 0
+    for _ in range(300):
+        p = random_pattern(rng, rng.randint(1, 4))
+        graph = random_rdf_graph(rng, max_iris=3, max_triples=8)
+        graph = graph | TGraph(tuple(Triple(a, PREDICATES[0], b) for a in IRIS[:2] for b in IRIS[:2]))
+        got = eval_naive(p, graph)
+        assert set(got) == eval_naive_by_nested_loops(p, graph)
+        answered += bool(got)
+        not_wd += not is_well_designed(p)
+        mixed += joins_over_a_union(p) and len({mu.domain for mu in got}) > 1
+    assert answered >= 150 and not_wd >= 60 and mixed >= 30, (answered, not_wd, mixed)
+
+
+def test_join_cap(monkeypatch):
+    import wdsparql.evaluator as evaluator
+
+    p = parse_pattern("((?x, p, ?y) OPT (?z, p, ?w))")
+    graph = parse_graph("a p b\nb p c")
+    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 4)
+    assert len(eval_naive(p, graph)) == 4  # at the cap
+    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 3)
+    with pytest.raises(InstanceTooLarge):
+        eval_naive(p, graph)
+    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 1)
+    with pytest.raises(InstanceTooLarge):  # a triple's matches count too
+        eval_naive(parse_pattern("(?x, p, ?y)"), graph)
+    # a join stops soon after it passes the cap, not once all 60 x 60 are built
+    wide = parse_graph("".join(f"s{i} p o{i}\n" for i in range(60)))
+    sizes = []
+    check = evaluator._check_size
+    monkeypatch.setattr(evaluator, "_check_size", lambda n: (sizes.append(n), check(n)))
+    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 100)
+    with pytest.raises(InstanceTooLarge):
+        eval_naive(parse_pattern("((?x, p, ?y) AND (?z, p, ?w))"), wide)
+    assert 100 < max(sizes) <= 100 + 60
+
+
+def solution_subtrees(forest, graph, mu):
+    """The subtrees, one per tree that accepts mu, that mu is a solution of."""
+    for tree in forest:
+        if eval_tree_by_subtree_enumeration(tree, graph, mu):
+            yield tree, matched_subtree_by_enumeration(tree, graph, mu)
+
+
+def test_enumeration_matches_the_oracles_on_deeper_forests():
+    """Forests of up to six nodes a tree, over graphs holding the image of a
+    random subtree: the solutions must be the nested-loop answers of the
+    forest's pattern, each accepted by the subtree enumeration, and a
+    random candidate is accepted iff it is a solution."""
+    rng = random.Random(137)
+    outcomes = {"grandchild": 0, "sibling dropped": 0}
+    for _ in range(150):
+        forest = random_forest(rng, max_nodes=6)
+        tree = rng.choice(forest.trees)
+        image = {v: rng.choice(IRIS[:3]) for v in sorted(forest.vars(), key=str)}
+        planted = tree.pat(rng.choice(tree.subtree_nodesets()))
+        graph = random_rdf_graph(rng, max_iris=3, max_triples=6)
+        graph = graph | TGraph(tuple(substitute(t, image) for t in planted))
+        sols = enumerate_solutions(forest, graph)
+        assert set(sols) == eval_naive_by_nested_loops(forest_pattern(forest), graph)
+        for mu in sols:
+            assert eval_forest_by_enumeration(forest, graph, mu)
+            for t, nodes in solution_subtrees(forest, graph, mu):
+                if any(t.depth(n) >= 2 for n in nodes):
+                    outcomes["grandchild"] += 1
+                if any(
+                    set(t.children(n)) & nodes and set(t.children(n)) - nodes for n in nodes
+                ):
+                    outcomes["sibling dropped"] += 1
+        probe = random_candidate_mapping(rng, forest, graph)
+        assert eval_forest_by_enumeration(forest, graph, probe) == (probe in sols)
+    assert outcomes["grandchild"] >= 20 and outcomes["sibling dropped"] >= 20, outcomes
+
+
+# ---------------------------------------------------------------------------
 # children decided on their cores
 
 R = iri("r")
@@ -334,9 +441,9 @@ def test_forest_past_the_caps_is_decided_on_its_children(monkeypatch):
     looped = graph | parse_graph("b r b")
     assert eval_forest(over_cap, looped, m(x="a", y="b")) is False
     assert eval_pebble(over_cap, looped, m(x="a", y="b"), 1) is False
-    # the root's child is reached in every tree, and cored once per tree
+    # the root's child is reached in every tree, and cored once per forest
     (child,) = tree.child_tgraphs(frozenset({0}))
-    assert cored == [child] * len(over_cap)
+    assert cored == [child]
     for _ in range(2):
         with pytest.raises(InstanceTooLarge):
             domination_width(over_cap)

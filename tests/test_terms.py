@@ -69,6 +69,24 @@ def test_parse_graph_comments_and_errors():
         parse_graph("a p b c")
 
 
+def test_ground_parse_names_the_smallest_variable_of_the_line():
+    with pytest.raises(NonGroundGraph) as caught:
+        parse_graph("a p b\n# note\n?z q ?y .\nc p ?x\n", ground=True)
+    assert caught.value.line == 3
+    assert str(caught.value) == "variable ?y in an RDF graph (line 3)"
+    # every token of the line is read first: a bad one is a plain parse error
+    with pytest.raises(ParseError) as caught:
+        parse_graph("a p b\n?z q b!d", ground=True)
+    assert type(caught.value) is ParseError and caught.value.line == 2
+    # a term known from an earlier line, and a variable repeated on its line
+    with pytest.raises(NonGroundGraph) as caught:
+        parse_graph("a p b\na q ?w\n", ground=True)
+    assert str(caught.value) == "variable ?w in an RDF graph (line 2)"
+    with pytest.raises(NonGroundGraph, match=r"\?v in an RDF graph \(line 1\)"):
+        parse_graph("?v p ?v", ground=True)
+    assert len(parse_graph("?z q ?y\n?z q a")) == 2
+
+
 def test_parse_mapping():
     parsed = parse_mapping("?x = a\n?y = b")
     assert parsed == m(x="a", y="b")
