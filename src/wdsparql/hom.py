@@ -9,12 +9,21 @@ next variable shares a source triple with one already ordered, the most
 frequent first, ties by name (a disconnected rest restarts by the same
 rule), so results are deterministic run to run, and the variables of a
 triple are assigned close together, so a value that breaks it is undone
-soon after it is tried.  A variable's candidate domain is the set of
-terms it meets in the target's matches of every source triple holding
-it; the matches of each source triple come once from the target's
-(position, IRI) index (`TGraph.matching`), never from a scan of the
-whole target, with the pinned values substituted first, so a variable
-next to a pinned one is drawn from that value's neighbours only.
+soon after it is tried.
+
+A triple is checked at the level of its last variable, and the first
+triple checked there is the level's driver.  The level's candidates are
+the terms at its variable's position over the target's matches of the
+driver, with the values of the driver's other variables in place, read
+from the target's (position, IRI) index (`TGraph.values_at`), never from
+a scan of the whole target: a variable next to an assigned one is drawn
+from that value's neighbours only.  With the driver's other positions
+fixed, the candidates come each once and in `str` order, so the search
+meets its solutions in the order of a search over sorted domains.  Only a
+variable with no driver takes the terms it meets in the matches of every
+triple holding it.  A triple left with one free variable must still have
+a match, so a value that leaves one without is undone at once; a driver's
+matches are read then, at the level of its last variable but one.
 
 Nothing here is cached across calls; `width.Analysis` keeps the ctw
 values of its forest.
@@ -85,6 +94,17 @@ def _connected_order(source: TGraph, free: list[Term], occurrences: dict[Term, i
     return order
 
 
+def _domain(v: Term, source: TGraph, target: TGraph, fixed: dict[Term, Term]) -> list[Term]:
+    """The terms v meets in the target's matches of every source triple
+    holding it, with the pins in place, in `str` order."""
+    here: set[Term] | None = None
+    for t in source:
+        if v in t.vars():
+            found = target.values_at(t, t.terms.index(v), fixed)
+            here = set(found) if here is None else here.intersection(found)
+    return sorted(here, key=str)
+
+
 def _solve(
     source: TGraph,
     target: TGraph,
@@ -93,50 +113,64 @@ def _solve(
     find_all: bool = False,
 ) -> list[dict[Term, Term]]:
     """All (or the first) substitutions h with dom(h) = vars(source) mapping
-    every source triple into the target; `fixed` pins values for some vars."""
+    every source triple into the target; `fixed` pins values for some vars.
+
+    Depth first over `_connected_order`.  Each level's candidates are the
+    values at its variable's position over the target's matches of the
+    level's driver, a triple whose other variables are pinned or assigned
+    before it, with their values in place (`TGraph.values_at`): each once
+    and in `str` order.  A level with no driver, such as the first of a
+    connected piece with no pinned neighbour, takes the `_domain` of its
+    variable, built up front; an empty one returns [] at once.  Every
+    triple is checked at the level of its last variable, the driver too,
+    and must keep a match from the level of its last variable but one.
+    """
     src_vars = source.vars()
     if not src_vars:
         ok = all(t in target for t in source)
         return [{}] if ok else []
 
-    # IRI values are substituted before the index lookup; a variable pinned
-    # to a variable of the target is checked on the matches instead
-    iri_fixed = {v: c for v, c in fixed.items() if c.is_iri}
     occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
-    cands: dict[Term, set[Term]] = {}
     for t in source:
-        matches = target.matching(substitute(t, iri_fixed) if iri_fixed else t)
-        for pos, term in enumerate(t.terms):
-            if term in fixed and not fixed[term].is_iri:
-                matches = [u for u in matches if u.terms[pos] == fixed[term]]
-        if not matches:
-            return []
-        for pos, term in enumerate(t.terms):
-            if term.is_var and term not in fixed:
-                occurrences[term] += 1
-                here = {u.terms[pos] for u in matches}
-                cands[term] = cands[term] & here if term in cands else here
-    domains: dict[Term, list[Term]] = {}
-    for v, here in cands.items():
-        if not here:
-            return []
-        domains[v] = sorted(here, key=str)
-
+        for x in t.terms:
+            if x.is_var:
+                occurrences[x] += 1
     order = _connected_order(source, [v for v in src_vars if v not in fixed], occurrences)
     assigned = {v: fixed[v] for v in src_vars if v in fixed}
     target_set = target.triple_set
 
-    # triples become checkable once their last variable is assigned
+    # a triple is checked at the level of its last variable, and the first
+    # one there is the level's driver; a triple with one free variable left
+    # must have a match, looked up now when it has no other and otherwise
+    # at the level of its last variable but one (`ahead`), where a driver's
+    # values become its level's candidates
     rank = {v: i for i, v in enumerate(order)}
     ready: list[list[Triple]] = [[] for _ in order]
+    ahead: list[list[tuple[Triple, int, int | None]]] = [[] for _ in order]
+    cands: list[list[Term] | None] = [None] * len(order)
     for t in source:
-        steps = [rank[v] for v in t.vars() if v in rank]
+        steps = sorted(rank[x] for x in t.vars() if x in rank)
         if not steps:
             if substitute(t, assigned) not in target_set:
                 return []
-        else:
-            ready[max(steps)].append(t)
-
+            continue
+        last = steps[-1]
+        driver = not ready[last]
+        ready[last].append(t)
+        pos = t.terms.index(order[last])
+        if len(steps) > 1:
+            ahead[steps[-2]].append((t, pos, last if driver else None))
+            continue
+        found = target.values_at(t, pos, fixed)
+        if not found:
+            return []
+        if driver:
+            cands[last] = found
+    for i, v in enumerate(order):
+        if not ready[i]:
+            cands[i] = _domain(v, source, target, fixed)
+            if not cands[i]:
+                return []
     if not order:
         return [dict(assigned)]
 
@@ -144,20 +178,28 @@ def _solve(
     # iterators, one per assigned variable, so that the depth of the search
     # is not bounded by the interpreter's recursion limit
     solutions: list[dict[Term, Term]] = []
-    stack = [iter(domains[order[0]])]
+    stack = [iter(cands[0])]
     while stack:
         i = len(stack) - 1
         v = order[i]
         for c in stack[i]:
             assigned[v] = c
-            if all(substitute(t, assigned) in target_set for t in ready[i]):
+            if not all(substitute(t, assigned) in target_set for t in ready[i]):
+                continue
+            for t, pos, j in ahead[i]:
+                found = target.values_at(t, pos, assigned)
+                if not found:
+                    break
+                if j is not None:
+                    cands[j] = found
+            else:  # c passes
                 break
         else:  # level i is exhausted: backtrack
-            del assigned[v]
+            assigned.pop(v, None)
             stack.pop()
             continue
         if i + 1 < len(order):
-            stack.append(iter(domains[order[i + 1]]))
+            stack.append(iter(cands[i + 1]))
         else:
             solutions.append(dict(assigned))
             if not find_all:

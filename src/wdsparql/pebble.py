@@ -101,10 +101,7 @@ def _fixpoint(
     mu_sub = dict(mu.items())
 
     # per-triple templates with distinguished variables already substituted
-    templates = []
-    for t in g.tgraph:
-        needs = frozenset(v for v in t.vars() if v not in g.dist)
-        templates.append((needs, substitute(t, mu_sub)))
+    templates = [(t.vars() - g.dist, substitute(t, mu_sub)) for t in g.tgraph]
     if any(t not in graph.triple_set for needs, t in templates if not needs):
         return set()
     # unary templates give each variable's candidates, binary ones a
@@ -118,7 +115,7 @@ def _fixpoint(
         pos = {v: t.terms.index(v) for v in needs}
         if len(needs) == 1:
             (x,) = needs
-            domains[x] = domains[x] & {u.terms[pos[x]] for u in graph.matching(t)}
+            domains[x] = domains[x].intersection(graph.values_at(t, pos[x]))
             continue
         if len(needs) == 2:
             x, y = sorted(needs, key=pos.get)
@@ -156,7 +153,7 @@ def _fixpoint(
         found = domains[x]
         for needs, t, pos in by_var[x]:
             if needs <= bound:
-                found = found & {u.terms[pos] for u in graph.matching(substitute(t, member_sub))}
+                found = found.intersection(graph.values_at(t, pos, member_sub))
                 if not found:
                     break
         return found

@@ -12,7 +12,10 @@ frozenset for membership, and a lazily built index from (position, IRI)
 to the triples holding that IRI there.  `TGraph.matching` answers "which
 triples can this pattern triple map onto" from that index; it is the one
 place where the homomorphism search, the evaluator and the pebble game
-look into a graph.  A mapping keeps a dict beside its sorted bindings.
+look into a graph.  `TGraph.values_at` reads one position of those
+matches, with values put in for some variables: the candidates of the
+search and of the pebble game.  A mapping keeps a dict beside its sorted
+bindings.
 
 File formats
 ------------
@@ -237,6 +240,30 @@ class TGraph(_Value):
             if terms[i].is_var and terms[i] == terms[j]:
                 found = [u for u in found if u.terms[i] == u.terms[j]]
         return tuple(found)
+
+    def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
+        """The terms at position `pos` over the triples that t maps onto
+        (`matching`) once its variables in `values` take their values.  An
+        IRI value goes into the lookup; a value that is a variable of this
+        t-graph is checked on the matches, since in t it would match
+        anything.  With no other variable of t left free, the terms come
+        each once and in `str` order, as the triples are sorted by their
+        text and no term's text holds a space."""
+        held = []
+        if values:
+            terms = list(t.terms)
+            for i, x in enumerate(terms):
+                c = values.get(x) if x.is_var else None
+                if c is not None:
+                    if c.is_iri:
+                        terms[i] = c
+                    else:
+                        held.append((i, c))
+            t = Triple(*terms)
+        found = self.matching(t)
+        for i, c in held:
+            found = [u for u in found if u.terms[i] == c]
+        return [u.terms[pos] for u in found]
 
     def __iter__(self):
         return iter(self.triples)

@@ -24,17 +24,15 @@ def all_assignment_homs(
     source: TGraph, target: TGraph, fixed: dict[Term, Term] | None = None
 ) -> list[dict[Term, Term]]:
     """Every h with dom(h) = vars(source) and h(source) inside target,
-    found by trying each total assignment over the target's terms."""
-    fixed = fixed or {}
-    variables = sorted(source.vars(), key=str)
-    terms = sorted(
-        {t for u in target for t in u.terms} | set(fixed.values()), key=str
-    )
+    found by trying each value of the target's terms for each variable
+    that `fixed` does not pin."""
+    pins = {v: c for v, c in (fixed or {}).items() if v in source.vars()}
+    free = sorted(source.vars() - pins.keys(), key=str)
+    terms = sorted({t for u in target for t in u.terms}, key=str)
     out = []
-    for combo in product(terms, repeat=len(variables)):
-        h = dict(zip(variables, combo))
-        if any(h[v] != c for v, c in fixed.items() if v in h):
-            continue
+    for combo in product(terms, repeat=len(free)):
+        h = dict(zip(free, combo))
+        h.update(pins)
         if all(substitute(t, h) in target for t in source):
             out.append(h)
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -175,6 +176,20 @@ def test_gen_hard_roundtrip(tmp_path):
     assert run(*base, "--graph", str(DATA / "h_isolated.ug"))[0] == 0
     assert run("eval", "--pattern", str(DATA / "family3.sparql"),
                "--graph", out_graph, "--mapping", out_map, "--mode", "lemma1")[0] == 0
+
+
+def test_gen_hard_output_bytes_are_pinned(tmp_path):
+    # the instance is built from cores and first homomorphisms, so these
+    # bytes change whenever the search returns another first solution
+    out = [tmp_path / name for name in ("g.nt", "m.map", "r.txt")]
+    code, _, _ = run(
+        "gen-hard", "--pattern", str(DATA / "family3.sparql"), "--k", "2",
+        "--graph", str(DATA / "h_edge.ug"),
+        "--out-graph", str(out[0]), "--out-mapping", str(out[1]), "--report", str(out[2]),
+    )
+    assert code == 0
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in out)).hexdigest()
+    assert digest == "09d35b86aacd5d3e03bcc13e7ffbffddaba558d18479d377d23aaead7be2bcba"
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -8,6 +8,10 @@ occurs as a node, variables in predicate position and repeated variables
 such as ``(?x, p, ?x)``.  The searches are also run with values pinned
 for some variables (IRIs, and variables of a non-ground target), since
 the search substitutes pinned values before it looks triples up.
+`TGraph.values_at`, which draws the search's candidates from the index,
+is checked against the same full scan, and the search on larger instances
+against the assignment oracle, with the share of levels it decides from
+a driver triple counted.
 """
 
 import random
@@ -19,6 +23,7 @@ from oracles import (
     hom_exists,
     hom_into_graph_exists,
 )
+from wdsparql import hom
 from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
 from wdsparql.terms import Mapping, TGraph, Triple, iri, substitute, var
@@ -90,6 +95,96 @@ def test_matching_equals_full_scan():
                 iri_subject_hits += 1
     # the instances exercise the filters, not just empty answers
     assert repeated_hits > 20 and iri_subject_hits > 100
+
+
+def test_values_at_equals_full_scan():
+    rng = random.Random(111)
+    ordered = 0
+    for _ in range(600):
+        pool = TARGET_VARS if rng.random() < 0.5 else ()
+        graph = random_target(rng, rng.randint(0, 40), pool)
+        t = random_pattern_triple(rng, list(VARS[:2]))
+        # values for some of t's variables: IRIs go into the lookup, and
+        # variables of the graph must be met as they are
+        values = {x: rng.choice(NODES + TARGET_VARS) for x in t.vars() if rng.random() < 0.6}
+        matches = [
+            u for u in full_scan(graph, t)
+            if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+        ]
+        for pos, x in enumerate(t.terms):
+            got = graph.values_at(t, pos, values)
+            assert got == [u.terms[pos] for u in matches], (t, values, pos)
+            if x.is_var and t.vars() - values.keys() == {x}:
+                # nothing else free: each value once, in `str` order
+                assert got == sorted(set(got), key=str)
+                ordered += len(got) > 1
+    assert ordered > 20
+
+
+FIVE_VARS = tuple(var(f"x{i}") for i in range(5))
+
+
+def larger_instance(rng):
+    """A source of 4-5 variables and 4-6 triples, a target and pins, of
+    one of three kinds: a ground target with IRI pins; the source less one
+    triple with some variables pinned to themselves, as `core` searches; a
+    non-ground target with pins to its variables and to IRIs."""
+    nodes, predicates = NODES[:2], PREDICATES[:2]
+    pool = list(FIVE_VARS[: rng.randint(4, 5)])
+    size = rng.randint(4, 6)
+    source = TGraph(tuple(random_pattern_triple(rng, pool, nodes, predicates) for _ in range(size)))
+    every = sorted(source.vars(), key=str)
+    kind = rng.randrange(3)
+    if kind == 1:
+        skip = rng.choice(source.triples)
+        pins = {v: v for v in every if rng.random() < 0.3}
+        return source, TGraph(tuple(t for t in source if t != skip)), pins
+    targets = TARGET_VARS[:2] if kind == 2 else ()
+    target = random_target(rng, rng.randint(3, 10), targets, nodes, predicates)
+    values = nodes + predicates + targets
+    image = {v: rng.choice(values) for v in every}
+    if rng.random() < 0.7:  # plant an image
+        target = target | TGraph(tuple(substitute(t, image) for t in source))
+    pins = {v: image[v] if rng.random() < 0.7 else rng.choice(values) for v in every if rng.random() < 0.3}
+    return source, target, pins
+
+
+def test_search_agrees_with_oracle_on_larger_instances(monkeypatch):
+    levels = rooted = 0
+    connected_order, domain = hom._connected_order, hom._domain
+
+    def counted_order(*args):
+        nonlocal levels
+        order = connected_order(*args)
+        levels += len(order)
+        return order
+
+    def counted_domain(*args):
+        nonlocal rooted
+        rooted += 1
+        return domain(*args)
+
+    monkeypatch.setattr(hom, "_connected_order", counted_order)
+    monkeypatch.setattr(hom, "_domain", counted_domain)
+    rng = random.Random(606)
+    outcomes = set()
+    searched = from_domains = 0
+    for _ in range(300):
+        source, target, pins = larger_instance(rng)
+        before = levels, rooted
+        found = all_homomorphisms(source, target, pins)
+        if found:  # a search that met a solution has set up every level
+            searched += levels - before[0]
+            from_domains += rooted - before[1]
+        expected = all_assignment_homs(source, target, pins)
+        assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
+        assert len({tuple(sorted_items(h)) for h in found}) == len(found)  # each once
+        assert hom._solve(source, target, dict(pins)) == found[:1]
+        outcomes.add((bool(found), target.is_ground(), bool(pins)))
+    assert len(outcomes) == 8
+    # most levels draw their candidates from a driver triple, not from the
+    # domain intersected over every triple holding the variable
+    assert from_domains < searched / 3
 
 
 def test_find_homomorphism_agrees_with_oracle():
