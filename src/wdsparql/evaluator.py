@@ -62,11 +62,14 @@ class SolutionSet:
 
     def __post_init__(self):
         members = frozenset(self.mappings)
+        # bindings are sorted by name, so their names are the sorted domain
         unique = sorted(
             members,
-            key=lambda m: tuple((k.name, v.name) for k, v in m.items()),
+            key=lambda m: (
+                tuple(k.name for k, _ in m.bindings),
+                tuple((k.name, v.name) for k, v in m.bindings),
+            ),
         )
-        unique.sort(key=lambda m: tuple(sorted(k.name for k, _ in m.items())))
         object.__setattr__(self, "mappings", tuple(unique))
         object.__setattr__(self, "_members", members)
 

@@ -15,7 +15,7 @@ A triple is checked at the level of its last variable, and the first
 triple checked there is the level's driver.  The level's candidates are
 the terms at its variable's position over the target's matches of the
 driver, with the values of the driver's other variables in place, read
-from the target's (position, IRI) index (`TGraph.values_at`), never from
+from the target's (position, term) index (`TGraph.values_at`), never from
 a scan of the whole target: a variable next to an assigned one is drawn
 from that value's neighbours only.  With the driver's other positions
 fixed, the candidates come each once and in `str` order, so the search
@@ -118,7 +118,8 @@ def _solve(
     Depth first over `_connected_order`.  Each level's candidates are the
     values at its variable's position over the target's matches of the
     level's driver, a triple whose other variables are pinned or assigned
-    before it, with their values in place (`TGraph.values_at`): each once
+    before it, with their values in place, read from the target's
+    (position, term) index (`TGraph.values_at`): each once
     and in `str` order.  A level with no driver, such as the first of a
     connected piece with no pinned neighbour, takes the `_domain` of its
     variable, built up front; an empty one returns [] at once.  Every

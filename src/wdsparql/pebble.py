@@ -19,7 +19,7 @@ matter (the rules are monotone), so a worklist suffices.
 Before any member is generated, each free variable's domain is pruned to
 arc consistency: the values that unary templates admit, shrunk until,
 under every template over exactly two free variables (read once from the
-graph's (position, IRI) index as a relation of value pairs), each value
+graph's (position, term) index as a relation of value pairs), each value
 has a partner in the other variable's domain.  This keeps the fixpoint
 the same, because k >= 2 consistency implies arc consistency (Dalmau,
 Kolaitis and Vardi 2002): a one-point member of the fixpoint extends, by

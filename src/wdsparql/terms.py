@@ -8,14 +8,14 @@ is an RDF graph.  A mapping is a partial function from variables to IRIs
 Terms and triples are immutable values that compute their hash once, at
 construction, since every layer above keys sets and dicts by them.  A
 t-graph keeps its triples three ways: the canonical sorted tuple, a
-frozenset for membership, and a lazily built index from (position, IRI)
-to the triples holding that IRI there.  `TGraph.matching` answers "which
-triples can this pattern triple map onto" from that index; it is the one
-place where the homomorphism search, the evaluator and the pebble game
+frozenset for membership, and a lazily built index from (position, term)
+to the triples holding that term there, IRIs and variables alike.
+`TGraph.matching` answers "which triples can this pattern triple map onto,
+with these values for some of its variables" from that index; it is the
+one place where the homomorphism search, the evaluator and the pebble game
 look into a graph.  `TGraph.values_at` reads one position of those
-matches, with values put in for some variables: the candidates of the
-search and of the pebble game.  A mapping keeps a dict beside its sorted
-bindings.
+matches: the candidates of the search and of the pebble game.  A mapping
+keeps a dict beside its sorted bindings.
 
 File formats
 ------------
@@ -179,7 +179,7 @@ class TGraph(_Value):
     """A finite set of triple patterns in canonical (serialized) order.
 
     Besides the sorted tuple it holds the same triples as a frozenset
-    (`triple_set`); its variables, IRIs and (position, IRI) index are
+    (`triple_set`); its variables, IRIs and (position, term) index are
     computed on first use and kept.
     """
 
@@ -210,60 +210,51 @@ class TGraph(_Value):
     def is_ground(self) -> bool:
         return not self.vars()
 
-    def matching(self, t: Triple) -> tuple[Triple, ...]:
-        """The triples u that t maps onto by substituting its variables: u
-        holds t's IRIs at their positions, and a variable repeated in t
-        meets equal terms in u.  Variables of this t-graph count as
-        constants, so the answer is the same for ground and non-ground
-        targets."""
+    def matching(self, t: Triple, values: dict | None = None) -> tuple[Triple, ...]:
+        """The triples u that t maps onto once its variables in `values`
+        take their values, in the order of `triples`.  A position of t is
+        bound when it holds an IRI or a variable with a value, and u holds
+        that term there; a variable of t without a value matches anything,
+        whatever the variables of this t-graph are called, and a repeated
+        one meets equal terms in u.  The index keys every (position, term),
+        so a bound position is a lookup whether its term is an IRI or a
+        variable of this t-graph (a constant here)."""
         index = self._index
         if index is None:
             lists: dict[tuple[int, Term], list[Triple]] = {}
             for u in self.triples:
                 for key in enumerate(u.terms):
-                    if key[1].is_iri:
-                        lists.setdefault(key, []).append(u)
+                    lists.setdefault(key, []).append(u)
             index = {key: tuple(us) for key, us in lists.items()}
             _set(self, "_index", index)
         terms = t.terms
-        found, via = self.triples, None
-        for key in enumerate(terms):
-            if key[1].is_iri:
-                hits = index.get(key, ())
-                if len(hits) < len(found):
-                    found, via = hits, key
-        # the shortest list holds one IRI already; filter by the others
+        bound = []
         for i, x in enumerate(terms):
-            if x.is_iri and (i, x) != via:
-                found = [u for u in found if u.terms[i] == x]
+            if x.is_var:
+                x = values.get(x) if values else None
+                if x is None:
+                    continue
+            hits = index.get((i, x), ())
+            bound.append((len(hits), i, hits, x))
+        found = self.triples
+        if bound:
+            # the shortest list (ties by position, so no terms are compared)
+            # holds one bound term already; filter by the others
+            _, via, found, _ = min(bound)
+            for _, i, _, x in bound:
+                if i != via:
+                    found = [u for u in found if u.terms[i] == x]
         for i, j in _TIES:
             if terms[i].is_var and terms[i] == terms[j]:
                 found = [u for u in found if u.terms[i] == u.terms[j]]
         return tuple(found)
 
     def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
-        """The terms at position `pos` over the triples that t maps onto
-        (`matching`) once its variables in `values` take their values.  An
-        IRI value goes into the lookup; a value that is a variable of this
-        t-graph is checked on the matches, since in t it would match
-        anything.  With no other variable of t left free, the terms come
-        each once and in `str` order, as the triples are sorted by their
-        text and no term's text holds a space."""
-        held = []
-        if values:
-            terms = list(t.terms)
-            for i, x in enumerate(terms):
-                c = values.get(x) if x.is_var else None
-                if c is not None:
-                    if c.is_iri:
-                        terms[i] = c
-                    else:
-                        held.append((i, c))
-            t = Triple(*terms)
-        found = self.matching(t)
-        for i, c in held:
-            found = [u for u in found if u.terms[i] == c]
-        return [u.terms[pos] for u in found]
+        """The terms at position `pos` over `matching(t, values)`.  With no
+        other variable of t left free, they come each once and in `str`
+        order, as the triples are sorted by their text and no term's text
+        holds a space."""
+        return [u.terms[pos] for u in self.matching(t, values)]
 
     def __iter__(self):
         return iter(self.triples)

@@ -34,6 +34,9 @@ class WdPT:
         self.labels = dict(labels)
         self._children: dict[int, tuple[int, ...]] = {n: () for n in self.labels}
         self._validate()
+        self._nr = all(
+            self.node_vars(n) - self.node_vars(p) for n, p in self.parents.items()
+        )
 
     def _validate(self) -> None:
         nodes = set(self.labels)
@@ -99,10 +102,8 @@ class WdPT:
         return d
 
     def is_nr(self) -> bool:
-        return all(
-            self.node_vars(n) - self.node_vars(p)
-            for n, p in self.parents.items()
-        )
+        """Does every non-root node introduce a variable its parent lacks?"""
+        return self._nr
 
     def ensure_nr(self) -> None:
         if not self.is_nr():

@@ -115,31 +115,32 @@ def local_tractability_width(forest: WdPF) -> int:
     return width_report(forest, "local").value
 
 
+def _levels(gset, cache: HomCache) -> list[int]:
+    """Each member's level, in member order: the least ctw of a member that
+    maps into it, itself counted.  The members are tried in ascending ctw,
+    up to the first that maps."""
+    members = list(gset)
+    by_ctw = sorted(members, key=cache.ctw)
+    levels = []
+    for g in members:
+        level = cache.ctw(g)
+        for d in by_ctw:
+            if cache.ctw(d) >= level:
+                break
+            if cache.maps(d, g):
+                level = cache.ctw(d)
+                break
+        levels.append(level)
+    return levels
+
+
 def is_k_dominated(gset, k: int, cache: HomCache | None = None) -> bool:
     """Do the members of ctw <= k homomorphically cover everything else?
+    That is, is every member's level at most k.
 
     Vacuously true for the empty set.
     """
-    cache = cache or HomCache()
-    members = list(gset)
-    low = [g for g in members if cache.ctw(g) <= k]
-    for g in members:
-        if g in low:
-            continue
-        if not any(cache.maps(d, g) for d in low):
-            return False
-    return True
-
-
-def _subtree_demand(gset, cache: HomCache) -> int:
-    """Least k making the set k-dominated (1 for the empty set)."""
-    if not gset:
-        return 1
-    top = max(cache.ctw(g) for g in gset)
-    for k in range(1, top + 1):
-        if is_k_dominated(gset, k, cache):
-            return k
-    return top  # unreachable: the set always dominates itself at its max ctw
+    return all(level <= k for level in _levels(gset, cache or HomCache()))
 
 
 class Analysis:
@@ -222,10 +223,11 @@ class Analysis:
         return self._associated[sub]
 
     def demand(self, sub: Subtree) -> int:
-        """Least k making the subtree's associated set k-dominated."""
+        """Least k making the subtree's associated set k-dominated: its
+        largest level, or 1 for an empty set."""
         if sub not in self._demands:
             gset = [g for _, g in self.associated(sub)]
-            self._demands[sub] = _subtree_demand(gset, self.cache)
+            self._demands[sub] = max(_levels(gset, self.cache), default=1)
         return self._demands[sub]
 
     @cached_property
@@ -310,24 +312,19 @@ def find_hard_witness(forest: WdPF, k: int) -> HardWitness | None:
     whatever set member maps into it, it maps back.  None iff dw < k.
 
     Follows the width definition directly: pick a subtree whose set is not
-    (k-1)-dominated, drop everything dominated by a low-ctw member, and take
-    any element of a source strongly connected component of the remaining
-    homomorphism digraph.  The returned pair is re-verified against the full
-    member set before being handed out.
+    (k-1)-dominated, keep its members of level >= k (those no member of ctw
+    below k maps into), and take any element of a source strongly connected
+    component of their homomorphism digraph.  The returned pair is
+    re-verified against the full member set before being handed out.
     """
     a = Analysis.of(forest)
     cache = a.cache
     for sub in a.subtrees:
         pairs = a.associated(sub)
         gset = [g for _, g in pairs]
-        if is_k_dominated(gset, k - 1, cache):
+        hard = [g for g, level in zip(gset, _levels(gset, cache)) if level >= k]
+        if not hard:  # the set is (k-1)-dominated
             continue
-        low = [g for g in gset if cache.ctw(g) <= k - 1]
-        hard = [
-            g
-            for g in gset
-            if cache.ctw(g) >= k and not any(cache.maps(d, g) for d in low)
-        ]
         picked = _source_component_member(hard, cache)
         for ca, g in pairs:
             if g == picked:

@@ -177,9 +177,12 @@ def test_core_of_a_long_path_with_a_loop():
     # the search order follows the path, so a wrong value fails at the next
     # step; with ties by name alone (?v10 before ?v2) this took seconds.
     # Each value is drawn from the previous one's neighbours, so 100 edges
-    # take about 0.25 s; with every variable's domain intersected over all
-    # its triples up front they took about 2 s
-    for edges, bound in ((50, 2), (100, 1)):
+    # take about 0.03 s; with every variable's domain intersected over all
+    # its triples up front they took about 2 s.  A value that is a variable
+    # of the target is a lookup in the (position, term) index: 200 edges
+    # take about 0.1 s, and about 0.8 s when such a value filtered its
+    # triple's whole list of matches term by term
+    for edges, bound in ((50, 2), (100, 1), (200, 0.5)):
         text = "\n".join(f"?v{i} p ?v{i + 1}" for i in range(edges)) + "\n?w p ?w"
         start = time.perf_counter()
         cored = core(gt(text))

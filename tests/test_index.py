@@ -1,13 +1,15 @@
 """Differential tests for the indexed graph core.
 
-`TGraph.matching` is checked against a full scan of the graph, and the
+`TGraph.matching` is checked against a full scan of the graph, with
+values given for some variables (IRIs, and variables of a non-ground
+graph, which the (position, term) index keys like IRIs), and the
 searches built on it (homomorphisms, the pebble fixpoint) against the
 brute-force oracles, on seeded random instances.  The instances use five
 predicates, IRIs in subject and object position, a predicate that also
 occurs as a node, variables in predicate position and repeated variables
 such as ``(?x, p, ?x)``.  The searches are also run with values pinned
 for some variables (IRIs, and variables of a non-ground target), since
-the search substitutes pinned values before it looks triples up.
+the search looks triples up with the pinned values in place.
 `TGraph.values_at`, which draws the search's candidates from the index,
 is checked against the same full scan, and the search on larger instances
 against the assignment oracle, with the share of levels it decides from
@@ -80,21 +82,36 @@ def full_scan(graph, t):
 
 def test_matching_equals_full_scan():
     rng = random.Random(101)
-    repeated_hits = iri_subject_hits = 0
+    repeated_hits = iri_subject_hits = namesake_hits = two_bound_hits = 0
     for _ in range(300):
         pool = TARGET_VARS if rng.random() < 0.3 else ()
         graph = random_target(rng, rng.randint(0, 40), pool)
         for _ in range(10):
-            t = random_pattern_triple(rng, list(VARS[:2]))
-            got = graph.matching(t)
-            expected = full_scan(graph, t)
-            assert sorted(got, key=str) == sorted(expected, key=str), t
+            # some pattern variables are named like the graph's own; without
+            # a value they match anything, like any other variable of t
+            t = random_pattern_triple(rng, [VARS[0], rng.choice(VARS[1:2] + TARGET_VARS)])
+            values = {x: rng.choice(NODES + TARGET_VARS) for x in t.vars() if rng.random() < 0.4}
+            got = graph.matching(t, values)
+            expected = [
+                u for u in full_scan(graph, t)
+                if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+            ]
+            assert list(got) == expected, (t, values)
             if expected and len(t.vars()) < sum(x.is_var for x in t.terms):
                 repeated_hits += 1
             if expected and t.s.is_iri:
                 iri_subject_hits += 1
+            namesake_hits += any(
+                u.terms[i] != x
+                for u in expected
+                for i, x in enumerate(t.terms)
+                if x in graph.vars() and x not in values
+            )
+            bound = [i for i, x in enumerate(t.terms) if x.is_iri or x in values]
+            two_bound_hits += len(bound) > 1 and len(expected) < len(full_scan(graph, t))
     # the instances exercise the filters, not just empty answers
     assert repeated_hits > 20 and iri_subject_hits > 100
+    assert namesake_hits > 20 and two_bound_hits > 20
 
 
 def test_values_at_equals_full_scan():

@@ -4,7 +4,7 @@ import pytest
 
 from fixtures import clique_block, forest_family, two_node_clique_tree
 from wdsparql.errors import InstanceTooLarge
-from wdsparql.hom import ctw, find_homomorphism
+from wdsparql.hom import GeneralizedTGraph, ctw, find_homomorphism
 from wdsparql.randgen import random_forest, random_tree
 from wdsparql.terms import TGraph, Triple, iri, parse_graph, substitute, var
 from wdsparql.trees import (
@@ -71,6 +71,50 @@ def test_is_k_dominated():
     assert is_k_dominated(gset, 1)
     assert is_k_dominated((), 0)  # vacuous
     assert not is_k_dominated(gset, 0)
+
+
+def clique_member(rng):
+    """A generalized t-graph over the distinguished ?x: up to two cliques
+    (`clique_block`) hanging off ?x under p and q, of four variables in
+    all, each clique sometimes with a loop on its last variable, which
+    folds it."""
+    x = var("x")
+    triples = []
+    room = 4
+    for pred, prefix in ((iri("p"), "o"), (iri("q"), "u")):
+        m = rng.randint(0, room)
+        if m:
+            block, vs = clique_block(m, prefix)
+            triples += [Triple(x, pred, vs[0])] + block
+            if rng.random() < 0.3:
+                triples.append(Triple(vs[-1], iri("r"), vs[-1]))
+            room -= m
+    if not triples:
+        triples.append(Triple(x, iri("p"), var("o1")))
+    return GeneralizedTGraph(TGraph(tuple(triples)), frozenset({x}))
+
+
+def test_is_k_dominated_matches_the_definition():
+    # the definition read literally: the members of ctw <= k, each tested
+    # with the brute-force oracle against every member of larger ctw
+    from oracles import hom_exists
+
+    rng = random.Random(131)
+    tops, outcomes = set(), set()
+    for _ in range(40):
+        gset = [clique_member(rng) for _ in range(rng.randint(2, 5))]
+        widths = [ctw(g) for g in gset]
+        for k in range(max(widths) + 1):
+            low = [d for d, w in zip(gset, widths) if w <= k]
+            expected = all(
+                w <= k or any(hom_exists(d, g) for d in low) for g, w in zip(gset, widths)
+            )
+            assert is_k_dominated(gset, k) == expected, (k, [str(g) for g in gset])
+            # dominated below the largest ctw, or not dominated past 1
+            if 1 <= k < max(widths):
+                outcomes.add(expected)
+        tops.add(max(widths))
+    assert tops == {1, 2, 3} and outcomes == {True, False}
 
 
 def test_domination_width_of_two_tree_family():
