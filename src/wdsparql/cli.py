@@ -250,11 +250,42 @@ def cmd_selftest(args) -> int:
                 return False
         return True
 
+    def planned_search():
+        from itertools import product
+
+        from .hom import Plan, all_homomorphisms, is_homomorphism
+
+        def key(h):
+            return sorted((str(k), str(v)) for k, v in h.items())
+
+        for _ in range(trials):
+            source = randgen.random_generalized_tgraph(rng, max_vars=3).tgraph
+            target = randgen.random_rdf_graph(rng, max_iris=4)
+            if rng.random() < 0.5:  # variables in the target, named like the source's
+                target = target | randgen.random_generalized_tgraph(rng).tgraph
+            terms = sorted({x for t in target for x in t.terms}, key=str)
+            every = sorted(source.vars(), key=str)
+            pinned = [v for v in every if rng.random() < 0.4]
+            free = [v for v in every if v not in pinned]
+            plan = Plan(source, pinned)
+            for _ in range(2):  # one plan, two sets of pin values
+                fixed = {v: rng.choice(terms) for v in pinned}
+                brute = []
+                for values in product(terms, repeat=len(free)):
+                    h = {**dict(zip(free, values)), **fixed}
+                    if is_homomorphism(source, target, h):
+                        brute.append(h)
+                found = all_homomorphisms(source, target, fixed, plan=plan)
+                if sorted(map(key, found)) != sorted(map(key, brute)):
+                    return False
+        return True
+
     check("oracle triangle (naive vs forest vs enumeration)", oracle_triangle)
     check("pebble game relaxation laws", pebble_relaxation)
     check("pebble game exact below the ctw bound", pebble_ctw_exactness)
     check("relaxed evaluation sound and width-complete", relaxed_evaluation)
     check("clique gadget equivalence at the smallest scale", hardness_smallest_scale)
+    check("planned search equals brute force", planned_search)
     return _tap(results)
 
 

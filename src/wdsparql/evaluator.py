@@ -43,10 +43,10 @@ from functools import partial
 from typing import Callable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
-from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
+from .hom import GeneralizedTGraph, Plan, all_homomorphisms, maps_into_graph
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
-from .terms import Mapping, TGraph, Term, Triple
+from .terms import ALL_BOUND, Mapping, TGraph, Term, Triple
 from .trees import WdPF, WdPT
 from .width import Analysis
 
@@ -89,7 +89,7 @@ class SolutionSet:
 def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
     slots = [(pos, x) for pos, x in enumerate(t.terms) if x.is_var]
     return [
-        Mapping.of({x: u.terms[pos] for pos, x in slots}) for u in graph.matching(t)
+        Mapping._valid({x: u.terms[pos] for pos, x in slots}) for u in graph.matching(t)
     ]
 
 
@@ -128,7 +128,7 @@ def _join(left: list[Mapping], right: list[Mapping], keep_rest: bool) -> list[Ma
             before = len(out)
             for shared, index in indexes:
                 for m2 in index.get(tuple(map(m1.get, shared)), ()):
-                    out.append(Mapping(m1.bindings + m2.bindings))
+                    out.append(Mapping._valid(m1.bindings + m2.bindings))
             if keep_rest and len(out) == before:
                 out.append(m1)
             _check_size(len(out))
@@ -170,13 +170,17 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     Greedy maximal inclusion of nodes n with vars(n) inside dom(mu) and
     mu(pat(n)) inside the graph; NR normal form makes the result unique.
     Returns None when even the maximal candidate misses part of dom(mu).
+    Each label triple is checked as the search checks a triple with every
+    position bound: its image under mu, a tuple of terms, looked up in the
+    graph's all-bound index.
     """
     tree.ensure_nr()
     dom = mu.domain
+    full = graph.by_mask(ALL_BOUND)
 
     def fits(n: int) -> bool:
         label = tree.label(n)
-        return label.vars() <= dom and all(mu.apply(t) in graph for t in label)
+        return label.vars() <= dom and all(mu.image(t) in full for t in label)
 
     nodes = tree.maximal_subtree(fits)
     if nodes is None or tree.vars(nodes) != dom:
@@ -184,19 +188,22 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     return nodes
 
 
-def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
-    return maps_into_graph(g, graph, mu) is not None
+def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan) -> bool:
+    return maps_into_graph(g, graph, mu, plan=plan) is not None
 
 
 def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
     """Some tree holds mu's matched subtree, and no child t-graph of it, as
-    the forest's analysis keeps it cored, passes `extends`."""
+    the forest's analysis keeps it cored with its search plan, passes
+    `extends`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
     a = Analysis.of(forest)
     for i, tree in enumerate(forest):
         nodes = matched_subtree(tree, graph, mu)
-        if nodes is not None and not any(extends(g, graph, mu) for g in a.child_cores(i, nodes)):
+        if nodes is not None and not any(
+            extends(g, graph, mu, plan=plan) for g, plan in a.child_cores(i, nodes)
+        ):
             return True
     return False
 
@@ -220,11 +227,13 @@ def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
     takes it, and its children join the frontier.  By well-designedness a
     node meets the taken nodes only in its parent's variables, so its
     extensions depend on those values alone and are searched once per
-    (node, values); siblings are decided independently, so each (subtree,
-    homomorphism) pair comes out once."""
+    (node, values), each node's search planned once per call; siblings
+    are decided independently, so each (subtree, homomorphism) pair comes
+    out once."""
     shared = {
         c: tuple(tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
     }
+    plans = {c: Plan(tree.label(c), pins) for c, pins in shared.items()}
     extensions: dict[tuple[int, tuple[Term, ...]], list[dict[Term, Term]]] = {}
     found: list[Mapping] = []
     kids = tree.children(tree.root)
@@ -232,7 +241,7 @@ def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
     while stack:
         binding, frontier = stack.pop()
         if not frontier:
-            found.append(Mapping.of(binding))
+            found.append(Mapping._valid(binding))
             continue
         c, rest = frontier[0], frontier[1:]
         pins = shared[c]
@@ -240,7 +249,7 @@ def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
         exts = extensions.get((c, values))
         if exts is None:
             exts = extensions[c, values] = all_homomorphisms(
-                tree.label(c), graph, dict(zip(pins, values))
+                tree.label(c), graph, dict(zip(pins, values)), plan=plans[c]
             )
         if not exts:
             stack.append((binding, rest))

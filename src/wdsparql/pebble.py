@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainMismatch, InvalidK, NonGroundGraph, SearchTooLarge
-from .hom import GeneralizedTGraph, maps_into_graph
+from .hom import GeneralizedTGraph, Plan, maps_into_graph
 from .terms import Mapping, TGraph, Term, substitute
 
 _Member = frozenset  # of (variable, iri) pairs
@@ -227,9 +227,13 @@ def consistency_family(
     return ConsistencyFamily(k, frozenset(Mapping(tuple(f)) for f in alive))
 
 
-def pebble_wins(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int) -> bool:
-    """Whether the Duplicator wins the existential k-pebble game."""
+def pebble_wins(
+    g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int, *, plan: Plan | None = None
+) -> bool:
+    """Whether the Duplicator wins the existential k-pebble game.  `plan`,
+    if given, is a kept `hom.Plan` of g pinning its distinguished
+    variables, for the homomorphism test."""
     _check_inputs(g, graph, mu, k)
     if len(g.free_vars()) <= k:  # the Spoiler can pebble every free variable
-        return maps_into_graph(g, graph, mu) is not None
+        return maps_into_graph(g, graph, mu, plan=plan) is not None
     return frozenset() in _fixpoint(g, graph, mu, k)

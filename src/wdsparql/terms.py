@@ -8,14 +8,19 @@ is an RDF graph.  A mapping is a partial function from variables to IRIs
 Terms and triples are immutable values that compute their hash once, at
 construction, since every layer above keys sets and dicts by them.  A
 t-graph keeps its triples three ways: the canonical sorted tuple, a
-frozenset for membership, and a lazily built index from (position, term)
-to the triples holding that term there, IRIs and variables alike.
-`TGraph.matching` answers "which triples can this pattern triple map onto,
-with these values for some of its variables" from that index; it is the
-one place where the homomorphism search, the evaluator and the pebble game
-look into a graph.  `TGraph.values_at` reads one position of those
-matches: the candidates of the search and of the pebble game.  A mapping
-keeps a dict beside its sorted bindings.
+frozenset for membership, and indexes keyed per mask: for a set of bound
+positions (and the pairs of other positions a repeated variable ties),
+the triples under their terms at those positions, IRIs and variables
+alike, each index built on first use of its mask (`TGraph.by_mask`).
+Every look into a graph is one read of such an index: the homomorphism
+search's compiled lookups read it directly, with keys of terms and no
+`Triple` built, and `TGraph.matching` answers "which triples can this
+pattern triple map onto, with these values for some of its variables"
+from it, for the evaluator and the pebble game; `TGraph.values_at` reads
+one position of those matches.  A membership test is the mask of all
+three positions (`ALL_BOUND`).  A mapping keeps a dict beside its sorted
+bindings; `Mapping.image` gives a triple's terms under it, a key of that
+all-bound index.
 
 File formats
 ------------
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DuplicateBinding,
@@ -48,6 +54,27 @@ _IRI_NAME = re.compile(r"[A-Za-z0-9_:/#.\-]+\Z")
 _set = object.__setattr__
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
+# the mask of a lookup with every position bound: a membership test
+ALL_BOUND = (0, 1, 2)
+
+
+def _no_key(_items) -> tuple:
+    return ()
+
+
+def ties_of(terms: tuple[Term, Term, Term], bound) -> tuple[tuple[int, int], ...]:
+    """The position pairs outside `bound` where `terms` repeats a variable:
+    the `ties` of a `TGraph.by_mask` lookup of these terms."""
+    return tuple(
+        (i, j) for i, j in _TIES if i not in bound and terms[i].is_var and terms[i] == terms[j]
+    )
+
+
+def key_getter(positions: tuple[int, ...]):
+    """A function from a sequence to the key of `TGraph.by_mask` made of its
+    items at `positions`: the bare item for one position, a tuple for
+    more, () for none."""
+    return itemgetter(*positions) if positions else _no_key
 
 
 class _Value:
@@ -179,8 +206,8 @@ class TGraph(_Value):
     """A finite set of triple patterns in canonical (serialized) order.
 
     Besides the sorted tuple it holds the same triples as a frozenset
-    (`triple_set`); its variables, IRIs and (position, term) index are
-    computed on first use and kept.
+    (`triple_set`); its variables, IRIs and per-mask indexes
+    (`by_mask`) are computed on first use and kept.
     """
 
     __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index")
@@ -210,44 +237,55 @@ class TGraph(_Value):
     def is_ground(self) -> bool:
         return not self.vars()
 
+    def by_mask(self, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...] = ()) -> dict:
+        """The triples keyed by their terms at the positions of `mask`, a
+        sorted tuple of positions: the bare term for one position, a tuple
+        of terms for more, () for none.  With `ties`, pairs of positions
+        outside the mask, only the triples holding equal terms at each pair
+        are kept, as a repeated variable needs.  Each list keeps the order
+        of `triples`.  Built on first use of the (mask, ties) pair and kept,
+        so a lookup with some positions bound reads one list, whatever the
+        bound terms are (IRIs, or variables of this t-graph, constants
+        here)."""
+        index = self._index
+        if index is None:
+            index = {}
+            _set(self, "_index", index)
+        found = index.get((mask, ties))
+        if found is None:
+            found = index[mask, ties] = {}
+            get = key_getter(mask)
+            for u in self.triples:
+                terms = u.terms
+                if ties and not all(terms[i] == terms[j] for i, j in ties):
+                    continue
+                key = get(terms)
+                hits = found.get(key)
+                if hits is None:
+                    found[key] = [u]
+                else:
+                    hits.append(u)
+        return found
+
     def matching(self, t: Triple, values: dict | None = None) -> tuple[Triple, ...]:
         """The triples u that t maps onto once its variables in `values`
         take their values, in the order of `triples`.  A position of t is
         bound when it holds an IRI or a variable with a value, and u holds
         that term there; a variable of t without a value matches anything,
         whatever the variables of this t-graph are called, and a repeated
-        one meets equal terms in u.  The index keys every (position, term),
-        so a bound position is a lookup whether its term is an IRI or a
-        variable of this t-graph (a constant here)."""
-        index = self._index
-        if index is None:
-            lists: dict[tuple[int, Term], list[Triple]] = {}
-            for u in self.triples:
-                for key in enumerate(u.terms):
-                    lists.setdefault(key, []).append(u)
-            index = {key: tuple(us) for key, us in lists.items()}
-            _set(self, "_index", index)
+        one meets equal terms in u.  One lookup in `by_mask`."""
         terms = t.terms
-        bound = []
+        mask = []
+        key = []
         for i, x in enumerate(terms):
             if x.is_var:
                 x = values.get(x) if values else None
                 if x is None:
                     continue
-            hits = index.get((i, x), ())
-            bound.append((len(hits), i, hits, x))
-        found = self.triples
-        if bound:
-            # the shortest list (ties by position, so no terms are compared)
-            # holds one bound term already; filter by the others
-            _, via, found, _ = min(bound)
-            for _, i, _, x in bound:
-                if i != via:
-                    found = [u for u in found if u.terms[i] == x]
-        for i, j in _TIES:
-            if terms[i].is_var and terms[i] == terms[j]:
-                found = [u for u in found if u.terms[i] == u.terms[j]]
-        return tuple(found)
+            mask.append(i)
+            key.append(x)
+        index = self.by_mask(tuple(mask), ties_of(terms, mask))
+        return tuple(index.get(key[0] if len(key) == 1 else tuple(key), ()))
 
     def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
         """The terms at position `pos` over `matching(t, values)`.  With no
@@ -286,6 +324,10 @@ class TGraph(_Value):
         return f"TGraph(triples={self.triples!r})"
 
 
+def _binding_name(kv: tuple[Term, Term]) -> str:
+    return kv[0].name
+
+
 @dataclass(frozen=True)
 class Mapping:
     """A partial function from variables to IRIs.
@@ -303,17 +345,28 @@ class Mapping:
                 raise ValueError(f"binding must map a variable to an IRI: {k} -> {v}")
             if seen.setdefault(k, v) != v:
                 raise ValueError(f"conflicting bindings for {k}")
-        object.__setattr__(
-            self, "bindings", tuple(sorted(seen.items(), key=lambda kv: kv[0].name))
-        )
-        object.__setattr__(self, "_map", seen)
-        object.__setattr__(self, "domain", frozenset(seen))
+        self._fill(seen)
+
+    def _fill(self, seen: dict[Term, Term]) -> None:
+        _set(self, "bindings", tuple(sorted(seen.items(), key=_binding_name)))
+        _set(self, "_map", seen)
+        _set(self, "domain", frozenset(seen))
 
     @classmethod
     def of(cls, items) -> "Mapping":
         if isinstance(items, dict):
             items = items.items()
         return cls(tuple(items))
+
+    @classmethod
+    def _valid(cls, items) -> "Mapping":
+        """The mapping of bindings known valid (variables to IRIs, as a
+        homomorphism into a ground graph or a merge of compatible mappings
+        gives them), as a dict or as pairs, where a repeated variable takes
+        one value; built without the checks of `__post_init__`."""
+        m = object.__new__(cls)
+        m._fill(dict(items))
+        return m
 
     def get(self, v: Term) -> Term | None:
         return self._map.get(v)
@@ -343,6 +396,12 @@ class Mapping:
             worst = min(missing, key=str)
             raise UnboundVariable(f"variable {worst} is not bound")
         return substitute(t, self._map)
+
+    def image(self, t: Triple) -> tuple[Term, Term, Term]:
+        """t's terms with the values of its variables in the domain in
+        place, a key of `TGraph.by_mask(ALL_BOUND)`; no `Triple` is built."""
+        get = self._map.get
+        return tuple(map(get, t.terms, t.terms))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.bindings)

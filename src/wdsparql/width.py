@@ -18,9 +18,9 @@ work; the evaluator reads the cored children of any NR forest.  There is
 no process-global cache: what these functions derive from a forest
 (associated sets, homomorphism tests, ctw values keyed by the t-graph
 alone, the width, the witnesses, the witness core and its grid minors,
-and the cored child t-graphs the evaluator decides) is kept in the
-forest's one `Analysis`, built on first use, so the memo lives exactly
-as long as the forest.
+and the cored child t-graphs the evaluator decides, each with its compiled
+homomorphism search) is kept in the forest's one `Analysis`, built on
+first use, so the memo lives exactly as long as the forest.
 """
 
 from __future__ import annotations
@@ -153,10 +153,13 @@ class Analysis:
     per-subtree demands, the domination width, the hard witness per k, the
     core of the witness at the exact width with its Gaifman components,
     the grid minor per grid shape, and the cored child t-graphs of each
-    subtree the evaluator has matched, one core per distinct child.
+    subtree the evaluator has matched, one core per distinct child, each
+    with the `hom.Plan` of its search (the core pinning its distinguished
+    variables), so a stream of mappings plans each child's search once.
     Asking for the width builds no witness and searches no minor;
     evaluating enumerates no subtree and cores only the children it
-    reaches, so it runs past the size caps.
+    reaches, so it runs past the size caps.  The plans are kept here and
+    nowhere else, so they go with the forest.
     """
 
     def __init__(self, forest: WdPF):
@@ -164,7 +167,7 @@ class Analysis:
         self.forest = forest
         self.cache = HomCache()
         self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
-        self._cores: dict[GeneralizedTGraph, GeneralizedTGraph] = {}
+        self._cores: dict[GeneralizedTGraph, tuple[GeneralizedTGraph, hom.Plan]] = {}
         self._associated: dict[Subtree, tuple] = {}
         self._demands: dict[Subtree, int] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
@@ -191,14 +194,18 @@ class Analysis:
                 )
         return subtrees(self.forest)
 
-    def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
+    def child_cores(
+        self, tree_index: int, nodes: frozenset[int]
+    ) -> Iterator[tuple[GeneralizedTGraph, hom.Plan]]:
         """The child t-graphs of the subtree `nodes` of one tree, in the
         order `WdPT.child_tgraphs` builds them, each cored when first asked
         for and then kept, once per forest: equal children of different
-        trees share one core.  A child of more than MAX_VARS_PER_MEMBER
-        variables is kept uncored.  A core is homomorphically equivalent to
-        its child with the distinguished variables fixed, so the evaluator's
-        tests read the same on either."""
+        trees share one core.  Each core comes with its `hom.Plan`, pinning
+        its distinguished variables, built with it and kept with it.  A
+        child of more than MAX_VARS_PER_MEMBER variables is kept uncored.  A
+        core is homomorphically equivalent to its child with the
+        distinguished variables fixed, so the evaluator's tests read the
+        same on either."""
         key = (tree_index, nodes)
         if key not in self._children:
             kids = tuple(self.forest.trees[tree_index].child_tgraphs(nodes))
@@ -208,13 +215,14 @@ class Analysis:
             if i == len(cores):  # cores grow as a prefix of kids
                 # an equal child under another tree shares its core; the
                 # child is hashed here only, when its slot is first filled
-                cored = self._cores.get(g)
-                if cored is None:
+                kept = self._cores.get(g)
+                if kept is None:
                     small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
                     # looked up on hom at each call, so rebinding hom.core
-                    # (to count or time it) reaches this step too
-                    cored = self._cores[g] = hom.core(g) if small else g
-                cores.append(cored)
+                    # or hom.Plan (to count or time it) reaches this step too
+                    cored = hom.core(g) if small else g
+                    kept = self._cores[g] = (cored, hom.Plan(cored.tgraph, cored.dist))
+                cores.append(kept)
             yield cores[i]
 
     def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:

@@ -234,7 +234,7 @@ def test_selftest_smoke():
     code, out, err = run("selftest", "--seed", "3", "--trials", "6")
     assert code == 0, err
     lines = out.splitlines()
-    assert lines[0] == "1..5"
+    assert lines[0] == "1..6"
     assert all(line.startswith("ok") for line in lines[1:])
 
 

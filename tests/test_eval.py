@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -377,7 +379,7 @@ def test_cored_children_decide_as_the_children():
                 if nodes is None:
                     continue
                 kids = tree.child_tgraphs(nodes)
-                for child, cored in zip(kids, analysis.child_cores(i, nodes)):
+                for child, (cored, _) in zip(kids, analysis.child_cores(i, nodes)):
                     reached += 1
                     proper += len(cored.tgraph) < len(child.tgraph)
                     # a retract with X fixed: equivalent to the child
@@ -420,6 +422,72 @@ def test_each_child_is_cored_once_per_forest(monkeypatch):
         eval_forest(forest, graph, mu)
         eval_pebble(forest, graph, mu, dw)
     assert len(cored) == before
+
+
+def test_each_child_core_is_planned_once_per_forest(monkeypatch):
+    import wdsparql.hom as hom
+    import wdsparql.pebble as pebble
+
+    rng = random.Random(103)
+    forest = with_planted_loops(rng, forest_family(2))
+    dw = domination_width(forest)
+    cores = {
+        core(g).tgraph
+        for tree in forest
+        for nodes in tree.subtree_nodesets()
+        for g in tree.child_tgraphs(nodes)
+    }
+    planned, pebble_plans = [], []
+    coring = [False]
+    plan, core_fn, pebble_maps = hom.Plan, hom.core, pebble.maps_into_graph
+
+    def counted_plan(source, pinned=()):
+        if not coring[0]:  # the searches inside `core` plan their own
+            planned.append(source)
+        return plan(source, pinned)
+
+    def quiet_core(g):
+        coring[0] = True
+        try:
+            return core_fn(g)
+        finally:
+            coring[0] = False
+
+    def pebble_maps_with_plan(*args, plan=None):
+        pebble_plans.append(plan)
+        return pebble_maps(*args, plan=plan)
+
+    monkeypatch.setattr(hom, "Plan", counted_plan)
+    monkeypatch.setattr(hom, "core", quiet_core)
+    monkeypatch.setattr(pebble, "maps_into_graph", pebble_maps_with_plan)
+    calls = [planted_call(rng, forest) for _ in range(50)]
+    for graph, mu in calls:
+        assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)
+        assert eval_pebble(forest, graph, mu, dw) == eval_forest(forest, graph, mu)
+    # one plan per kept core, built with it
+    assert len(planned) == len(set(planned)) >= 3
+    assert set(planned) <= cores
+    before = len(planned)
+    for graph, mu in calls:
+        eval_forest(forest, graph, mu)
+        eval_pebble(forest, graph, mu, dw)
+    assert len(planned) == before
+    # the pebble game's homomorphism test ran on the kept plans
+    assert len(pebble_plans) >= 50 and None not in pebble_plans
+
+
+def test_the_analysis_and_its_plans_go_with_the_forest():
+    rng = random.Random(107)
+    forest = with_planted_loops(rng, forest_family(2))
+    for _ in range(20):
+        graph, mu = planted_call(rng, forest)
+        eval_forest(forest, graph, mu)
+    analysis = Analysis.of(forest)
+    assert analysis._cores  # cores and plans are kept
+    ref = weakref.ref(analysis)
+    del analysis, forest
+    gc.collect()
+    assert ref() is None
 
 
 def test_forest_past_the_caps_is_decided_on_its_children(monkeypatch):

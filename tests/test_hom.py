@@ -10,7 +10,7 @@ from oracles import (
     is_core_by_enumeration,
     treewidth_by_elimination_orders,
 )
-from wdsparql.errors import GraphTooLarge, MismatchedDistinguishedSets
+from wdsparql.errors import GraphTooLarge, MismatchedDistinguishedSets, SearchTooLarge
 from wdsparql.graphs import UndirectedGraph, grid_graph, tree_decomposition, treewidth
 from wdsparql.hom import (
     GeneralizedTGraph,
@@ -249,3 +249,22 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # each lookup is built from its triple's own terms: the three searches
     # take about 0.3 s, and about 3 s when each lookup copies the assignment
     assert time.perf_counter() - start < 1.2
+
+
+def test_search_cap(monkeypatch):
+    # a directed triangle into a bipartite digraph (every IRI of one side
+    # to every one of the other, both ways) has no homomorphism; the search
+    # tries 10 values for ?x, 5 for ?y per ?x and 5 for ?z per ?y: 310
+    import wdsparql.hom as hom
+
+    sides = ([f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)])
+    graph = parse_graph("\n".join(f"{u} p {v}\n{v} p {u}" for u in sides[0] for v in sides[1]))
+    triangle = gt("?x p ?y\n?y p ?z\n?z p ?x")
+    assert maps_into_graph(triangle, graph, Mapping()) is None
+    monkeypatch.setattr(hom, "MAX_SEARCH_NODES", 310)
+    assert all_homomorphisms(triangle.tgraph, graph) == []
+    monkeypatch.setattr(hom, "MAX_SEARCH_NODES", 309)
+    with pytest.raises(SearchTooLarge):
+        maps_into_graph(triangle, graph, Mapping())
+    with pytest.raises(SearchTooLarge):
+        all_homomorphisms(triangle.tgraph, graph)

@@ -13,10 +13,14 @@ the search looks triples up with the pinned values in place.
 `TGraph.values_at`, which draws the search's candidates from the index,
 is checked against the same full scan, and the search on larger instances
 against the assignment oracle, with the share of levels it decides from
-a driver triple counted.
+a driver triple counted.  `TGraph.by_mask` is checked against the same
+scan for every mask of bound positions, and a compiled `hom.Plan` against
+the oracles, and against a fresh plan per call when one plan serves
+several targets and pin values.
 """
 
 import random
+from itertools import combinations
 
 from oracles import (
     all_assignment_homs,
@@ -28,7 +32,7 @@ from oracles import (
 from wdsparql import hom
 from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
-from wdsparql.terms import Mapping, TGraph, Triple, iri, substitute, var
+from wdsparql.terms import ALL_BOUND, Mapping, TGraph, Triple, iri, substitute, var
 
 PREDICATES = tuple(iri(p) for p in ("p", "q", "r", "s", "t"))
 NODES = tuple(iri(n) for n in ("a", "b", "c", "d")) + PREDICATES[:1]
@@ -196,7 +200,7 @@ def test_search_agrees_with_oracle_on_larger_instances(monkeypatch):
         expected = all_assignment_homs(source, target, pins)
         assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
         assert len({tuple(sorted_items(h)) for h in found}) == len(found)  # each once
-        assert hom._solve(source, target, dict(pins)) == found[:1]
+        assert hom._solve(hom.Plan(source, pins), target, dict(pins)) == found[:1]
         outcomes.add((bool(found), target.is_ground(), bool(pins)))
     assert len(outcomes) == 8
     # most levels draw their candidates from a driver triple, not from the
@@ -313,3 +317,130 @@ def test_consistency_family_equals_iterated_oracle():
             assert members == consistency_family_by_iteration(g, graph, mu, k)
             outcomes.add(bool(members))
     assert outcomes == {True, False}
+
+
+def test_by_mask_equals_full_scan_for_every_mask():
+    rng = random.Random(121)
+    masks = [m for n in range(4) for m in combinations(range(3), n)]
+    tied = namesakes = 0
+    for _ in range(150):
+        pool = TARGET_VARS if rng.random() < 0.5 else ()
+        graph = random_target(rng, rng.randint(0, 30), pool)
+        for mask in masks:
+            # each triple under the key of its own terms at the mask, in order
+            index = graph.by_mask(mask)
+            for key, us in index.items():
+                terms = (key,) if len(mask) == 1 else key
+                assert us == [u for u in graph if tuple(u.terms[i] for i in mask) == terms]
+            assert sum(map(len, index.values())) == len(graph)
+            # a pattern triple with the mask's positions bound (an IRI, or a
+            # variable with a value) and the others free: two or three of
+            # them one repeated variable in half the cases, and named like
+            # the graph's own variables in some
+            free = [i for i in range(3) if i not in mask]
+            tie = len(free) > 1 and rng.random() < 0.5
+            names = TARGET_VARS if rng.random() < 0.3 else VARS
+            terms = {i: names[0] if tie else names[n] for n, i in enumerate(free)}
+            values = {}
+            for i in mask:
+                value = rng.choice(NODES + PREDICATES + TARGET_VARS)
+                if value.is_iri and rng.random() < 0.5:
+                    terms[i] = value
+                else:
+                    terms[i] = var(f"b{i}")
+                    values[terms[i]] = value
+            t = Triple(terms[0], terms[1], terms[2])
+            expected = [
+                u for u in full_scan(graph, t)
+                if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+            ]
+            assert list(graph.matching(t, values)) == expected, (t, values)
+            bound = [terms[i] if terms[i].is_iri else values[terms[i]] for i in mask]
+            untied = index.get(bound[0] if len(bound) == 1 else tuple(bound), ())
+            tied += tie and len(expected) < len(untied)
+            namesakes += bool(expected) and any(x in graph.vars() for x in t.vars() - values.keys())
+    # the ties filter some keyed lists, and free namesakes still match anything
+    assert tied > 20 and namesakes > 20
+
+
+def small_planned_instance(rng):
+    """A source with IRIs in every position and repeated variables, a
+    target that is ground or holds variables named like the source's own,
+    and pins to IRIs and to variables of either."""
+    source = random_source(rng).tgraph
+    pool = TARGET_VARS + VARS[:2] if rng.random() < 0.5 else ()
+    target = random_target(rng, rng.randint(1, 10), pool)
+    if rng.random() < 0.5:  # plant an image
+        values = NODES + PREDICATES + tuple(sorted(target.vars(), key=str))
+        image = {v: rng.choice(values) for v in sorted(source.vars(), key=str)}
+        target = target | TGraph(tuple(substitute(t, image) for t in source))
+    terms = NODES + tuple(sorted(target.vars() | source.vars(), key=str))
+    pins = {v: rng.choice(terms) for v in sorted(source.vars(), key=str) if rng.random() < 0.4}
+    return source, target, pins
+
+
+def test_planned_search_agrees_with_the_oracles():
+    rng = random.Random(707)
+    seen = set()
+    for n in range(500):
+        source, target, pins = (small_planned_instance if n % 2 else larger_instance)(rng)
+        plan = hom.Plan(source, pins)
+        found = hom._solve(plan, target, pins, find_all=True)
+        expected = all_assignment_homs(source, target, pins)
+        assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
+        assert hom._solve(plan, target, pins) == found[:1]
+        seen.add("found" if found else "none")
+        seen.update(f"iri at {i}" for t in source for i, x in enumerate(t.terms) if x.is_iri)
+        if any(len(t.vars()) < sum(x.is_var for x in t.terms) for t in source):
+            seen.add("repeated")
+        seen.update(f"pin to {'variable' if x.is_var else 'IRI'}" for x in pins.values())
+        if source.vars() & target.vars() - pins.keys():
+            seen.add("free namesake")
+    assert seen >= {
+        "found", "none", "iri at 0", "iri at 1", "iri at 2", "repeated",
+        "pin to variable", "pin to IRI", "free namesake",
+    }
+    # a ground target and mu on the distinguished variables, through a plan
+    outcomes = set()
+    for _ in range(200):
+        g = random_source(rng)
+        graph = random_target(rng, rng.randint(1, 12))
+        image = {v: rng.choice(NODES + PREDICATES) for v in sorted(g.tgraph.vars(), key=str)}
+        if rng.random() < 0.5:
+            graph = graph | TGraph(tuple(substitute(t, image) for t in g.tgraph))
+        plan = hom.Plan(g.tgraph, g.dist)
+        mu = Mapping.of({x: image[x] for x in g.dist})
+        h = maps_into_graph(g, graph, mu, plan=plan)
+        assert (h is not None) == hom_into_graph_exists(g, graph, mu)
+        outcomes.add(h is not None)
+    assert outcomes == {True, False}
+
+
+def test_one_plan_serves_many_targets_and_pin_values():
+    """A plan run on several targets and pin values in turn gives what a
+    fresh plan per call gives, in the same order, so it keeps nothing of
+    a target or of the values."""
+    rng = random.Random(808)
+    differ = 0
+    for _ in range(150):
+        source, target, pins = larger_instance(rng)
+        if not pins:
+            pins = {min(source.vars(), key=str): NODES[0]}
+        others = []
+        for _ in range(2):  # ground targets, each with an image of the source
+            image = {v: rng.choice(NODES[:2] + PREDICATES[:2]) for v in sorted(source.vars(), key=str)}
+            graph = random_target(rng, rng.randint(3, 10), (), NODES[:2], PREDICATES[:2])
+            others.append(graph | TGraph(tuple(substitute(t, image) for t in source)))
+        values = NODES[:2] + PREDICATES[:2] + TARGET_VARS[:2]
+        pin_sets = [pins] + [{v: rng.choice(values) for v in pins} for _ in range(2)]
+        plan = hom.Plan(source, pins)
+        results = set()
+        for _ in range(2):  # twice round, so a value kept from a run shows
+            for graph in [target] + others:
+                for fixed in pin_sets:
+                    got = hom._solve(plan, graph, fixed, find_all=True)
+                    assert got == all_homomorphisms(source, graph, fixed)
+                    assert hom._solve(plan, graph, fixed) == got[:1]
+                    results.add(tuple(tuple(sorted_items(h)) for h in got))
+        differ += len(results) > 1
+    assert differ > 80

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,3 +145,26 @@ def test_merge_commutes_on_compatible(m1, m2):
 def test_merge_associates(m1, m2, m3):
     if m1.compatible(m2) and m2.compatible(m3) and m1.compatible(m3):
         assert m1.merge(m2).merge(m3) == m1.merge(m2.merge(m3))
+
+
+def test_the_unchecked_constructor_builds_the_same_mapping():
+    # Mapping._valid skips the checks for bindings valid by construction:
+    # a homomorphism's dict, or the pairs of two compatible mappings
+    rng = random.Random(131)
+    variables = [var(n) for n in ("x", "y", "z", "x1", "y10", "y2", "_a")]
+    for _ in range(300):
+        d = {v: iri(rng.choice("abcd")) for v in rng.sample(variables, rng.randint(0, 5))}
+        pairs = tuple(d.items())[::-1]
+        # a compatible mapping: it agrees with d on their shared variables
+        right = Mapping.of({v: d.get(v, iri(rng.choice("abcd"))) for v in rng.sample(variables, 3)})
+        both = Mapping.of(d).bindings + right.bindings
+        for fast, checked in (
+            (Mapping._valid(d), Mapping.of(d)),
+            (Mapping._valid(pairs), Mapping(pairs)),
+            (Mapping._valid(both), Mapping(both)),
+        ):
+            assert fast.bindings == checked.bindings
+            assert fast.domain == checked.domain
+            assert hash(fast) == hash(checked) and fast == checked
+            assert str(fast) == str(checked)
+            assert all(fast.get(k) == v for k, v in checked.items())
