@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import UndirectedGraph, grid_graph
 from .hom import GeneralizedTGraph, core, gaifman
-from .terms import Mapping, TGraph, Term, Triple, _data_lines, iri, parse_term, substitute, var
+from .terms import ALL_BOUND, Mapping, TGraph, Term, Triple, _data_lines, iri, parse_term, substitute, var
 from .trees import WdPF, subtree_vars
 from .width import Analysis, HardWitness
 
@@ -278,9 +278,11 @@ def _check_gadget(
     for t in original.tgraph:
         if t.vars() <= dist and t not in gadget.tgraph:
             raise AssertionError("an all-distinguished triple went missing")
-    sub = {v: projection.get(v, v) for v in gadget.tgraph.vars()}
+    # each triple's terms under the projection, as `Mapping.image` gives them
+    get = projection.get
+    core_triples = cored.tgraph.by_mask(ALL_BOUND)
     for t in gadget.tgraph:
-        if substitute(t, sub) not in cored.tgraph:
+        if tuple(map(get, t.terms, t.terms)) not in core_triples:
             raise AssertionError("gadget does not project into the core")
 
 

@@ -224,6 +224,67 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0][2] == outputs[0][3] and outputs[0][2].count(b"\n") >= 4
 
 
+# Builds, before cli.main runs, a term for each token of the input files,
+# in an order shuffled by argv[1] and with allocations of random sizes in
+# between, so the terms sit at other addresses, in another order, than in
+# a plain run.
+SHUFFLED_TERMS = """
+import random, re, sys
+from wdsparql import cli, terms
+rng = random.Random(int(sys.argv[1]))
+argv = sys.argv[2:]
+tokens = set()
+for path in argv:
+    try:
+        with open(path) as fh:
+            tokens.update(re.findall(r"[?]?[A-Za-z0-9_:/#.-]+", fh.read()))
+    except OSError:
+        pass
+order = sorted(tokens)
+rng.shuffle(order)
+held = []
+for token in order:
+    held.append([None] * rng.randrange(64))
+    held.append(terms.parse_term(token))
+sys.exit(cli.main(argv))
+"""
+
+
+def test_output_does_not_depend_on_the_allocation_order(tmp_path):
+    # terms hash by identity, so sets of terms iterate in address order
+    family3 = str(DATA / "family3.sparql")
+    small = write(tmp_path, "small.nt", "a p b\nc q a\nb r c\nc r c\nb p d\nd q b\ne q d\n")
+    commands = (
+        ["gen-hard", "--pattern", family3, "--k", "2", "--graph", str(DATA / "h_edge.ug"),
+         "--out-graph", "g.nt", "--out-mapping", "m.map", "--report", "r.txt"],
+        ["width", "--pattern", family3, "--measure", "dw", "--report"],
+        ["eval-all", "--pattern", family3, "--graph", small, "--mode", "naive"],
+        ["eval-all", "--pattern", family3, "--graph", small, "--mode", "lemma1"],
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    outputs = []
+    for name, prefix in (
+        ("plain", ["-m", "wdsparql.cli"]),
+        ("shuffled1", ["-c", SHUFFLED_TERMS, "1"]),
+        ("shuffled2", ["-c", SHUFFLED_TERMS, "2"]),
+    ):
+        work = tmp_path / name
+        work.mkdir()
+        got = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, *prefix, *argv],
+                cwd=work, env=env, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(proc.stdout)
+        got.extend((work / out).read_bytes() for out in ("g.nt", "m.map", "r.txt"))
+        outputs.append(got)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(outputs[0][1:])
+
+
 def test_missing_file_is_exit_1(tmp_path):
     code, _, err = run("check-wd", "--pattern", str(tmp_path / "nope.sparql"))
     assert code == 1

@@ -30,7 +30,7 @@ from wdsparql.hardness import (
     verify_minor_map,
 )
 from wdsparql.hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman, maps_into_graph
-from wdsparql.terms import Mapping, TGraph, iri, parse_graph, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, var
 from wdsparql.trees import WdPF, WdPT
 from wdsparql.width import Analysis, find_hard_witness
 
@@ -166,6 +166,30 @@ def test_gadget_keeps_distinguished_triples_and_projects_back():
             n = rng.randint(3, 5)
             h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
             assert_gadget_is_reference(g, h, k, mm, cored=cored)
+
+
+def test_gadget_check_catches_a_dropped_and_a_stray_triple(monkeypatch):
+    g, cored, mm = family_gadget_inputs(3, 2)
+    check = hardness._check_gadget
+    calls = []
+    monkeypatch.setattr(hardness, "_check_gadget", lambda *args: calls.append(args))
+    build_clique_gadget(g, CliqueInstance(ug(2, [(0, 1)]), 2), mm, cored=cored)
+    ((original, cored, gadget, projection),) = calls
+    check(original, cored, gadget, projection)  # the built gadget passes
+    kept = gadget.tgraph.triples
+
+    def with_triples(triples):
+        return GeneralizedTGraph(TGraph(triples), gadget.dist, declared=True)
+
+    dropped = next(t for t in kept if t.vars() <= gadget.dist)
+    with pytest.raises(AssertionError, match="an all-distinguished triple went missing"):
+        check(original, cored, with_triples(tuple(t for t in kept if t != dropped)), projection)
+    # a gadget triple reversed projects onto the reverse of a core triple
+    t = next(t for t in kept if t.s in projection and t.o in projection)
+    stray = Triple(t.o, t.p, t.s)
+    assert stray not in gadget.tgraph
+    with pytest.raises(AssertionError, match="gadget does not project into the core"):
+        check(original, cored, with_triples(kept + (stray,)), projection)
 
 
 def test_gadget_rejects_bad_minor_maps():

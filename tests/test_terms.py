@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 
@@ -12,13 +13,17 @@ from wdsparql.errors import (
     ParseError,
     UnboundVariable,
 )
+from wdsparql import terms
+from wdsparql.patterns import parse_pattern
 from wdsparql.terms import (
     Mapping,
+    Term,
     TGraph,
     Triple,
     iri,
     parse_graph,
     parse_mapping,
+    parse_term,
     serialize_graph,
     serialize_mapping,
     var,
@@ -168,3 +173,74 @@ def test_the_unchecked_constructor_builds_the_same_mapping():
             assert hash(fast) == hash(checked) and fast == checked
             assert str(fast) == str(checked)
             assert all(fast.get(k) == v for k, v in checked.items())
+
+
+def test_equal_text_is_one_object():
+    x, a, p = var("x"), iri("a"), iri("p")
+    graph = parse_graph("a p ?x\n?x p a")
+    first, second = graph.triples  # "?x p a" sorts first
+    assert first.s is x and first.p is p and first.o is a
+    assert second.s is a and second.p is p and second.o is x
+    ((k, v),) = parse_mapping("?x = a").items()
+    assert k is x and v is a
+    left = parse_pattern("((?x, p, a) AND (a, p, ?x))").left.triple
+    assert left.s is x and left.p is p and left.o is a
+    assert parse_term("?x") is x and parse_term("a") is a
+    assert var("x") is x and iri("a") is a and Term("var", "x") is x
+    for term in (x, a):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.deepcopy(term) is term and copy.copy(term) is term
+    assert pickle.loads(pickle.dumps(graph)).triples[0].s is x
+    assert copy.deepcopy(graph).triples[1].o is x
+
+
+def test_a_variable_and_an_iri_of_one_name_are_two_objects():
+    assert var("a") is not iri("a")
+    assert var("a").is_var and iri("a").is_iri
+    assert str(var("a")) == "?a" and str(iri("a")) == "a"
+
+
+def test_a_bad_name_raises_every_time_and_leaves_no_entry():
+    bad = (
+        (lambda: var("a b"), "?a b"),
+        (lambda: iri("a b"), "a b"),
+        (lambda: Term("blank", "blank_kind"), "blank_kind"),
+    )
+    for _ in range(2):
+        for make, text in bad:
+            with pytest.raises(ValueError):
+                make()
+            assert text not in terms._live
+        with pytest.raises(ParseError):
+            parse_term("?a b")
+    # the text of a live variable names no IRI, nor another kind
+    held = var("x")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            iri("?x")
+        with pytest.raises(ValueError):
+            Term("blank", "?x")
+    assert terms._live["?x"]() is held
+
+
+def test_a_dropped_term_leaves_the_table():
+    text = "dropped_by_this_test"
+    assert text not in terms._live
+    term = iri(text)
+    assert terms._live[text]() is term
+    del term
+    gc.collect()
+    assert text not in terms._live
+    again = iri(text)
+    assert terms._live[text]() is again and str(again) == text
+
+
+def test_terms_compare_and_hash_by_identity():
+    # no Python-level method may come back: each lookup keyed by a term
+    # would run it
+    assert Term.__eq__ is object.__eq__
+    assert Term.__hash__ is object.__hash__
+    assert Term.__ne__ is object.__ne__
+    x = var("x")
+    assert hash(x) == object.__hash__(x)
+    assert Triple(x, iri("p"), x) == Triple(var("x"), iri("p"), var("x"))
