@@ -263,7 +263,7 @@ def cmd_selftest(args) -> int:
             target = randgen.random_rdf_graph(rng, max_iris=4)
             if rng.random() < 0.5:  # variables in the target, named like the source's
                 target = target | randgen.random_generalized_tgraph(rng).tgraph
-            terms = sorted({x for t in target for x in t.terms}, key=str)
+            terms = sorted({x for t in target for x in t}, key=str)
             every = sorted(source.vars(), key=str)
             pinned = [v for v in every if rng.random() < 0.4]
             free = [v for v in every if v not in pinned]

@@ -46,7 +46,7 @@ from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, Plan, all_homomorphisms, maps_into_graph
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
-from .terms import ALL_BOUND, Mapping, TGraph, Term, Triple
+from .terms import Mapping, TGraph, Term, Triple
 from .trees import WdPF, WdPT
 from .width import Analysis
 
@@ -87,10 +87,8 @@ class SolutionSet:
 
 
 def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
-    slots = [(pos, x) for pos, x in enumerate(t.terms) if x.is_var]
-    return [
-        Mapping._valid({x: u.terms[pos] for pos, x in slots}) for u in graph.matching(t)
-    ]
+    slots = [(pos, x) for pos, x in enumerate(t) if x.is_var]
+    return [Mapping._valid({x: u[pos] for pos, x in slots}) for u in graph.matching(t)]
 
 
 def _check_size(n: int) -> None:
@@ -170,13 +168,12 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     Greedy maximal inclusion of nodes n with vars(n) inside dom(mu) and
     mu(pat(n)) inside the graph; NR normal form makes the result unique.
     Returns None when even the maximal candidate misses part of dom(mu).
-    Each label triple is checked as the search checks a triple with every
-    position bound: its image under mu, a tuple of terms, looked up in the
-    graph's all-bound index.
+    Each label triple's image under mu, a plain tuple of terms, is looked
+    up in the graph's `triple_set`.
     """
     tree.ensure_nr()
     dom = mu.domain
-    full = graph.by_mask(ALL_BOUND)
+    full = graph.triple_set
 
     def fits(n: int) -> bool:
         label = tree.label(n)

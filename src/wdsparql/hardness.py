@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import UndirectedGraph, grid_graph
 from .hom import GeneralizedTGraph, core, gaifman
-from .terms import ALL_BOUND, Mapping, TGraph, Term, Triple, _data_lines, iri, parse_term, substitute, var
+from .terms import Mapping, TGraph, Term, Triple, _data_lines, _triple, iri, parse_term, substitute, var
 from .trees import WdPF, subtree_vars
 from .width import Analysis, HardWitness
 
@@ -220,8 +220,9 @@ def build_clique_gadget(
         raise InvalidMinorMap("minor map fails verification against the component")
 
     h_vertices = sorted(inst.graph.vertices)
-    h_edges = [tuple(sorted(e)) for e in inst.graph.edges]
-    h_edges.sort()
+    h_edges = sorted(tuple(sorted(e)) for e in inst.graph.edges)
+    # per vertex: (the edges missing it, the edges holding it), by `v in e`
+    sides = {v: ([e for e in h_edges if v not in e], [e for e in h_edges if v in e]) for v in h_vertices}
 
     # Per anchor: its cell and its gadget variables, listed under every key
     # (vertex or None, edge or None) they agree with, so that the variables
@@ -234,12 +235,11 @@ def build_clique_gadget(
         for anchor in vs:
             options: dict[tuple, list[tuple[Term, str, tuple[str, str]]]] = {}
             for v in h_vertices:
-                for e in h_edges:
-                    if (v in e) == in_pair:
-                        term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
-                        projection[term] = anchor
-                        for key in ((v, e), (v, None), (None, e), (None, None)):
-                            options.setdefault(key, []).append((term, v, e))
+                for e in sides[v][in_pair]:
+                    term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
+                    projection[term] = anchor
+                    for key in ((v, e), (v, None), (None, e), (None, None)):
+                        options.setdefault(key, []).append((term, v, e))
             anchors[anchor] = (i, p, options)
 
     dist = cored.dist
@@ -250,19 +250,24 @@ def build_clique_gadget(
             continue
         # partial combinations: (terms so far, (vertex, edge, row, column) per gadget variable)
         partial: list[tuple[tuple[Term, ...], tuple]] = [((), ())]
-        for term in t.terms:
+        for term in t:
             if term not in anchors:
                 partial = [(terms + (term,), chosen) for terms, chosen in partial]
                 continue
             i, p, options = anchors[term]
             grown = []
             for terms, chosen in partial:
-                need_v = next((cv for cv, _, ci, _ in chosen if ci == i), None)
-                need_e = next((ce for _, ce, _, cp in chosen if cp == p), None)
+                # the vertex of row i and the edge of column p, if chosen (one each)
+                need_v = need_e = None
+                for cv, ce, ci, cp in chosen:
+                    if ci == i:
+                        need_v = cv
+                    if cp == p:
+                        need_e = ce
                 for gv, v, e in options.get((need_v, need_e), ()):
                     grown.append((terms + (gv,), chosen + ((v, e, i, p),)))
             partial = grown
-        triples.extend(Triple(*terms) for terms, _ in partial)
+        triples.extend(_triple(terms) for terms, _ in partial)
     gadget = GeneralizedTGraph(TGraph(tuple(triples)), dist, declared=True)
     _check_gadget(g, cored, gadget, projection)
     return gadget
@@ -278,11 +283,11 @@ def _check_gadget(
     for t in original.tgraph:
         if t.vars() <= dist and t not in gadget.tgraph:
             raise AssertionError("an all-distinguished triple went missing")
-    # each triple's terms under the projection, as `Mapping.image` gives them
+    # each triple under the projection, a plain tuple as `Mapping.image` gives
     get = projection.get
-    core_triples = cored.tgraph.by_mask(ALL_BOUND)
+    core_triples = cored.tgraph.triple_set
     for t in gadget.tgraph:
-        if tuple(map(get, t.terms, t.terms)) not in core_triples:
+        if tuple(map(get, t, t)) not in core_triples:
             raise AssertionError("gadget does not project into the core")
 
 

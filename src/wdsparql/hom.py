@@ -145,7 +145,7 @@ class Plan:
         self.pinned = tuple(sorted(src_vars.intersection(pinned), key=str))
         occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
         for t in source:
-            for x in t.terms:
+            for x in t:
                 if x.is_var:
                     occurrences[x] += 1
         pinned_set = frozenset(self.pinned)
@@ -157,11 +157,10 @@ class Plan:
 
         def path(t: Triple, known, free: Term | None = None, j: int | None = None) -> tuple:
             # the access path of t with the variables of `known` bound
-            terms = t.terms
-            bound = tuple(i for i, x in enumerate(terms) if x.is_iri or x in known)
-            get = key_getter(tuple(slots[terms[i]] for i in bound))
-            pos = None if free is None else terms.index(free)
-            return masks.setdefault((bound, ties_of(terms, bound)), len(masks)), get, pos, j
+            bound = tuple(i for i, x in enumerate(t) if x.is_iri or x in known)
+            get = key_getter(tuple(slots[t[i]] for i in bound))
+            pos = None if free is None else t.index(free)
+            return masks.setdefault((bound, ties_of(t, bound)), len(masks)), get, pos, j
 
         rank = {v: i for i, v in enumerate(order)}
         self.first: list[tuple] = []
@@ -195,7 +194,7 @@ def _domain(paths: list[tuple], indexes: list[dict], vals: list) -> list[Term]:
     triple holding it, with the pins in place, in `str` order."""
     here: set[Term] | None = None
     for m, get, pos, _ in paths:
-        found = {u.terms[pos] for u in indexes[m].get(get(vals), ())}
+        found = {u[pos] for u in indexes[m].get(get(vals), ())}
         here = found if here is None else here & found
     return sorted(here, key=str)
 
@@ -232,7 +231,7 @@ def _solve(
         if not hits:
             return []
         if j is not None:
-            cands[j] = [u.terms[pos] for u in hits]
+            cands[j] = [u[pos] for u in hits]
     for i, paths in enumerate(plan.domains):
         if paths is not None:
             cands[i] = _domain(paths, indexes, vals)
@@ -260,7 +259,7 @@ def _solve(
                 if hits is None:
                     break
                 if j is not None:
-                    cands[j] = [u.terms[pos] for u in hits]
+                    cands[j] = [u[pos] for u in hits]
             else:  # c passes
                 break
         else:  # level i is exhausted: backtrack

@@ -112,18 +112,18 @@ def _fixpoint(
     arcs = []
     by_var: dict[Term, list] = {v: [] for v in free}
     for needs, t in templates:
-        pos = {v: t.terms.index(v) for v in needs}
+        pos = {v: t.index(v) for v in needs}
         if len(needs) == 1:
             (x,) = needs
             domains[x] = domains[x].intersection(graph.values_at(t, pos[x]))
             continue
         if len(needs) == 2:
             x, y = sorted(needs, key=pos.get)
-            shape = tuple(0 if u == x else 1 if u == y else u for u in t.terms)
+            shape = tuple(0 if u == x else 1 if u == y else u for u in t)
             if shape not in relations:
                 partners: dict[Term, set[Term]] = {}
                 for u in graph.matching(t):
-                    partners.setdefault(u.terms[pos[x]], set()).add(u.terms[pos[y]])
+                    partners.setdefault(u[pos[x]], set()).add(u[pos[y]])
                 relations[shape] = partners
             arcs.append((x, y, relations[shape]))
         for v in needs:

@@ -11,21 +11,22 @@ must be cheap.  A term is one object per text (``?name`` for a variable,
 when there is one, from a table of weak references that forgets a term
 once the program drops it.  So two terms are equal iff they are the same
 object, and compare and hash by identity, in C; the name is checked only
-when a term is made.  A triple computes its hash once, at construction.  A
-t-graph keeps its triples three ways: the canonical sorted tuple, a
-frozenset for membership, and indexes keyed per mask: for a set of bound
-positions (and the pairs of other positions a repeated variable ties),
-the triples under their terms at those positions, IRIs and variables
-alike, each index built on first use of its mask (`TGraph.by_mask`).
-Every look into a graph is one read of such an index: the homomorphism
-search's compiled lookups read it directly, with keys of terms and no
-`Triple` built, and `TGraph.matching` answers "which triples can this
-pattern triple map onto, with these values for some of its variables"
-from it, for the evaluator and the pebble game; `TGraph.values_at` reads
-one position of those matches.  A membership test is the mask of all
-three positions (`ALL_BOUND`).  A mapping keeps a dict beside its sorted
-bindings; `Mapping.image` gives a triple's terms under it, a key of that
-all-bound index.
+when a term is made.  A triple is the tuple of its three terms, so it is
+built, hashed and compared as a tuple, in C, and equals the plain tuple
+of the same terms.  A t-graph keeps its triples three ways: the canonical
+sorted tuple, a frozenset for membership (`triple_set`), and indexes keyed
+per mask: for a set of bound positions (and the pairs of other positions
+a repeated variable ties), the triples under their terms at those
+positions, IRIs and variables alike, each index built on first use of its
+mask (`TGraph.by_mask`).  Every other look into a graph is one read of
+such an index: the homomorphism search's compiled lookups read it
+directly, with keys of terms and no `Triple` built, and
+`TGraph.matching` answers "which triples can this pattern triple map
+onto, with these values for some of its variables" from it, for the
+evaluator and the pebble game; `TGraph.values_at` reads one position of
+those matches.  A mapping keeps a dict beside its sorted bindings;
+`Mapping.image` gives a triple under it as a plain tuple of terms, which
+a membership test looks up in `triple_set` as it is.
 
 File formats
 ------------
@@ -35,7 +36,8 @@ ignored.  Mapping files: one ``?var = iri`` binding per line.
 
 Variable names use the alphabet ``[A-Za-z0-9_]``; the extra character ``#``
 is reserved for internally generated fresh variables and is rejected by the
-pattern parser, which keeps generated names collision-free.
+pattern parser, which keeps generated names collision-free.  An IRI may
+not start with ``#``, which would make its line of a graph file a comment.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .errors import (
@@ -55,13 +58,11 @@ from .errors import (
 
 _VAR_NAME = re.compile(r"[A-Za-z0-9_#]+\Z")
 _USER_VAR_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
-_IRI_NAME = re.compile(r"[A-Za-z0-9_:/#.\-]+\Z")
+_IRI_NAME = re.compile(r"(?!#)[A-Za-z0-9_:/#.\-]+\Z")
 
 _set = object.__setattr__
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
-# the mask of a lookup with every position bound: a membership test
-ALL_BOUND = (0, 1, 2)
 
 
 def _no_key(_items) -> tuple:
@@ -131,7 +132,7 @@ class Term(_Value):
             if not _VAR_NAME.match(name):
                 raise ValueError(f"bad variable name: {name!r}")
         elif kind == "iri":
-            if not _IRI_NAME.match(name) or name.startswith("?"):
+            if not _IRI_NAME.match(name):
                 raise ValueError(f"bad IRI: {name!r}")
         else:
             raise ValueError(f"bad term kind: {kind!r}")
@@ -173,55 +174,49 @@ def parse_term(token: str, *, line: int | None = None) -> Term:
         raise ParseError(f"bad {kind} token {token!r}", line=line) from None
 
 
-class Triple(_Value):
-    """A triple pattern; ground when it holds no variable."""
+class Triple(tuple):
+    """A triple pattern, the tuple (s, p, o) of its terms; ground when it
+    holds no variable.  It is that tuple: it hashes, compares and unpacks
+    as a tuple, in C, and a plain tuple of the same terms is equal."""
 
-    __slots__ = ("s", "p", "o", "terms", "_hash", "_vars")
+    __slots__ = ()
 
-    def __init__(self, s: Term, p: Term, o: Term):
-        _set(self, "s", s)
-        _set(self, "p", p)
-        _set(self, "o", o)
-        _set(self, "terms", (s, p, o))
-        _set(self, "_hash", hash((s, p, o)))
-        _set(self, "_vars", None)
+    def __new__(cls, s: Term, p: Term, o: Term):
+        return tuple.__new__(cls, (s, p, o))
+
+    s = property(itemgetter(0))
+    p = property(itemgetter(1))
+    o = property(itemgetter(2))
 
     def vars(self) -> frozenset[Term]:
-        found = self._vars
-        if found is None:
-            found = frozenset(t for t in self.terms if t.is_var)
-            _set(self, "_vars", found)
-        return found
+        return frozenset(t for t in self if t.is_var)
 
     def is_ground(self) -> bool:
         return not self.vars()
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Triple:
-            return NotImplemented
-        return self._hash == other._hash and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        return Triple, self.terms
+        return Triple, tuple(self)
 
     def __str__(self) -> str:
-        return f"{self.s._text} {self.p._text} {self.o._text}"
+        s, p, o = self
+        return f"{s._text} {p._text} {o._text}"
 
     def __repr__(self) -> str:
         return f"Triple({str(self)!r})"
 
 
+# a Triple of a tuple of three terms, without a Python-level call
+_triple = partial(tuple.__new__, Triple)
+
+
 def substitute(triple: Triple, sub: dict[Term, Term]) -> Triple:
     """Replace variables of `triple` that occur in `sub`; others stay put."""
-    s, p, o = triple.terms
-    return Triple(
+    s, p, o = triple
+    return _triple((
         sub.get(s, s) if s.is_var else s,
         sub.get(p, p) if p.is_var else p,
         sub.get(o, o) if o.is_var else o,
-    )
+    ))
 
 
 class TGraph(_Value):
@@ -245,14 +240,14 @@ class TGraph(_Value):
     def vars(self) -> frozenset[Term]:
         found = self._vars
         if found is None:
-            found = frozenset(x for t in self.triples for x in t.terms if x.is_var)
+            found = frozenset(x for t in self.triples for x in t if x.is_var)
             _set(self, "_vars", found)
         return found
 
     def iris(self) -> frozenset[Term]:
         found = self._iris
         if found is None:
-            found = frozenset(x for t in self.triples for x in t.terms if x.is_iri)
+            found = frozenset(x for t in self.triples for x in t if x.is_iri)
             _set(self, "_iris", found)
         return found
 
@@ -278,10 +273,9 @@ class TGraph(_Value):
             found = index[mask, ties] = {}
             get = key_getter(mask)
             for u in self.triples:
-                terms = u.terms
-                if ties and not all(terms[i] == terms[j] for i, j in ties):
+                if ties and not all(u[i] == u[j] for i, j in ties):
                     continue
-                key = get(terms)
+                key = get(u)
                 hits = found.get(key)
                 if hits is None:
                     found[key] = [u]
@@ -296,17 +290,16 @@ class TGraph(_Value):
         that term there; a variable of t without a value matches anything,
         whatever the variables of this t-graph are called, and a repeated
         one meets equal terms in u.  One lookup in `by_mask`."""
-        terms = t.terms
         mask = []
         key = []
-        for i, x in enumerate(terms):
+        for i, x in enumerate(t):
             if x.is_var:
                 x = values.get(x) if values else None
                 if x is None:
                     continue
             mask.append(i)
             key.append(x)
-        index = self.by_mask(tuple(mask), ties_of(terms, mask))
+        index = self.by_mask(tuple(mask), ties_of(t, mask))
         return tuple(index.get(key[0] if len(key) == 1 else tuple(key), ()))
 
     def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
@@ -314,7 +307,7 @@ class TGraph(_Value):
         other variable of t left free, they come each once and in `str`
         order, as the triples are sorted by their text and no term's text
         holds a space."""
-        return [u.terms[pos] for u in self.matching(t, values)]
+        return [u[pos] for u in self.matching(t, values)]
 
     def __iter__(self):
         return iter(self.triples)
@@ -420,10 +413,11 @@ class Mapping:
         return substitute(t, self._map)
 
     def image(self, t: Triple) -> tuple[Term, Term, Term]:
-        """t's terms with the values of its variables in the domain in
-        place, a key of `TGraph.by_mask(ALL_BOUND)`; no `Triple` is built."""
+        """t with the values of its variables in the domain in place, as a
+        plain tuple of terms: equal to the `Triple` it would build, so it
+        is looked up in a t-graph's `triple_set` as it is."""
         get = self._map.get
-        return tuple(map(get, t.terms, t.terms))
+        return tuple(map(get, t, t))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.bindings)
@@ -443,32 +437,36 @@ def _data_lines(text: str):
 
 
 def parse_graph(text: str, *, ground: bool = False) -> TGraph:
-    """Parse a t-graph file; with ground=True reject variables (RDF graphs)."""
+    """Parse a t-graph file; with ground=True reject variables (RDF graphs).
+    A line of three tokens all seen before builds its triple at once; any
+    other line reads every token first, so a bad one is a `ParseError`."""
     triples = []
     # a token seen before costs one dict read here; a call through
     # parse_term and Term's table for each token measured slower (answers
     # throughput 14% lower, its setup_s 28% higher)
     known: dict[str, Term] = {}
-    for no, line in _data_lines(text):
-        if line.endswith("."):
-            line = line[:-1].rstrip()
-        tokens = line.split()
+    get = known.get
+    for no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        last = tokens[-1]
+        if last[-1] == ".":  # the line's one optional trailing "."
+            tokens[-1:] = [last[:-1]] if len(last) > 1 else []
         if len(tokens) != 3:
             raise ParseError(f"expected three terms, got {len(tokens)}", line=no)
-        found = []
-        fresh_var = False
-        for tok in tokens:
-            term = known.get(tok)
-            if term is None:
-                term = known[tok] = parse_term(tok, line=no)
-                # a ground parse stops at the first variable, so every
-                # variable token is new to the cache
-                fresh_var = fresh_var or term.is_var
-            found.append(term)
-        if ground and fresh_var:
-            worst = min((x for x in found if x.is_var), key=str)
+        s, p, o = tokens
+        s, p, o = get(s), get(p), get(o)
+        if s is not None and p is not None and o is not None:
+            triples.append(_triple((s, p, o)))
+            continue
+        t = _triple(tuple(get(tok) or known.setdefault(tok, parse_term(tok, line=no)) for tok in tokens))
+        # a ground parse stops at the first variable, so `known` holds none
+        # and a line of known tokens is ground
+        if ground and not t.is_ground():
+            worst = min(t.vars(), key=str)
             raise NonGroundGraph(f"variable {worst} in an RDF graph", line=no)
-        triples.append(Triple(*found))
+        triples.append(t)
     return TGraph(tuple(triples))
 
 

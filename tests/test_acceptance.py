@@ -247,7 +247,7 @@ def test_criterion_09_clique_reduction():
     def thaw_triple(t, inst):
         from wdsparql.terms import Triple
 
-        return Triple(*(inst.frozen.thaw(term) for term in t.terms))
+        return Triple(*(inst.frozen.thaw(term) for term in t))
 
     def check(h, tag):
         inst = generate_hard_instance(family, CliqueInstance(h, 2))

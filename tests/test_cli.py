@@ -43,6 +43,13 @@ def test_parse_error_is_exit_1(tmp_path):
     assert err.startswith("ERROR ParseError:")
 
 
+def test_iri_starting_with_a_comment_mark_is_one_error_line(tmp_path):
+    pattern = write(tmp_path, "hash.sparql", "(#a, p, ?x)")
+    code, out, err = run("check-wd", "--pattern", pattern)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["ERROR ParseError: bad IRI '#a' (at position 1)"]
+
+
 def test_to_forest(tmp_path):
     pattern = write(tmp_path, "p.sparql", P1_TEXT)
     code, out, _ = run("to-forest", "--pattern", pattern)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -30,7 +31,7 @@ from wdsparql.hardness import (
     verify_minor_map,
 )
 from wdsparql.hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman, maps_into_graph
-from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, serialize_graph, var
 from wdsparql.trees import WdPF, WdPT
 from wdsparql.width import Analysis, find_hard_witness
 
@@ -141,6 +142,26 @@ def test_gadget_k2_full_sweep():
             assert hom_exists(g, gadget) == expected  # brute-force double check
             assert_gadget_is_reference(family_g, h, 2, family_mm)
             assert_gadget_is_reference(family_g, h, 2, family_mm, cored=family_core)
+
+
+def test_gadget_bytes_are_pinned():
+    # the serialized gadgets of four seeded H per k; at k = 3 some anchors'
+    # rows lie outside their column's pair, so they take the edges missing
+    # their vertex, which k = 2 never does
+    expected = {
+        2: "61332bb6899694eee03d63afc20d0b11eace5eda84759474aaffa72c4adc501b",
+        3: "4dbd69f13342c4ac15bbe2fac162f216b4c13397617caa4259efd029b9cbcde4",
+    }
+    for k, clique_size in ((2, 3), (3, 9)):
+        g, cored, mm = family_gadget_inputs(clique_size, k)
+        rng = random.Random(41)
+        digest = hashlib.sha256()
+        for _ in range(4):
+            n = rng.randint(3, 5)
+            h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+            gadget = build_clique_gadget(g, CliqueInstance(h, k), mm, cored=cored)
+            digest.update(serialize_graph(gadget.tgraph).encode())
+        assert digest.hexdigest() == expected[k], k
 
 
 def test_gadget_rejects_a_core_that_is_not_a_subgraph():

@@ -32,7 +32,7 @@ from oracles import (
 from wdsparql import hom
 from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
-from wdsparql.terms import ALL_BOUND, Mapping, TGraph, Triple, iri, substitute, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, substitute, var
 
 PREDICATES = tuple(iri(p) for p in ("p", "q", "r", "s", "t"))
 NODES = tuple(iri(n) for n in ("a", "b", "c", "d")) + PREDICATES[:1]
@@ -79,7 +79,7 @@ def full_scan(graph, t):
     out = []
     for u in graph:
         h = {}
-        if all(h.setdefault(a, b) == b if a.is_var else a == b for a, b in zip(t.terms, u.terms)):
+        if all(h.setdefault(a, b) == b if a.is_var else a == b for a, b in zip(t, u)):
             out.append(u)
     return out
 
@@ -98,20 +98,20 @@ def test_matching_equals_full_scan():
             got = graph.matching(t, values)
             expected = [
                 u for u in full_scan(graph, t)
-                if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+                if all(u[i] == values[x] for i, x in enumerate(t) if x in values)
             ]
             assert list(got) == expected, (t, values)
-            if expected and len(t.vars()) < sum(x.is_var for x in t.terms):
+            if expected and len(t.vars()) < sum(x.is_var for x in t):
                 repeated_hits += 1
             if expected and t.s.is_iri:
                 iri_subject_hits += 1
             namesake_hits += any(
-                u.terms[i] != x
+                u[i] != x
                 for u in expected
-                for i, x in enumerate(t.terms)
+                for i, x in enumerate(t)
                 if x in graph.vars() and x not in values
             )
-            bound = [i for i, x in enumerate(t.terms) if x.is_iri or x in values]
+            bound = [i for i, x in enumerate(t) if x.is_iri or x in values]
             two_bound_hits += len(bound) > 1 and len(expected) < len(full_scan(graph, t))
     # the instances exercise the filters, not just empty answers
     assert repeated_hits > 20 and iri_subject_hits > 100
@@ -130,11 +130,11 @@ def test_values_at_equals_full_scan():
         values = {x: rng.choice(NODES + TARGET_VARS) for x in t.vars() if rng.random() < 0.6}
         matches = [
             u for u in full_scan(graph, t)
-            if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+            if all(u[i] == values[x] for i, x in enumerate(t) if x in values)
         ]
-        for pos, x in enumerate(t.terms):
+        for pos, x in enumerate(t):
             got = graph.values_at(t, pos, values)
-            assert got == [u.terms[pos] for u in matches], (t, values, pos)
+            assert got == [u[pos] for u in matches], (t, values, pos)
             if x.is_var and t.vars() - values.keys() == {x}:
                 # nothing else free: each value once, in `str` order
                 assert got == sorted(set(got), key=str)
@@ -331,7 +331,7 @@ def test_by_mask_equals_full_scan_for_every_mask():
             index = graph.by_mask(mask)
             for key, us in index.items():
                 terms = (key,) if len(mask) == 1 else key
-                assert us == [u for u in graph if tuple(u.terms[i] for i in mask) == terms]
+                assert us == [u for u in graph if tuple(u[i] for i in mask) == terms]
             assert sum(map(len, index.values())) == len(graph)
             # a pattern triple with the mask's positions bound (an IRI, or a
             # variable with a value) and the others free: two or three of
@@ -352,7 +352,7 @@ def test_by_mask_equals_full_scan_for_every_mask():
             t = Triple(terms[0], terms[1], terms[2])
             expected = [
                 u for u in full_scan(graph, t)
-                if all(u.terms[i] == values[x] for i, x in enumerate(t.terms) if x in values)
+                if all(u[i] == values[x] for i, x in enumerate(t) if x in values)
             ]
             assert list(graph.matching(t, values)) == expected, (t, values)
             bound = [terms[i] if terms[i].is_iri else values[terms[i]] for i in mask]
@@ -390,8 +390,8 @@ def test_planned_search_agrees_with_the_oracles():
         assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
         assert hom._solve(plan, target, pins) == found[:1]
         seen.add("found" if found else "none")
-        seen.update(f"iri at {i}" for t in source for i, x in enumerate(t.terms) if x.is_iri)
-        if any(len(t.vars()) < sum(x.is_var for x in t.terms) for t in source):
+        seen.update(f"iri at {i}" for t in source for i, x in enumerate(t) if x.is_iri)
+        if any(len(t.vars()) < sum(x.is_var for x in t) for t in source):
             seen.add("repeated")
         seen.update(f"pin to {'variable' if x.is_var else 'IRI'}" for x in pins.values())
         if source.vars() & target.vars() - pins.keys():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import parse_graph_by_lines
 from wdsparql.errors import (
     DuplicateBinding,
     IncompatibleMappings,
@@ -244,3 +245,105 @@ def test_terms_compare_and_hash_by_identity():
     x = var("x")
     assert hash(x) == object.__hash__(x)
     assert Triple(x, iri("p"), x) == Triple(var("x"), iri("p"), var("x"))
+
+
+def test_a_triple_is_the_tuple_of_its_terms():
+    a, p, b = iri("a"), iri("p"), iri("b")
+    t = Triple(a, p, b)
+    assert t == (a, p, b) and (a, p, b) == t and hash(t) == hash((a, p, b))
+    assert (a, p, b) in parse_graph("a p b")
+    assert (b, p, a) not in parse_graph("a p b")
+    # equality and hashing stay tuple's own, in C
+    assert Triple.__eq__ is tuple.__eq__ and Triple.__hash__ is tuple.__hash__
+    assert t.s is a and t.p is p and t.o is b and tuple(t) == (a, p, b)
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+        assert type(copied) is Triple and copied == t
+        assert copied.s is a and copied.o is b
+    with pytest.raises(AttributeError):
+        t.s = b
+    with pytest.raises(AttributeError):
+        t.extra = b
+    assert Triple(var("x"), p, var("x")).vars() == {var("x")}
+    assert t.is_ground() and not Triple(var("x"), p, b).is_ground()
+    assert str(t) == "a p b" and repr(t) == "Triple('a p b')"
+
+
+def test_an_iri_may_not_start_with_a_comment_mark():
+    # a graph line starting with "#" is a comment, so no IRI may start so
+    with pytest.raises(ValueError):
+        iri("#a")
+    with pytest.raises(ParseError):
+        parse_term("#a")
+    with pytest.raises(ParseError, match="bad IRI '#a'"):
+        parse_pattern("(#a, p, ?x)")
+    assert iri("a#b").name == "a#b"
+
+
+def test_graphs_round_trip_through_their_files():
+    rng = random.Random(23)
+    alphabet = "ab_:/#.-"
+    made = refused = 0
+    for _ in range(300):
+        triples = []
+        for _ in range(rng.randint(1, 4)):
+            found = []
+            for _ in range(3):
+                name = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                try:
+                    found.append(var(name) if rng.random() < 0.2 else iri(name))
+                except ValueError:
+                    # only an IRI starting with "#" and a variable name
+                    # outside [A-Za-z0-9_#] are refused
+                    refused += 1
+                    found.append(iri("c"))
+            triples.append(Triple(*found))
+        g = TGraph(tuple(triples))
+        assert parse_graph(serialize_graph(g)) == g
+        made += 1
+    assert made == 300 and refused > 0
+
+
+def random_graph_line(rng):
+    """A line of a graph file, good or bad: blank, a comment, or two to four
+    tokens (IRIs, variables, bad tokens) with or without a final `.`."""
+    pad = rng.choice(("", " ", "  ", "\t"))
+    kind = rng.random()
+    if kind < 0.1:
+        return pad
+    if kind < 0.2:
+        return pad + rng.choice(("#", "# a p b", "#a p b .", "#?x"))
+    if kind < 0.25:
+        return pad + rng.choice((".", " .", "..", ". ."))
+    pool = ["a", "b", "p", "q", "a.b", "x#y", "c.", "?x", "?y", "?z", "?#"]
+    if rng.random() < 0.1:
+        pool += ["b!d", "?", "?a-b", "#c", "a,b"]
+    n = rng.choice((2, 3, 3, 3, 3, 3, 4))
+    sep = rng.choice((" ", "  ", "\t"))
+    end = rng.choice(("", "", ".", " .", "..", " ..", " . .", " ", ". "))
+    return pad + sep.join(rng.choice(pool) for _ in range(n)) + end
+
+
+def test_parse_graph_equals_the_line_by_line_parser():
+    rng = random.Random(2718)
+
+    def outcome(parse, text, ground):
+        try:
+            return parse(text, ground=ground)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
+
+    seen = set()
+    for _ in range(3000):
+        lines = [random_graph_line(rng) for _ in range(rng.randint(0, 8))]
+        text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+        ground = rng.random() < 0.5
+        expected = outcome(parse_graph_by_lines, text, ground)
+        assert outcome(parse_graph, text, ground) == expected, (text, ground)
+        seen.add((ground, expected[0] if isinstance(expected, tuple) else TGraph))
+    assert seen >= {
+        (False, TGraph),
+        (True, TGraph),
+        (False, ParseError),
+        (True, ParseError),
+        (True, NonGroundGraph),
+    }
