@@ -2,8 +2,8 @@
 
 Exit codes: 0 = yes/success, 2 = no (decision negative or not well
 designed), 1 = usage/parse/runtime error.  Decisions travel through the
-exit code only; diagnostics go to stderr, results to stdout.  Library
-errors are printed as one machine-parsable line ``ERROR <Kind>: <detail>``;
+exit code only; diagnostics go to stderr, results to stdout.  A library
+or usage error prints one machine-parsable line ``ERROR <Kind>: <detail>``;
 any other exception, a defect, as ``ERROR Internal: <Type>: <detail>``.
 """
 
@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import randgen
-from .errors import DomainMismatch, InvalidK, WdError
+from .errors import InvalidK, UsageError, WdError
 from .evaluator import enumerate_solutions, eval_forest, eval_naive, eval_pebble
 from .hardness import (
     CliqueInstance,
@@ -29,7 +29,6 @@ from .terms import (
     Mapping,
     parse_graph,
     parse_mapping,
-    parse_term,
     parse_var_list,
     serialize_graph,
     serialize_mapping,
@@ -48,19 +47,11 @@ def _load_pattern(path: str):
 
 
 def _parse_dist(args) -> frozenset:
-    if args.dist is not None:
-        out = set()
-        for chunk in args.dist.split(","):
-            chunk = chunk.strip()
-            if chunk:
-                term = parse_term(chunk)
-                if not term.is_var:
-                    raise DomainMismatch(f"--dist expects variables, got {term}")
-                out.add(term)
-        return frozenset(out)
+    """The distinguished variables, from --dist (comma-separated) or
+    --dist-file (one a line), read by one parser."""
     if args.dist_file is not None:
         return parse_var_list(_read(args.dist_file))
-    return frozenset()
+    return parse_var_list((args.dist or "").replace(",", "\n"))
 
 
 def cmd_check_wd(args) -> int:
@@ -289,8 +280,16 @@ def cmd_selftest(args) -> int:
     return _tap(results)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `UsageError`, one line like any other
+    error; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="wdsparql",
         description="well-designed SPARQL evaluation, width analysis and hardness instances",
     )
@@ -326,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pebble", help="existential k-pebble game decision")
     p.add_argument("--tgraph", required=True)
-    p.add_argument("--dist", default=None, help="comma-separated ?vars")
-    p.add_argument("--dist-file", default=None)
+    dist = p.add_mutually_exclusive_group()
+    dist.add_argument("--dist", default=None, help="comma-separated ?vars")
+    dist.add_argument("--dist-file", default=None)
     p.add_argument("--graph", required=True)
     p.add_argument("--mapping", default=None)
     p.add_argument("--k", type=int, required=True)
@@ -359,26 +359,22 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
         return args.fn(args)
+    except SystemExit as exc:  # --help, the one exit left inside argparse
+        return 1 if exc.code not in (0, None) else 0
     except WdError as exc:
-        print(f"ERROR {exc.kind}: {exc}", file=sys.stderr)
-        return 1
+        error = f"{exc.kind}: {exc}"
     except ValueError as exc:
-        print(f"ERROR InvalidInput: {exc}", file=sys.stderr)
-        return 1
+        error = f"InvalidInput: {exc}"
     except OSError as exc:
-        print(f"ERROR IO: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # the parser and the pattern walks recurse on nesting depth
-        print("ERROR InstanceTooLarge: input nested too deeply to process", file=sys.stderr)
-        return 1
+        error = f"IO: {exc}"
+    except RecursionError:  # the parser and the pattern walks recurse on nesting depth
+        error = "InstanceTooLarge: input nested too deeply to process"
     except Exception as exc:  # a defect: still one line, never a traceback
-        print(f"ERROR Internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        error = f"Internal: {type(exc).__name__}: {exc}"
+    # a detail may quote input, line breaks included
+    print("ERROR", " ".join(error.splitlines()), file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

@@ -33,6 +33,10 @@ class DuplicateBinding(ParseError):
     pass
 
 
+class UsageError(WdError):
+    pass
+
+
 class IncompatibleMappings(WdError):
     pass
 

@@ -6,7 +6,7 @@ Three routes:
   pattern AST (works for arbitrary patterns, not just well-designed ones):
   AND and OPT are one hash join per pair of operand domains, on the
   shared variables, and every intermediate result is capped at
-  MAX_JOIN_MAPPINGS mappings.
+  MAX_MAPPINGS mappings.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
   mu's matched subtree in each tree and accepts when no child of it
@@ -16,7 +16,8 @@ Three routes:
   solution enumerator: it grows each tree's subtrees top down from the
   root's homomorphisms, deciding one frontier node at a time, so the
   search that tells whether a child extends a binding is also the one
-  that extends it.  It is capped at MAX_ENUM_VARS pattern variables.
+  that extends it.  Its pending states and found solutions share the
+  MAX_MAPPINGS cap.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
@@ -50,8 +51,7 @@ from .terms import Mapping, TGraph, Term, Triple
 from .trees import WdPF, WdPT
 from .width import Analysis
 
-MAX_ENUM_VARS = 12
-MAX_JOIN_MAPPINGS = 1_000_000
+MAX_MAPPINGS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,8 @@ def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
 
 
 def _check_size(n: int) -> None:
-    if n > MAX_JOIN_MAPPINGS:
-        raise InstanceTooLarge(
-            f"an intermediate result passed {MAX_JOIN_MAPPINGS} mappings"
-        )
+    if n > MAX_MAPPINGS:
+        raise InstanceTooLarge(f"an intermediate result passed {MAX_MAPPINGS} mappings")
 
 
 def _by_domain(mappings: list[Mapping]) -> dict[frozenset[Term], list[Mapping]]:
@@ -137,7 +135,7 @@ def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
     """The compositional set semantics; `p` need not be well designed.
 
     Evaluated bottom up with an explicit stack; an intermediate result of
-    more than MAX_JOIN_MAPPINGS mappings raises `InstanceTooLarge`."""
+    more than MAX_MAPPINGS mappings raises `InstanceTooLarge`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
     done: list[list[Mapping]] = []
@@ -217,28 +215,30 @@ def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
     return _decide(forest, graph, mu, _exact_extends)
 
 
-def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
-    """The solutions of one tree, top down: each state is a binding of the
-    nodes taken so far and the frontier still to decide.  A frontier node
-    with no extension of the binding is dropped; otherwise each extension
-    takes it, and its children join the frontier.  By well-designedness a
-    node meets the taken nodes only in its parent's variables, so its
-    extensions depend on those values alone and are searched once per
-    (node, values), each node's search planned once per call; siblings
-    are decided independently, so each (subtree, homomorphism) pair comes
-    out once."""
+def _tree_solutions(tree: WdPT, graph: TGraph, found: list[Mapping]) -> None:
+    """Append the solutions of one tree to `found`, top down: each state is
+    a binding of the nodes taken so far and the frontier still to decide.
+    A frontier node with no extension of the binding is dropped; otherwise
+    each extension takes it, and its children join the frontier.  By
+    well-designedness a node meets the taken nodes only in its parent's
+    variables, so its extensions depend on those values alone and are
+    searched once per (node, values), each node's search planned once per
+    call; siblings are decided independently, so each (subtree,
+    homomorphism) pair comes out once.  The pending states plus `found`
+    are held to MAX_MAPPINGS, checked whenever either grows."""
     shared = {
         c: tuple(tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
     }
     plans = {c: Plan(tree.label(c), pins) for c, pins in shared.items()}
     extensions: dict[tuple[int, tuple[Term, ...]], list[dict[Term, Term]]] = {}
-    found: list[Mapping] = []
     kids = tree.children(tree.root)
     stack = [(h, kids) for h in all_homomorphisms(tree.label(tree.root), graph)]
+    _check_size(len(stack) + len(found))
     while stack:
         binding, frontier = stack.pop()
         if not frontier:
             found.append(Mapping._valid(binding))
+            _check_size(len(stack) + len(found))
             continue
         c, rest = frontier[0], frontier[1:]
         pins = shared[c]
@@ -253,27 +253,27 @@ def _tree_solutions(tree: WdPT, graph: TGraph) -> list[Mapping]:
         else:
             grown = rest + tree.children(c)
             stack.extend(({**binding, **h}, grown) for h in exts)
-    return found
+            _check_size(len(stack) + len(found))
 
 
 def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
     """All solutions of the forest, tree by tree, by `_tree_solutions`.
 
-    Exponential in the worst case, and capped at MAX_ENUM_VARS pattern
-    variables; it searches each node's extensions once per binding of
-    the variables it shares with its parent.
+    Output-sensitive rather than bounded by the number of variables: each
+    node's extensions are searched once per binding of the variables it
+    shares with its parent, and every state grown leads to at least one
+    solution, as in the enumeration of Kröll, Pichler and Skritek, "On
+    the complexity of enumerating the answers to well-designed pattern
+    trees" (ICDT 2016).  Exponential in the worst case, since the
+    answers can be; more than MAX_MAPPINGS pending states and solutions
+    raise `InstanceTooLarge`, as in `eval_naive`.
     """
     forest.ensure_nr()
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    n_vars = len(forest.vars())
-    if n_vars > MAX_ENUM_VARS:
-        raise InstanceTooLarge(
-            f"{n_vars} pattern variables exceed the enumeration cap of {MAX_ENUM_VARS}"
-        )
     found: list[Mapping] = []
     for tree in forest:
-        found.extend(_tree_solutions(tree, graph))
+        _tree_solutions(tree, graph, found)
     return SolutionSet(tuple(found))
 
 

@@ -287,11 +287,9 @@ def find_homomorphism(
     return found[0] if found else None
 
 
-def maps_into_graph(
-    g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan | None = None
-) -> dict[Term, Term] | None:
-    """A homomorphism h from S to the ground graph with h(x) = mu(x) on X.
-    `plan`, if given, is a `Plan` of S pinning X, kept for reuse."""
+def check_target(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> None:
+    """Raise unless the graph is ground and mu binds exactly X, as every
+    test of (S, X) against a ground graph under mu requires."""
     if not graph.is_ground():
         raise NonGroundGraph("target graph contains variables")
     if mu.domain != g.dist:
@@ -299,6 +297,14 @@ def maps_into_graph(
             f"mapping domain {sorted(map(str, mu.domain))} differs from "
             f"distinguished set {sorted(map(str, g.dist))}"
         )
+
+
+def maps_into_graph(
+    g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan | None = None
+) -> dict[Term, Term] | None:
+    """A homomorphism h from S to the ground graph with h(x) = mu(x) on X.
+    `plan`, if given, is a `Plan` of S pinning X, kept for reuse."""
+    check_target(g, graph, mu)
     found = _solve(_checked(plan, g.tgraph, g.dist), graph, dict(mu.items()))
     return found[0] if found else None
 

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatch, InvalidK, NonGroundGraph, SearchTooLarge
-from .hom import GeneralizedTGraph, Plan, maps_into_graph
+from .errors import InvalidK, SearchTooLarge
+from .hom import GeneralizedTGraph, Plan, check_target, maps_into_graph
 from .terms import Mapping, TGraph, Term, substitute
 
 _Member = frozenset  # of (variable, iri) pairs
@@ -82,21 +82,15 @@ class ConsistencyFamily:
         return Mapping() in self.members
 
 
-def _check_inputs(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int) -> None:
+def _check_k(k: int) -> None:
     if k < 2:
         raise InvalidK(f"the pebble game needs k >= 2, got {k}")
-    if not graph.is_ground():
-        raise NonGroundGraph("pebble game target must be a ground RDF graph")
-    if mu.domain != g.dist:
-        raise DomainMismatch(
-            f"mapping domain {sorted(map(str, mu.domain))} differs from "
-            f"distinguished set {sorted(map(str, g.dist))}"
-        )
 
 
 def _fixpoint(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> set[_Member]:
+    check_target(g, graph, mu)
     free = sorted(g.free_vars(), key=lambda v: v.name)
     mu_sub = dict(mu.items())
 
@@ -222,7 +216,7 @@ def _fixpoint(
 def consistency_family(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> ConsistencyFamily:
-    _check_inputs(g, graph, mu, k)
+    _check_k(k)
     alive = _fixpoint(g, graph, mu, k)
     return ConsistencyFamily(k, frozenset(Mapping(tuple(f)) for f in alive))
 
@@ -233,7 +227,7 @@ def pebble_wins(
     """Whether the Duplicator wins the existential k-pebble game.  `plan`,
     if given, is a kept `hom.Plan` of g pinning its distinguished
     variables, for the homomorphism test."""
-    _check_inputs(g, graph, mu, k)
+    _check_k(k)
     if len(g.free_vars()) <= k:  # the Spoiler can pebble every free variable
         return maps_into_graph(g, graph, mu, plan=plan) is not None
     return frozenset() in _fixpoint(g, graph, mu, k)

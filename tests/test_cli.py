@@ -1,14 +1,22 @@
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hypothesis import given, seed, settings, strategies as st
+
 from fixtures import P1_TEXT, P2_TEXT, TRIANGLE_TAIL_MAPPING_TEXT, TRIANGLE_TAIL_TEXT, complete_graph_text
+from oracles import eval_forest_by_enumeration
 from wdsparql import cli
 from wdsparql.cli import main
+from wdsparql.patterns import parse_pattern
+from wdsparql.terms import parse_graph, parse_mapping
+from wdsparql.trees import to_forest
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -97,12 +105,31 @@ def test_join_cap_is_one_error_line(monkeypatch, tmp_path):
 
     pattern = write(tmp_path, "p.sparql", "((?x, p, ?y) AND (?z, p, ?w))")
     graph = write(tmp_path, "g.nt", "a p b\nb p c\n")
-    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 3)
-    code, out, err = run("eval-all", "--pattern", pattern, "--graph", graph, "--mode", "naive")
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("ERROR InstanceTooLarge:"), err
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 3)
+    for mode in ("naive", "lemma1"):
+        code, out, err = run("eval-all", "--pattern", pattern, "--graph", graph, "--mode", mode)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["ERROR InstanceTooLarge: an intermediate result passed 3 mappings"]
+
+
+def test_eval_all_past_twelve_variables(tmp_path):
+    """A 30-variable OPT chain with a few hundred solutions: lemma1 is
+    bounded by its answers, not by its variables."""
+    n = 30
+    text = f"(?x{n - 2}, p, ?x{n - 1})"
+    for i in range(n - 3, -1, -1):
+        text = f"((?x{i}, p, ?x{i + 1}) OPT {text})"
+    rng = random.Random(1)
+    triples = "".join(f"i{rng.randrange(30)} p i{rng.randrange(30)}\n" for _ in range(20))
+    pattern, graph = write(tmp_path, "p.sparql", text), write(tmp_path, "g.nt", triples)
+    code, out, err = run("eval-all", "--pattern", pattern, "--graph", graph, "--mode", "lemma1")
+    assert (code, err) == (0, "")
+    assert run("eval-all", "--pattern", pattern, "--graph", graph, "--mode", "naive") == (0, out, "")
+    forest, g = to_forest(parse_pattern(text)), parse_graph(triples)
+    solutions = [parse_mapping(line[1:-1].replace(", ", "\n")) for line in out.splitlines()]
+    assert len(forest.vars()) == n and len(solutions) == 295
+    assert all(eval_forest_by_enumeration(forest, g, mu) for mu in solutions)
 
 
 def test_width_command():
@@ -381,13 +408,24 @@ def test_bad_eval_modes_are_one_typed_error_line():
     pattern = str(DATA / "clique3.sparql")
     graph = str(DATA / "selfloop.nt")
     sol = str(DATA / "solution.map")
+    tg = str(DATA / "probe.tg")
+    inputs = ("--pattern", pattern, "--graph", graph)
     cases = (
-        (("eval", "--mapping", sol, "--mode", "pebble:x"), "ERROR InvalidK:"),
-        (("eval", "--mapping", sol, "--mode", "nope"), "ERROR InvalidInput:"),
-        (("eval-all", "--mode", "nope"), "ERROR InvalidInput:"),
+        (("eval", *inputs, "--mapping", sol, "--mode", "pebble:x"), "ERROR InvalidK:"),
+        (("eval", *inputs, "--mapping", sol, "--mode", "nope"), "ERROR InvalidInput:"),
+        (("eval-all", *inputs, "--mode", "nope"), "ERROR InvalidInput:"),
+        # usage errors: the same one line, never argparse's usage block
+        (("eval", "--pattern", pattern), "ERROR UsageError:"),
+        (("pebble", "--tgraph", tg, "--graph", graph, "--k", "two"), "ERROR UsageError:"),
+        (("width", "--pattern", pattern, "--measure", "zz"), "ERROR UsageError:"),
+        (("no-such-command",), "ERROR UsageError:"),
+        ((), "ERROR UsageError:"),
+        (("pebble", "--tgraph", tg, "--graph", graph, "--k", "2", "--dist", "?x",
+          "--dist-file", sol), "ERROR UsageError:"),
+        (("check-wd", "--pattern", pattern, "a\nb"), "ERROR UsageError:"),
     )
-    for (command, *rest), kind in cases:
-        code, out, err = run(command, "--pattern", pattern, "--graph", graph, *rest)
+    for argv, kind in cases:
+        code, out, err = run(*argv)
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -402,3 +440,71 @@ def test_dense_triangle_with_a_tail_is_an_answer_not_an_error(tmp_path):
         "eval", "--pattern", pattern, "--graph", graph, "--mapping", mapping, "--mode", "pebble:2",
     )
     assert (code, err) == (2, "")
+
+
+_FILES = {  # name: a valid content, the fuzz's starting point
+    "p.sparql": "((?x, p, ?y) OPT ((?y, p, ?z) AND (?z, p, ?x)))",
+    "g.nt": "a p b\nb p a\na p a",
+    "m.map": "?x = a\n?y = b",
+    "s.tg": "?x p ?y\n?y p ?z\n?z p ?x",
+    "x.dist": "?x",
+    "h.ug": "vertex u\nedge u v\nedge v w",
+    "mm.mm": "cell 1 1 : ?x\ncell 1 2 : ?y",
+}
+_VALID_ARGV = {
+    "check-wd": ("--pattern", "p.sparql"),
+    "to-forest": ("--pattern", "p.sparql"),
+    "eval": ("--pattern", "p.sparql", "--graph", "g.nt", "--mapping", "m.map", "--mode", "pebble:2"),
+    "eval-all": ("--pattern", "p.sparql", "--graph", "g.nt", "--mode", "lemma1"),
+    "width": ("--pattern", "p.sparql", "--measure", "dw", "--report"),
+    "pebble": ("--tgraph", "s.tg", "--graph", "g.nt", "--mapping", "m.map", "--dist-file", "x.dist", "--k", "2"),
+    "gen-hard": ("--pattern", "p.sparql", "--graph", "h.ug", "--k", "2", "--minor-map", "mm.mm",
+                 "--out-graph", "out.nt", "--out-mapping", "out.map", "--report", "out.txt"),
+    "selftest": ("--seed", "1", "--trials", "1"),
+}
+_ARGS = sorted({a for argv in _VALID_ARGV.values() for a in argv} | set(_VALID_ARGV)) + [
+    "naive", "pebble:1", "pebble:x", "bw", "local", "--check-width", "--dist", "?x,?y", "-1", "0", "3", "-h",
+]
+_VOCAB = ("(", ")", ",", "?x", "?y", "?z", "p", "a", "b", "AND", "OPT", "UNION", "=", "#",
+          "vertex", "edge", "cell", "1", "2", ":", "-")
+# no digits, so no edit asks selftest for a million trials
+_NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=8)
+
+
+def _contents(valid):
+    soup = st.lists(st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join), max_size=5)
+    return st.one_of(st.just(valid), st.text(max_size=30), soup.map("\n".join),
+                     soup.map(lambda lines: valid + "\n" + "\n".join(lines)))
+
+
+@seed(14)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.one_of(st.just([]), st.lists(st.tuples(  # half the runs keep the argv valid
+        st.integers(0, 20), st.one_of(st.sampled_from(_ARGS), _NO_DIGITS), st.booleans(),
+    ), min_size=1, max_size=3)),
+    st.fixed_dictionaries({name: _contents(valid) for name, valid in _FILES.items()}),
+)
+def test_every_error_exit_is_one_typed_line(edits, files):
+    """Every subcommand, any argv edits, any file contents: exit 0, 1 or 2,
+    and exit 1 with one `ERROR <Kind>:` line on stderr, never an internal
+    error."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)  # relative paths, the output files among them, stay in here
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text, encoding="utf-8")
+            for command, valid in _VALID_ARGV.items():
+                argv = [command, *valid]
+                for at, token, insert in edits:  # each inserts or overwrites a token
+                    at = min(at, len(argv))
+                    argv[at : at + (not insert)] = [token]
+                code, _, err = run(*argv)
+                assert code in (0, 1, 2), (argv, code)
+                if code == 1:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("ERROR "), (argv, err)
+                    assert not lines[0].startswith("ERROR Internal"), (argv, err)
+        finally:
+            os.chdir(cwd)

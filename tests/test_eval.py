@@ -95,13 +95,32 @@ def test_single_node_tree_without_children():
 
 
 def test_enumeration_cap(monkeypatch):
+    """Both modes share one cap on mappings: lemma1 counts its pending
+    states plus its solutions, checked whenever either grows."""
     import wdsparql.evaluator as evaluator
 
-    rng = random.Random(1)
-    forest = random_forest(rng)
-    monkeypatch.setattr(evaluator, "MAX_ENUM_VARS", 0)
+    p = parse_pattern("((?x, p, ?y) OPT (?z, p, ?w))")
+    graph = parse_graph("a p b\nb p c")
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 4)
+    assert len(enumerate_solutions(to_forest(p), graph)) == 4  # at the cap
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 3)
+    errors = []
+    for run in (lambda: eval_naive(p, graph), lambda: enumerate_solutions(to_forest(p), graph)):
+        with pytest.raises(InstanceTooLarge) as caught:
+            run()
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    # it stops within the cap plus one node's extensions, as the join does,
+    # also where extensions nest before the first solution is found
+    deep = parse_pattern("((?x, p, ?y) OPT ((?z, p, ?w) OPT (?u, p, ?v)))")
+    wide = parse_graph("".join(f"s{i} p o{i}\n" for i in range(60)))
+    sizes = []
+    check = evaluator._check_size
+    monkeypatch.setattr(evaluator, "_check_size", lambda n: (sizes.append(n), check(n)))
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 100)
     with pytest.raises(InstanceTooLarge):
-        enumerate_solutions(forest, parse_graph("a p b"))
+        enumerate_solutions(to_forest(deep), wide)
+    assert 100 < max(sizes) <= 100 + 60
 
 
 def test_oracle_triangle():
@@ -270,12 +289,12 @@ def test_join_cap(monkeypatch):
 
     p = parse_pattern("((?x, p, ?y) OPT (?z, p, ?w))")
     graph = parse_graph("a p b\nb p c")
-    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 4)
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 4)
     assert len(eval_naive(p, graph)) == 4  # at the cap
-    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 3)
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 3)
     with pytest.raises(InstanceTooLarge):
         eval_naive(p, graph)
-    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 1)
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 1)
     with pytest.raises(InstanceTooLarge):  # a triple's matches count too
         eval_naive(parse_pattern("(?x, p, ?y)"), graph)
     # a join stops soon after it passes the cap, not once all 60 x 60 are built
@@ -283,7 +302,7 @@ def test_join_cap(monkeypatch):
     sizes = []
     check = evaluator._check_size
     monkeypatch.setattr(evaluator, "_check_size", lambda n: (sizes.append(n), check(n)))
-    monkeypatch.setattr(evaluator, "MAX_JOIN_MAPPINGS", 100)
+    monkeypatch.setattr(evaluator, "MAX_MAPPINGS", 100)
     with pytest.raises(InstanceTooLarge):
         eval_naive(parse_pattern("((?x, p, ?y) AND (?z, p, ?w))"), wide)
     assert 100 < max(sizes) <= 100 + 60
