@@ -1,0 +1,6 @@
+"""`python -m wdsparql`: the `wdsparql` command line."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

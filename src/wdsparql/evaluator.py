@@ -9,15 +9,16 @@ Three routes:
   MAX_MAPPINGS mappings.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
-  mu's matched subtree in each tree and accepts when no child of it
-  "extends", a test it takes as an argument; here the test is exact, a
-  homomorphism search.  `eval_tree` is `eval_forest` on a one-tree
-  forest.  `enumerate_solutions` turns the same characterization into a
-  solution enumerator: it grows each tree's subtrees top down from the
-  root's homomorphisms, deciding one frontier node at a time, so the
-  search that tells whether a child extends a binding is also the one
-  that extends it.  Its pending states and found solutions share the
-  MAX_MAPPINGS cap.
+  mu's matched subtree in each tree (`matched_subtree`: the tree keeps
+  the subtree of each domain, and the graph is asked only for its image)
+  and accepts when no child of it "extends", a test it takes as an
+  argument; here the test is exact, a homomorphism search.  `eval_tree`
+  is `eval_forest` on a one-tree forest.  `enumerate_solutions` turns the
+  same characterization into a solution enumerator: it grows each tree's
+  subtrees top down from the root's homomorphisms, deciding one frontier
+  node at a time, so the search that tells whether a child extends a
+  binding is also the one that extends it.  Its pending states and found
+  solutions share the MAX_MAPPINGS cap.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
@@ -161,26 +162,21 @@ def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
 
 
 def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | None:
-    """The unique subtree whose pattern mu maps into the graph, if any.
+    """The unique subtree with exactly mu's variables whose pattern mu maps
+    into the graph, if any: `WdPT.subtree_of(dom(mu))`, a function of the
+    domain alone that the tree keeps, accepted when the graph holds the
+    image under mu of each of its pattern triples.
 
-    Greedy maximal inclusion of nodes n with vars(n) inside dom(mu) and
-    mu(pat(n)) inside the graph; NR normal form makes the result unique.
-    Returns None when even the maximal candidate misses part of dom(mu).
-    Each label triple's image under mu, a plain tuple of terms, is looked
-    up in the graph's `triple_set`.
-    """
+    This is exactly the greedy walk that takes each node whose variables
+    lie in dom(mu) and whose image lies in the graph: a node of the
+    subtree that fails the graph introduces a variable its parent lacks
+    (NR normal form), every node holding that variable lies below it
+    (connectedness), so the walk misses that variable and finds none."""
     tree.ensure_nr()
-    dom = mu.domain
-    full = graph.triple_set
-
-    def fits(n: int) -> bool:
-        label = tree.label(n)
-        return label.vars() <= dom and all(mu.image(t) in full for t in label)
-
-    nodes = tree.maximal_subtree(fits)
-    if nodes is None or tree.vars(nodes) != dom:
+    hit = tree.subtree_of(mu.domain)
+    if hit is None or not mu.images_in(hit[1], graph):
         return None
-    return nodes
+    return hit[0]
 
 
 def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan) -> bool:

@@ -283,7 +283,7 @@ def _check_gadget(
     for t in original.tgraph:
         if t.vars() <= dist and t not in gadget.tgraph:
             raise AssertionError("an all-distinguished triple went missing")
-    # each triple under the projection, a plain tuple as `Mapping.image` gives
+    # each triple under the projection, a plain tuple as in `Mapping.images_in`
     get = projection.get
     core_triples = cored.tgraph.triple_set
     for t in gadget.tgraph:

@@ -19,8 +19,8 @@ matter (the rules are monotone), so a worklist suffices.
 Before any member is generated, each free variable's domain is pruned to
 arc consistency: the values that unary templates admit, shrunk until,
 under every template over exactly two free variables (read once from the
-graph's (position, term) index as a relation of value pairs), each value
-has a partner in the other variable's domain.  This keeps the fixpoint
+graph by `TGraph.matching` as a relation of value pairs), each value has
+a partner in the other variable's domain.  This keeps the fixpoint
 the same, because k >= 2 consistency implies arc consistency (Dalmau,
 Kolaitis and Vardi 2002): a one-point member of the fixpoint extends, by
 the forth property, to every other variable, and that extension is a
@@ -31,13 +31,13 @@ members that would die anyway are no longer generated.  An empty domain
 empties the family.
 
 The family is generated level by level, as in arc consistency with support
-sets.  The values tried for a new variable x are those of its pruned
-domain that every template whose only unbound variable, once the member is
-substituted, is x admits among that template's matches in the index.  Each
-member then keeps, per variable it lacks, the set of values whose
-one-point extensions are alive; an empty set breaks the forth property,
-and a dead member's one-point extensions are found in its own sets.  The
-generation raises `SearchTooLarge` past MAX_FAMILY_MEMBERS members.
+sets.  The values tried for a new variable x are those of its pruned domain
+that every template whose only unbound variable, once the member is
+substituted, is x admits (`TGraph.values_at` over `by_mask`).  Each member
+then keeps, per variable it lacks, the set of values whose one-point
+extensions are alive; an empty set breaks the forth property, and a dead
+member's one-point extensions are found in its own sets.  The generation
+raises `SearchTooLarge` past MAX_FAMILY_MEMBERS members.
 
 Special case worth stating: if the graph has an empty IRI domain and free
 variables remain, the Duplicator has nowhere to put a pebble and loses.

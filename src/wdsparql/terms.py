@@ -25,8 +25,8 @@ directly, with keys of terms and no `Triple` built, and
 onto, with these values for some of its variables" from it, for the
 evaluator and the pebble game; `TGraph.values_at` reads one position of
 those matches.  A mapping keeps a dict beside its sorted bindings;
-`Mapping.image` gives a triple under it as a plain tuple of terms, which
-a membership test looks up in `triple_set` as it is.
+`Mapping.images_in` puts a triple under it as a plain tuple of terms,
+which a membership test looks up in `triple_set` as it is.
 
 File formats
 ------------
@@ -412,12 +412,15 @@ class Mapping:
             raise UnboundVariable(f"variable {worst} is not bound")
         return substitute(t, self._map)
 
-    def image(self, t: Triple) -> tuple[Term, Term, Term]:
-        """t with the values of its variables in the domain in place, as a
-        plain tuple of terms: equal to the `Triple` it would build, so it
-        is looked up in a t-graph's `triple_set` as it is."""
-        get = self._map.get
-        return tuple(map(get, t, t))
+    def images_in(self, triples, graph: TGraph) -> bool:
+        """Whether the graph holds each triple with the values of its
+        variables in the domain in place, a plain tuple of terms looked up
+        in `triple_set` as it is (equal to the `Triple` it would build)."""
+        get, full = self._map.get, graph.triple_set
+        for t in triples:
+            if tuple(map(get, t, t)) not in full:
+                return False
+        return True
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.bindings)

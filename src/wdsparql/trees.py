@@ -33,6 +33,7 @@ class WdPT:
         self.parents = dict(parents)
         self.labels = dict(labels)
         self._children: dict[int, tuple[int, ...]] = {n: () for n in self.labels}
+        self._subtrees: dict = {}  # subtree_of's finds, by variable set
         self._validate()
         self._nr = all(
             self.node_vars(n) - self.node_vars(p) for n, p in self.parents.items()
@@ -120,19 +121,22 @@ class WdPT:
 
         return tuple(sorted(grow(self.root), key=lambda s: tuple(sorted(s))))
 
-    def maximal_subtree(self, fits) -> frozenset[int] | None:
-        """The largest root-containing subtree all of whose nodes pass
-        `fits`, grown breadth first; None when the root fails."""
-        if not fits(self.root):
-            return None
-        keep = {self.root}
-        queue = list(self.children(self.root))
-        while queue:
-            n = queue.pop(0)
-            if fits(n):
-                keep.add(n)
-                queue.extend(self.children(n))
-        return frozenset(keep)
+    def subtree_of(self, variables: frozenset[Term]) -> tuple[frozenset[int], tuple[Triple, ...]] | None:
+        """The root subtree whose variables are exactly `variables`, with
+        its pattern triples, or None: the nodes whose variables lie inside
+        `variables`, grown from the root, if they cover them all (in NR
+        normal form it is the only such subtree).  A find is kept under its
+        variable set and a miss is not, so the table never holds more
+        entries than the tree has root subtrees."""
+        hit = self._subtrees.get(variables)
+        if hit is None and self.node_vars(self.root) <= variables:
+            keep = [self.root]
+            for n in keep:  # breadth first: `keep` grows as it is read
+                keep.extend(c for c in self.children(n) if self.node_vars(c) <= variables)
+            if self.vars(keep) == variables:
+                triples = tuple(t for n in sorted(keep) for t in self.labels[n])
+                hit = self._subtrees[variables] = (frozenset(keep), triples)
+        return hit
 
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
@@ -364,18 +368,11 @@ def render_forest(forest: WdPF) -> str:
 
 
 def support(forest: WdPF, sub: Subtree) -> dict[int, Subtree]:
-    """Indices of trees owning a subtree with exactly the same variables.
-
-    The witness per index is the maximal subtree all of whose node variable
-    sets fit inside vars(sub); NR normal form makes it the unique witness.
-    """
+    """Indices of trees owning a subtree with exactly the same variables,
+    each with that subtree, unique in NR normal form (`WdPT.subtree_of`)."""
     target = subtree_vars(forest, sub)
-    out: dict[int, Subtree] = {}
-    for i, tree in enumerate(forest.trees):
-        keep = tree.maximal_subtree(lambda n: tree.node_vars(n) <= target)
-        if keep is not None and tree.vars(keep) == target:
-            out[i] = Subtree(i, keep)
-    return out
+    hits = {i: tree.subtree_of(target) for i, tree in enumerate(forest.trees)}
+    return {i: Subtree(i, hit[0]) for i, hit in hits.items() if hit is not None}
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,17 @@ def test_selftest_smoke():
     assert all(line.startswith("ok") for line in lines[1:])
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wdsparql", "selftest", "--trials", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert lines[0].startswith("1..") and all(line.startswith("ok") for line in lines[1:])
+
+
 def test_selftest_is_seed_reproducible():
     a = run("selftest", "--seed", "11", "--trials", "4")
     b = run("selftest", "--seed", "11", "--trials", "4")

@@ -207,9 +207,11 @@ def test_single_node_forest_solutions_are_triple_matches():
 
 
 def test_matched_subtree_matches_enumeration():
-    """The greedy walk against every subtree, on mappings built from a
-    random subtree's image, some with a variable dropped, one added, or the
-    variables of a node outside the subtree added."""
+    """The lookup by domain (`WdPT.subtree_of`) and its image check
+    against every subtree, on mappings built from a random subtree's image,
+    some with a variable dropped, one added, or the variables of a node
+    outside the subtree added.  Each trial draws a fresh tree, so each
+    lookup walks the tree; table hits are tested below."""
     rng = random.Random(23)
     outcomes = {"none": 0, "found": 0, "dropped": 0, "added": 0, "node added": 0}
     trials = 300
@@ -243,6 +245,46 @@ def test_matched_subtree_matches_enumeration():
         outcomes["none" if found is None else "found"] += 1
     assert outcomes["none"] >= trials // 5 and outcomes["found"] >= trials // 5, outcomes
     assert min(outcomes["dropped"], outcomes["added"], outcomes["node added"]) >= 30, outcomes
+
+
+def test_matched_subtree_table_hits_match_enumeration():
+    """One tree, hundreds of mappings over a few domains, several graphs:
+    after the first lookup of a domain each call hits the tree's table of
+    subtrees, and must still ask the graph for the image.  The table keeps
+    only domains that name a subtree, at most one entry per subtree."""
+    rng = random.Random(29)
+    tree = random_tree(rng, max_nodes=6)
+    while len(tree.subtree_nodesets()) < 5:
+        tree = random_tree(rng, max_nodes=6)
+    nodesets = tree.subtree_nodesets()
+    named = {tree.vars(ns) for ns in nodesets}
+    subtree_domains = [tree.vars(ns) for ns in rng.sample(nodesets, 4)]
+    order = sorted(tree.vars(), key=str)
+    # past the root, so the walk runs before it finds no subtree
+    below = sorted(tree.vars() - tree.node_vars(tree.root), key=str)
+    dropped = [d - {x} for d in subtree_domains for x in below if x in d and d - {x} not in named]
+    other_domains = [dropped[0], subtree_domains[0] | {var("extra")}]
+    outcomes = {d: set() for d in subtree_domains}
+    graphs = []
+    for _ in range(4):
+        images = [{v: rng.choice(IRIS[:3]) for v in order} for _ in range(2)]
+        planted = TGraph(tuple(substitute(t, image) for image in images for t in tree.pat()))
+        graphs.append((random_rdf_graph(rng, max_iris=3, max_triples=3) | planted, images))
+    for _ in range(600):
+        graph, images = rng.choice(graphs)
+        domain = rng.choice(subtree_domains + other_domains)
+        image = rng.choice(images)
+        mu = Mapping.of(
+            {v: image.get(v, IRIS[0]) if rng.random() < 0.85 else rng.choice(IRIS[:3]) for v in domain}
+        )
+        found = matched_subtree(tree, graph, mu)
+        assert found == matched_subtree_by_enumeration(tree, graph, mu)
+        if domain in outcomes:
+            outcomes[domain].add(found is None)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+    assert set(tree._subtrees) == set(subtree_domains)
+    assert len(tree._subtrees) <= len(nodesets)
+    assert not any(d in tree._subtrees for d in other_domains)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import ast
+import io
 import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -25,3 +27,16 @@ def test_readme_lists_every_cap_with_its_value():
     assert len(caps) >= 10
     assert listed == caps
     assert set(re.findall(r"MAX_[A-Z_]+", readme)) == {name.split(".")[1] for name in caps}
+
+
+def test_readme_library_block_prints_its_comments():
+    """README's `## Library` block runs, and each `print` line prints
+    the value its `# ...` comment shows."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert expected and len(expected) == block.count("print(")
+    assert out.getvalue().splitlines() == expected
