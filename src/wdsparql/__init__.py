@@ -14,6 +14,7 @@ from .graphs import TreeDecomposition, UndirectedGraph, grid_graph, tree_decompo
 from .hardness import (
     CliqueInstance,
     FrozenInstance,
+    GadgetPlan,
     MinorMap,
     build_clique_gadget,
     find_grid_minor,

@@ -141,6 +141,14 @@ def cmd_gen_hard(args) -> int:
     return 0
 
 
+# two trees over ?x p ?y: one with a triangle child, whose core carries
+# the (2 x 1)-grid minor of a 2-clique gadget (domination width 2)
+_CLIQUE_FAMILY = (
+    "((((?x, p, ?y) OPT (?z, q, ?x)) OPT ((((?y, r, ?o1) AND (?o1, r, ?o2))"
+    " AND (?o1, r, ?o3)) AND (?o2, r, ?o3))) UNION ((?x, p, ?y) OPT ((?z, q, ?x) AND (?w, q, ?z))))"
+)
+
+
 def _tap(results) -> int:
     print(f"1..{len(results)}")
     failures = 0
@@ -216,9 +224,21 @@ def cmd_selftest(args) -> int:
                 return False
         return True
 
+    def random_h():
+        from .graphs import UndirectedGraph
+
+        n = rng.randint(2, 5)
+        names = [f"h{i}" for i in range(n)]
+        edges = [
+            (a, b)
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+            if rng.random() < 0.4
+        ]
+        return UndirectedGraph.of(names, edges)
+
     def hardness_smallest_scale():
         from .hardness import build_clique_gadget, find_grid_minor, has_clique
-        from .graphs import UndirectedGraph
         from .hom import core, gaifman
         from .terms import TGraph, Triple, var, iri
 
@@ -227,17 +247,22 @@ def cmd_selftest(args) -> int:
         )
         mm = find_grid_minor(gaifman(core(g)), 2, 1)
         for _ in range(trials):
-            n = rng.randint(2, 5)
-            names = [f"h{i}" for i in range(n)]
-            edges = [
-                (a, b)
-                for i, a in enumerate(names)
-                for b in names[i + 1 :]
-                if rng.random() < 0.4
-            ]
-            h = UndirectedGraph.of(names, edges)
+            h = random_h()
             gadget = build_clique_gadget(g, CliqueInstance(h, 2), mm)
             if (find_homomorphism(g, gadget) is not None) != has_clique(h, 2):
+                return False
+        return True
+
+    def hard_instance_smallest_scale():
+        from .hardness import has_clique
+
+        # one forest, so its Analysis plans the gadget once and every H
+        # takes the frozen path
+        forest = to_forest(parse_pattern(_CLIQUE_FAMILY))
+        for _ in range(trials):
+            h = random_h()
+            inst = generate_hard_instance(forest, CliqueInstance(h, 2))
+            if has_clique(h, 2) == eval_forest(forest, inst.graph, inst.mapping):
                 return False
         return True
 
@@ -277,6 +302,7 @@ def cmd_selftest(args) -> int:
     check("relaxed evaluation sound and width-complete", relaxed_evaluation)
     check("clique gadget equivalence at the smallest scale", hardness_smallest_scale)
     check("planned search equals brute force", planned_search)
+    check("hard instance at the smallest scale", hard_instance_smallest_scale)
     return _tap(results)
 
 

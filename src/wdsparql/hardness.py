@@ -14,12 +14,22 @@ the reduction instance: H has a k-clique iff the mapping is NOT a solution
 of the original forest over the frozen graph.  No asymptotic excluded-grid
 bound is consulted anywhere; the generator demands the concrete, verified
 witness instead.
+
+What depends on (S, X), its core, the minor map and k alone is a
+`GadgetPlan`: checked and compiled once, and kept per k in the forest's
+`Analysis` for the forest's own witness core and grid minor.  Each H then
+only instantiates the plan, in one pass: `build_clique_gadget` makes the
+gadget's variables, and `generate_hard_instance` makes their frozen IRIs
+directly, with no gadget variable and no second substitution.  The
+per-H checks (vertex names, the two gadget properties, the frozen
+mapping's domain) run on every instance.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -33,7 +43,7 @@ from .errors import (
 )
 from .graphs import UndirectedGraph, grid_graph
 from .hom import GeneralizedTGraph, core, gaifman
-from .terms import Mapping, TGraph, Term, Triple, _data_lines, _triple, iri, parse_term, substitute, var
+from .terms import Mapping, TGraph, Term, Triple, _data_lines, _interned, _triple, parse_term, var
 from .trees import WdPF, subtree_vars
 from .width import Analysis, HardWitness
 
@@ -178,6 +188,165 @@ def pair_bijection(k: int) -> tuple[frozenset, ...]:
     return tuple(frozenset(pair) for pair in combinations(range(1, k + 1), 2))
 
 
+class GadgetPlan:
+    """The part of a clique gadget that depends on (g, cored, mm, k) alone,
+    checked and compiled once, so that each clique instance H only
+    instantiates it.
+
+    Building it runs every check those inputs decide: `cored` is a
+    subgraph of g with g's distinguished set, and the minor map covers one
+    connected component of the core's Gaifman graph, has the
+    (k x C(k,2)) shape and passes `verify_minor_map`.  It keeps each
+    anchor (a variable of that component) with whether its grid row lies
+    in its column's pair and the tail `#row#column#anchor` of its terms'
+    names; the core triples leaning on another component, kept verbatim;
+    and the others as templates, with a slot per position: None for a
+    term kept as it is, or the anchor there and the earlier anchor slots
+    in its row and in its column, whose vertex and edge it must take.
+    Freezing adds, on first use, the reserved-prefix check on the core's
+    IRIs and the frozen IRI of every core variable.
+    """
+
+    def __init__(self, g: GeneralizedTGraph, cored: GeneralizedTGraph, mm: MinorMap, k: int):
+        if cored.dist != g.dist or not cored.tgraph.triple_set <= g.tgraph.triple_set:
+            raise ValueError("the given core is not a subgraph of the t-graph")
+        gaif = gaifman(cored)
+        covered = mm.covered()
+        if covered not in gaif.components():
+            raise ComponentMismatch(
+                "minor-map target is not a connected component of the core's Gaifman graph"
+            )
+        pairs = pair_bijection(k)
+        if (mm.rows, mm.cols) != (k, len(pairs)):
+            raise InvalidMinorMap(
+                f"expected a ({k} x {len(pairs)})-grid map, got ({mm.rows} x {mm.cols})"
+            )
+        if not verify_minor_map(mm, gaif.subgraph(covered)):
+            raise InvalidMinorMap("minor map fails verification against the component")
+        self.original = g
+        self.cored = cored
+        self.minor_map = mm
+        cell_of = {anchor: cell for cell, vs in mm.cells for anchor in vs}
+        self.anchors: dict[Term, tuple[bool, str]] = {
+            anchor: (i in pairs[p - 1], f"#{i}#{p}#{anchor.name}")
+            for anchor, (i, p) in cell_of.items()
+        }
+        dist = cored.dist
+        kept: list[Triple] = []
+        templates: list[tuple[Triple, tuple]] = []
+        for t in cored.tgraph:
+            if any(v not in dist and v not in covered for v in t.vars()):
+                kept.append(t)  # leans on another component; projects to itself
+                continue
+            slots: list = []
+            seen: list[tuple[int, int]] = []  # the cell of each anchor slot so far
+            for x in t:
+                if x not in cell_of:
+                    slots.append(None)
+                    continue
+                i, p = cell_of[x]
+                row = next((n for n, (r, _) in enumerate(seen) if r == i), None)
+                column = next((n for n, (_, c) in enumerate(seen) if c == p), None)
+                slots.append((x, self.anchors[x][0], row, column))
+                seen.append((i, p))
+            templates.append((t, tuple(slots)))
+        self.kept = tuple(kept)
+        self.templates = tuple(templates)
+
+    @cached_property
+    def _frozen(self) -> tuple[tuple, tuple, dict[Term, Term], Mapping]:
+        """The kept triples and templates with every core variable made its
+        frozen IRI, the frozen IRI -> variable map, and the mapping of the
+        distinguished variables to their frozen IRIs."""
+        _check_prefix(self.cored.tgraph)
+        # `frz:` and a variable name: valid by construction
+        frozen = {
+            v: _interned("iri", FROZEN_PREFIX + v.name)
+            for v in self.cored.tgraph.vars() | self.cored.dist
+        }
+        get = frozen.get
+        kept = tuple(_triple(map(get, t, t)) for t in self.kept)
+        templates = tuple((_triple(map(get, t, t)), slots) for t, slots in self.templates)
+        mapping = Mapping._valid({x: frozen[x] for x in self.cored.dist})
+        return kept, templates, {a: v for v, a in frozen.items()}, mapping
+
+    def gadget(self, h: UndirectedGraph) -> GeneralizedTGraph:
+        """The gadget (B, X) for H, its variables named `?g#...`."""
+        triples, projection = self._instantiate(h, "var", "", self.kept, self.templates)
+        gadget = GeneralizedTGraph(TGraph(tuple(triples)), self.cored.dist, declared=True)
+        _check_gadget(self.original, self.cored, gadget, projection)
+        return gadget
+
+    def freeze(self, h: UndirectedGraph) -> FrozenInstance:
+        """`freeze(self.gadget(h))`, built in one pass: each gadget term is
+        made as its frozen IRI `frz:g#...`, and no gadget variable is made."""
+        kept, templates, thawed, mapping = self._frozen
+        triples, projection = self._instantiate(h, "iri", FROZEN_PREFIX, kept, templates)
+        projection.update(thawed)
+        graph = TGraph(tuple(triples))
+        _check_gadget(
+            self.original, self.cored, GeneralizedTGraph(graph, frozenset()), projection
+        )
+        return FrozenInstance(graph, mapping)
+
+    def _instantiate(
+        self, h: UndirectedGraph, kind: str, prefix: str, kept: tuple, templates: tuple
+    ) -> tuple[list[Triple], dict[Term, Term]]:
+        """The triples of the gadget for H (as `build_clique_gadget` states
+        it) from `kept` and `templates`, and the projection from each gadget
+        term to its anchor.  A gadget term is of `kind`, named `prefix` +
+        `g#v#a#b#row#column#anchor` for vertex v and edge ab."""
+        for v in h.vertices:
+            if not isinstance(v, str) or not _H_NAME.match(v):
+                raise ValueError(f"graph vertex names must be plain tokens, got {v!r}")
+        h_vertices = sorted(h.vertices)
+        h_edges = sorted(tuple(sorted(e)) for e in h.edges)
+
+        # Per side (whether `vertex in edge`): the (vertex, edge) pairs on
+        # it, the stems of their terms' names, and the pairs listed under
+        # every key (vertex or None, edge or None) they agree with, so that
+        # the pairs consistent with a partial combination are one lookup
+        # away.  The names hold checked H names, integers and a variable
+        # name: valid by construction.
+        sides = {}
+        for in_pair in {in_pair for in_pair, _ in self.anchors.values()}:
+            pairs = [(v, e) for v in h_vertices for e in h_edges if (v in e) == in_pair]
+            keyed: dict[tuple, list] = {}
+            for ve in pairs:
+                v, e = ve
+                for key in (ve, (v, None), (None, e), (None, None)):
+                    keyed.setdefault(key, []).append(ve)
+            stems = [f"{prefix}g#{v}#{e[0]}#{e[1]}" for v, e in pairs]
+            sides[in_pair] = (pairs, stems, keyed)
+        projection: dict[Term, Term] = {}
+        terms_of: dict[Term, dict] = {}
+        for anchor, (in_pair, tail) in self.anchors.items():
+            pairs, stems, _ = sides[in_pair]
+            made = [_interned(kind, stem + tail) for stem in stems]
+            terms_of[anchor] = dict(zip(pairs, made))
+            projection.update(dict.fromkeys(made, anchor))
+
+        triples = list(kept)
+        for t, slots in templates:
+            # partial combinations: (terms so far, (vertex, edge) per anchor slot)
+            partial: list[tuple[tuple[Term, ...], tuple]] = [((), ())]
+            for term, slot in zip(t, slots):
+                if slot is None:
+                    partial = [(terms + (term,), chosen) for terms, chosen in partial]
+                    continue
+                anchor, in_pair, row, column = slot
+                keyed, term_of = sides[in_pair][2], terms_of[anchor]
+                grown = []
+                for terms, chosen in partial:
+                    need_v = None if row is None else chosen[row][0]
+                    need_e = None if column is None else chosen[column][1]
+                    for ve in keyed.get((need_v, need_e), ()):
+                        grown.append((terms + (term_of[ve],), chosen + (ve,)))
+                partial = grown
+            triples.extend([_triple(terms) for terms, _ in partial])
+        return triples, projection
+
+
 def build_clique_gadget(
     g: GeneralizedTGraph,
     inst: CliqueInstance,
@@ -185,7 +354,8 @@ def build_clique_gadget(
     *,
     cored: GeneralizedTGraph | None = None,
 ) -> GeneralizedTGraph:
-    """The t-graph (B, X) whose homomorphism test encodes k-clique search.
+    """The t-graph (B, X) whose homomorphism test encodes k-clique search:
+    a `GadgetPlan` of the inputs, instantiated for H.
 
     One fresh variable per (graph vertex, graph edge, grid row, grid column,
     anchor) combination with `vertex in edge  iff  row in pair(column)`; the
@@ -196,81 +366,9 @@ def build_clique_gadget(
     `cored` is the core of g when the caller has it already (an analysis
     does); it must be a subgraph of g with g's distinguished set.
     """
-    k = inst.k
-    pairs = pair_bijection(k)
-    big_k = len(pairs)
-    for v in inst.graph.vertices:
-        if not isinstance(v, str) or not _H_NAME.match(v):
-            raise ValueError(f"graph vertex names must be plain tokens, got {v!r}")
     if cored is None:
         cored = core(g)
-    elif cored.dist != g.dist or not cored.tgraph.triple_set <= g.tgraph.triple_set:
-        raise ValueError("the given core is not a subgraph of the t-graph")
-    gaif = gaifman(cored)
-    covered = mm.covered()
-    if covered not in gaif.components():
-        raise ComponentMismatch(
-            "minor-map target is not a connected component of the core's Gaifman graph"
-        )
-    if (mm.rows, mm.cols) != (k, big_k):
-        raise InvalidMinorMap(
-            f"expected a ({k} x {big_k})-grid map, got ({mm.rows} x {mm.cols})"
-        )
-    if not verify_minor_map(mm, gaif.subgraph(covered)):
-        raise InvalidMinorMap("minor map fails verification against the component")
-
-    h_vertices = sorted(inst.graph.vertices)
-    h_edges = sorted(tuple(sorted(e)) for e in inst.graph.edges)
-    # per vertex: (the edges missing it, the edges holding it), by `v in e`
-    sides = {v: ([e for e in h_edges if v not in e], [e for e in h_edges if v in e]) for v in h_vertices}
-
-    # Per anchor: its cell and its gadget variables, listed under every key
-    # (vertex or None, edge or None) they agree with, so that the variables
-    # consistent with a partial combination are one lookup away.
-    projection: dict[Term, Term] = {}
-    anchors: dict[Term, tuple[int, int, dict]] = {}
-    for cell, vs in mm.cells:
-        i, p = cell
-        in_pair = i in pairs[p - 1]
-        for anchor in vs:
-            options: dict[tuple, list[tuple[Term, str, tuple[str, str]]]] = {}
-            for v in h_vertices:
-                for e in sides[v][in_pair]:
-                    term = var(f"g#{v}#{e[0]}#{e[1]}#{i}#{p}#{anchor.name}")
-                    projection[term] = anchor
-                    for key in ((v, e), (v, None), (None, e), (None, None)):
-                        options.setdefault(key, []).append((term, v, e))
-            anchors[anchor] = (i, p, options)
-
-    dist = cored.dist
-    triples: list[Triple] = []
-    for t in cored.tgraph:
-        if any(v not in dist and v not in covered for v in t.vars()):
-            triples.append(t)  # leans on another component; projects to itself
-            continue
-        # partial combinations: (terms so far, (vertex, edge, row, column) per gadget variable)
-        partial: list[tuple[tuple[Term, ...], tuple]] = [((), ())]
-        for term in t:
-            if term not in anchors:
-                partial = [(terms + (term,), chosen) for terms, chosen in partial]
-                continue
-            i, p, options = anchors[term]
-            grown = []
-            for terms, chosen in partial:
-                # the vertex of row i and the edge of column p, if chosen (one each)
-                need_v = need_e = None
-                for cv, ce, ci, cp in chosen:
-                    if ci == i:
-                        need_v = cv
-                    if cp == p:
-                        need_e = ce
-                for gv, v, e in options.get((need_v, need_e), ()):
-                    grown.append((terms + (gv,), chosen + ((v, e, i, p),)))
-            partial = grown
-        triples.extend(_triple(terms) for terms, _ in partial)
-    gadget = GeneralizedTGraph(TGraph(tuple(triples)), dist, declared=True)
-    _check_gadget(g, cored, gadget, projection)
-    return gadget
+    return GadgetPlan(g, cored, mm, inst.k).gadget(inst.graph)
 
 
 def _check_gadget(
@@ -279,16 +377,28 @@ def _check_gadget(
     gadget: GeneralizedTGraph,
     projection: dict[Term, Term],
 ) -> None:
-    dist = original.dist
-    for t in original.tgraph:
-        if t.vars() <= dist and t not in gadget.tgraph:
-            raise AssertionError("an all-distinguished triple went missing")
+    """Each triple of the gadget, under `projection` (each gadget term to
+    its core term, other terms unchanged), is a core triple, and each
+    all-distinguished triple of the original is such an image.  Through
+    the projection the check reads alike on a gadget and on its frozen
+    graph."""
     # each triple under the projection, a plain tuple as in `Mapping.images_in`
     get = projection.get
-    core_triples = cored.tgraph.triple_set
-    for t in gadget.tgraph:
-        if tuple(map(get, t, t)) not in core_triples:
-            raise AssertionError("gadget does not project into the core")
+    projected = {tuple(map(get, t, t)) for t in gadget.tgraph}
+    dist = original.dist
+    for t in original.tgraph:
+        if t not in projected and t.vars() <= dist:
+            raise AssertionError("an all-distinguished triple went missing")
+    if not projected <= cored.tgraph.triple_set:
+        raise AssertionError("gadget does not project into the core")
+
+
+def _check_prefix(tgraph: TGraph) -> None:
+    for x in tgraph.iris():
+        if x.name.startswith(FROZEN_PREFIX):
+            raise ReservedPrefixCollision(
+                f"IRI {x} already uses the reserved prefix {FROZEN_PREFIX!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -297,23 +407,28 @@ class FrozenInstance:
 
     graph: TGraph
     mapping: Mapping
-    # frozen IRI -> its variable; graph and mapping determine it
-    thaw_map: dict[Term, Term] = field(compare=False)
 
     def thaw(self, t: Term) -> Term:
-        return self.thaw_map.get(t, t)
+        """The variable a frozen IRI of this instance's graph or mapping
+        stands for, read from its name; any other term as it is."""
+        if (
+            t.is_iri
+            and t.name.startswith(FROZEN_PREFIX)
+            and (t in self.graph.iris() or t in {a for _, a in self.mapping.items()})
+        ):
+            return var(t.name[len(FROZEN_PREFIX):])
+        return t
 
 
 def freeze(b: GeneralizedTGraph) -> FrozenInstance:
-    for x in b.tgraph.iris():
-        if x.name.startswith(FROZEN_PREFIX):
-            raise ReservedPrefixCollision(
-                f"IRI {x} already uses the reserved prefix {FROZEN_PREFIX!r}"
-            )
-    frozen = {v: iri(FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
-    graph = TGraph(tuple(substitute(t, frozen) for t in b.tgraph))
-    mu = Mapping.of({x: frozen[x] for x in b.dist})
-    return FrozenInstance(graph, mu, {a: v for v, a in frozen.items()})
+    """B with each variable made the IRI `frz:` + its name, and the mapping
+    of the distinguished variables to theirs."""
+    _check_prefix(b.tgraph)
+    # `frz:` and a variable name: valid by construction
+    frozen = {v: _interned("iri", FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
+    get = frozen.get
+    graph = TGraph(tuple(_triple(map(get, t, t)) for t in b.tgraph))
+    return FrozenInstance(graph, Mapping._valid({x: frozen[x] for x in b.dist}))
 
 
 @dataclass(frozen=True)
@@ -345,10 +460,12 @@ def generate_hard_instance(
 ) -> HardInstance:
     """Build (G, mu) such that H has a k-clique iff mu is not a solution.
 
-    Takes the hard witness at the forest's exact domination width, its core
-    and (unless the caller gives one, which is checked) a grid-minor map on
-    one of the core's Gaifman components from the forest's `Analysis`, so
-    they are found once per forest; builds the gadget and freezes it.
+    Takes the hard witness at the forest's exact domination width and the
+    `GadgetPlan` over its core and a grid-minor map on one of the core's
+    Gaifman components from the forest's `Analysis`, so they are found
+    and checked once per forest; a minor map the caller gives gets a plan
+    of its own, checked on each call.  The plan freezes the gadget for H
+    in one pass.
     """
     analysis = Analysis.of(forest)
     witness = analysis.witness(analysis.width)
@@ -357,19 +474,19 @@ def generate_hard_instance(
             "the forest has no subtree with associated t-graphs to build from"
         )
     k = inst.k
-    big_k = k * (k - 1) // 2
     if mm is None:
-        mm = analysis.grid_minor(k, big_k)
-        if mm is None:
+        plan = analysis.gadget_plan(k)
+        if plan is None:
             raise NoGridMinorFound(
-                f"no component of the witness core carries a ({k} x {big_k})-grid minor"
+                f"no component of the witness core carries a ({k} x {k * (k - 1) // 2})-grid minor"
             )
-    cored, _ = analysis.witness_core
-    gadget = build_clique_gadget(witness.tgraph, inst, mm, cored=cored)
-    frozen = freeze(gadget)
+    else:
+        cored, _ = analysis.witness_core
+        plan = GadgetPlan(witness.tgraph, cored, mm, k)
+    frozen = plan.freeze(inst.graph)
     if frozen.mapping.domain != subtree_vars(forest, witness.subtree):
         raise AssertionError("frozen mapping domain must equal the subtree variables")
-    return HardInstance(frozen.graph, frozen.mapping, witness, mm, frozen)
+    return HardInstance(frozen.graph, frozen.mapping, witness, plan.minor_map, frozen)
 
 
 def has_clique(h: UndirectedGraph, k: int) -> bool:

@@ -59,6 +59,7 @@ from .errors import (
 _VAR_NAME = re.compile(r"[A-Za-z0-9_#]+\Z")
 _USER_VAR_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _IRI_NAME = re.compile(r"(?!#)[A-Za-z0-9_:/#.\-]+\Z")
+_NAME = {"var": _VAR_NAME, "iri": _IRI_NAME}
 
 _set = object.__setattr__
 # position pairs of a triple that a repeated variable can occupy
@@ -114,37 +115,20 @@ def _forget(ref: _Ref) -> None:
 
 
 class Term(_Value):
-    """An IRI or a variable, one object per text: `Term(kind, name)` returns
-    the live term of that kind and name when there is one, so two terms are
-    equal iff they are the same object, and hash by identity."""
+    """An IRI or a variable, one object per text: `Term(kind, name)` checks
+    the name and returns the live term of that kind and name when there is
+    one, so two terms are equal iff they are the same object, and hash by
+    identity."""
 
     __slots__ = ("kind", "name", "is_var", "is_iri", "_text", "__weakref__")
 
     def __new__(cls, kind: str, name: str):
-        # IRIs never start with "?", so the text alone tells terms apart
-        text = "?" + name if kind == "var" else name
-        ref = _live.get(text)
-        if ref is not None:
-            term = ref()
-            if term is not None and term.kind == kind:
-                return term
-        if kind == "var":
-            if not _VAR_NAME.match(name):
-                raise ValueError(f"bad variable name: {name!r}")
-        elif kind == "iri":
-            if not _IRI_NAME.match(name):
-                raise ValueError(f"bad IRI: {name!r}")
-        else:
+        pattern = _NAME.get(kind)
+        if pattern is None:
             raise ValueError(f"bad term kind: {kind!r}")
-        term = object.__new__(cls)
-        _set(term, "kind", kind)
-        _set(term, "name", name)
-        _set(term, "is_var", kind == "var")
-        _set(term, "is_iri", kind == "iri")
-        _set(term, "_text", text)
-        ref = _live[text] = _Ref(term, _forget)
-        ref.text = text
-        return term
+        if not pattern.match(name):
+            raise ValueError(f"bad {'variable name' if kind == 'var' else 'IRI'}: {name!r}")
+        return _interned(kind, name)
 
     def __reduce__(self):
         return Term, (self.kind, self.name)
@@ -154,6 +138,30 @@ class Term(_Value):
 
     def __repr__(self) -> str:
         return f"Term({self._text!r})"
+
+
+def _interned(kind: str, name: str) -> Term:
+    """The live term of that kind and name, or a new one entered in the
+    table; the one place terms are made.  The name is not checked: `Term`
+    checks every name it is given, and the library calls this directly
+    only with names valid by construction (generated variables and frozen
+    IRIs, built from names already checked and integers)."""
+    # IRIs never start with "?", so the text alone tells terms apart
+    text = "?" + name if kind == "var" else name
+    ref = _live.get(text)
+    if ref is not None:
+        term = ref()
+        if term is not None:
+            return term
+    term = object.__new__(Term)
+    _set(term, "kind", kind)
+    _set(term, "name", name)
+    _set(term, "is_var", kind == "var")
+    _set(term, "is_iri", kind == "iri")
+    _set(term, "_text", text)
+    ref = _live[text] = _Ref(term, _forget)
+    ref.text = text
+    return term
 
 
 def var(name: str) -> Term:
@@ -172,6 +180,13 @@ def parse_term(token: str, *, line: int | None = None) -> Term:
     except ValueError:
         kind = "variable" if is_var else "IRI"
         raise ParseError(f"bad {kind} token {token!r}", line=line) from None
+
+
+def _triple_text(t: tuple[Term, Term, Term]) -> str:
+    """The text `s p o` of a triple: its `str`, and the sort key of a
+    t-graph's canonical order, called directly so that no `str` method
+    lookup runs per triple."""
+    return f"{t[0]._text} {t[1]._text} {t[2]._text}"
 
 
 class Triple(tuple):
@@ -197,9 +212,7 @@ class Triple(tuple):
     def __reduce__(self):
         return Triple, tuple(self)
 
-    def __str__(self) -> str:
-        s, p, o = self
-        return f"{s._text} {p._text} {o._text}"
+    __str__ = _triple_text
 
     def __repr__(self) -> str:
         return f"Triple({str(self)!r})"
@@ -231,7 +244,7 @@ class TGraph(_Value):
 
     def __init__(self, triples: tuple[Triple, ...] = ()):
         members = frozenset(triples)
-        _set(self, "triples", tuple(sorted(members, key=str)))
+        _set(self, "triples", tuple(sorted(members, key=_triple_text)))
         _set(self, "triple_set", members)
         _set(self, "_vars", None)
         _set(self, "_iris", None)

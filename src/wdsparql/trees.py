@@ -22,7 +22,7 @@ from typing import Iterator
 from .errors import NotNRNormalForm
 from .hom import GeneralizedTGraph, find_homomorphism
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf, Node, union_normalize
-from .terms import TGraph, Term, Triple, substitute, var
+from .terms import TGraph, Term, Triple, _interned, substitute
 
 
 class WdPT:
@@ -436,8 +436,9 @@ def assignment_tgraph(
         if c not in subtree_children(forest, supp[i]):
             raise ValueError(f"node n{c} is not a child of the witness for index {i}")
         label = forest.trees[i].label(c)
+        # a checked name and two integers: valid by construction
         renaming = {
-            v: var(f"{v.name}#{i}#{c}") for v in label.vars() if v not in dist
+            v: _interned("var", f"{v.name}#{i}#{c}") for v in label.vars() if v not in dist
         }
         triples.extend(substitute(t, renaming) for t in label)
     return GeneralizedTGraph(TGraph(tuple(triples)), dist)

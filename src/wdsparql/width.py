@@ -17,10 +17,11 @@ degrade to heuristics.  The caps on trees and nodes guard only the width
 work; the evaluator reads the cored children of any NR forest.  There is
 no process-global cache: what these functions derive from a forest
 (associated sets, homomorphism tests, ctw values keyed by the t-graph
-alone, the width, the witnesses, the witness core and its grid minors,
-and the cored child t-graphs the evaluator decides, each with its compiled
-homomorphism search) is kept in the forest's one `Analysis`, built on
-first use, so the memo lives exactly as long as the forest.
+alone, the width, the witnesses, the witness core and the clique-gadget
+plans over it with their grid minors, and the cored child t-graphs the
+evaluator decides, each with its compiled homomorphism search) is kept
+in the forest's one `Analysis`, built on first use, so the memo lives
+exactly as long as the forest.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .trees import (
 )
 
 if TYPE_CHECKING:
-    from .hardness import MinorMap
+    from .hardness import GadgetPlan
 
 MAX_TREES = 4
 MAX_NODES_PER_TREE = 12
@@ -152,14 +153,15 @@ class Analysis:
     t-graphs, one `HomCache` (homomorphism tests and ctw values), the
     per-subtree demands, the domination width, the hard witness per k, the
     core of the witness at the exact width with its Gaifman components,
-    the grid minor per grid shape, and the cored child t-graphs of each
-    subtree the evaluator has matched, one core per distinct child, each
-    with the `hom.Plan` of its search (the core pinning its distinguished
-    variables), so a stream of mappings plans each child's search once.
-    Asking for the width builds no witness and searches no minor;
-    evaluating enumerates no subtree and cores only the children it
-    reaches, so it runs past the size caps.  The plans are kept here and
-    nowhere else, so they go with the forest.
+    the clique gadget's plan (with its grid minor) per clique size, and
+    the cored child t-graphs of each subtree the evaluator has matched,
+    one core per distinct child, each with the `hom.Plan` of its search
+    (the core pinning its distinguished variables), so a stream of
+    mappings plans each child's search once.  Asking for the width
+    builds no witness and searches no minor; evaluating enumerates no
+    subtree and cores only the children it reaches, so it runs past the
+    size caps.  The plans are kept here and nowhere else, so they go with
+    the forest.
     """
 
     def __init__(self, forest: WdPF):
@@ -171,7 +173,7 @@ class Analysis:
         self._associated: dict[Subtree, tuple] = {}
         self._demands: dict[Subtree, int] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
-        self._minors: dict[tuple[int, int], MinorMap | None] = {}
+        self._plans: dict[int, GadgetPlan | None] = {}
 
     @classmethod
     def of(cls, forest: WdPF) -> "Analysis":
@@ -257,22 +259,24 @@ class Analysis:
         cored = core(witness.tgraph)
         return cored, gaifman(cored).components()
 
-    def grid_minor(self, rows: int, cols: int) -> MinorMap | None:
-        """A minor map of the (rows x cols)-grid onto one Gaifman component
-        of the witness core (the first that carries one), or None."""
-        from .hardness import find_grid_minor  # hardness builds on this module
+    def gadget_plan(self, k: int) -> GadgetPlan | None:
+        """The clique gadget's plan over the witness at the exact width,
+        its core and a (k x C(k,2))-grid minor map onto one Gaifman
+        component of that core (the first that carries one), built and
+        checked once per k; None when no component carries one."""
+        from .hardness import GadgetPlan, find_grid_minor  # hardness builds on this module
 
-        shape = (rows, cols)
-        if shape not in self._minors:
+        if k not in self._plans:
             cored, comps = self.witness_core
             gaif = gaifman(cored)
-            found = None
+            plan = None
             for comp in comps:
-                found = find_grid_minor(gaif.subgraph(comp), rows, cols)
-                if found is not None:
+                mm = find_grid_minor(gaif.subgraph(comp), k, k * (k - 1) // 2)
+                if mm is not None:
+                    plan = GadgetPlan(self.witness(self.width).tgraph, cored, mm, k)
                     break
-            self._minors[shape] = found
-        return self._minors[shape]
+            self._plans[k] = plan
+        return self._plans[k]
 
 
 def domination_width(forest: WdPF) -> int:

@@ -233,6 +233,14 @@ def test_freeze_basics():
     assert maps_into_graph(b, inst.graph, inst.mapping) is not None
 
 
+def test_thaw_reads_only_the_frozen_iris_of_its_own_instance():
+    inst = freeze(GeneralizedTGraph(parse_graph("?x p ?y\n?y p a"), frozenset({var("x")})))
+    assert inst.thaw(iri("frz:y")) is var("y")
+    assert inst.thaw(iri("frz:x")) is var("x")
+    for other in (iri("frz:nowhere"), iri("a"), var("y")):
+        assert inst.thaw(other) is other
+
+
 def test_freeze_rejects_reserved_prefix():
     with pytest.raises(ReservedPrefixCollision):
         freeze(GeneralizedTGraph(parse_graph("?x frz:p ?y"), frozenset()))
@@ -369,7 +377,9 @@ def test_warm_forest_keeps_every_check():
     family = forest_family(3)
     h = ug(3, [(0, 1)])
     generate_hard_instance(family, CliqueInstance(h, 2))  # warms the analysis
-    (component,) = Analysis.of(family).witness_core[1]
+    analysis = Analysis.of(family)
+    plan = analysis.gadget_plan(2)  # kept since the call above
+    (component,) = analysis.witness_core[1]
     o1, o2, o3 = sorted(component, key=str)
     overlapping = MinorMap.of(2, 1, {(1, 1): frozenset({o1, o2}), (2, 1): frozenset({o2, o3})})
     wrong_shape = MinorMap.of(1, 1, {(1, 1): component})
@@ -377,6 +387,10 @@ def test_warm_forest_keeps_every_check():
         for bad in (overlapping, wrong_shape):
             with pytest.raises(InvalidMinorMap):
                 generate_hard_instance(family, CliqueInstance(h, 2), bad)
+    # a good map of the caller's gets a plan of its own; the kept one stays
+    good = MinorMap.of(2, 1, {(1, 1): frozenset({o1}), (2, 1): frozenset({o2, o3})})
+    assert generate_hard_instance(family, CliqueInstance(h, 2), good).minor_map == good
+    assert plan is not None and analysis.gadget_plan(2) is plan
     # too many trees: a refusal is kept nowhere, so every call is refused again
     tree = WdPT(0, {}, {0: parse_graph("?x p ?y")})
     over_cap = WdPF((tree,) * (width.MAX_TREES + 1))
@@ -385,3 +399,50 @@ def test_warm_forest_keeps_every_check():
             generate_hard_instance(over_cap, CliqueInstance(h, 2))
         with pytest.raises(InstanceTooLarge):
             width.domination_width(over_cap)
+
+
+def test_hard_instance_is_the_frozen_reference_gadget():
+    # the one-pass frozen path against freeze() of the brute-force gadget;
+    # at k = 3 some anchors' rows lie outside their column's pair
+    rng = random.Random(23)
+    for k, clique_size, trials in ((2, 3, 12), (3, 9, 3)):
+        family = forest_family(clique_size)
+        for _ in range(trials):
+            n = rng.randint(2, 5)
+            h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+            inst = generate_hard_instance(family, CliqueInstance(h, k))
+            cells = dict(inst.minor_map.cells)
+            reference = freeze(clique_gadget_by_product(inst.witness.tgraph, h, k, cells))
+            assert inst.graph == reference.graph
+            assert inst.mapping == reference.mapping
+            assert inst.frozen == reference
+
+
+def test_generate_hard_instance_plans_once_and_makes_no_gadget_variable(monkeypatch):
+    from wdsparql import terms
+
+    made = []
+    interned = terms._interned
+
+    def recording(kind, name):
+        made.append((kind, name))
+        return interned(kind, name)
+
+    # every term the library makes goes through this routine
+    for module in (terms, hardness):
+        monkeypatch.setattr(module, "_interned", recording)
+    verified = []
+    verify = hardness.verify_minor_map
+    monkeypatch.setattr(
+        hardness, "verify_minor_map", lambda *args: verified.append(args) or verify(*args)
+    )
+    family = forest_family(3)
+    rng = random.Random(31)
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        inst = generate_hard_instance(family, CliqueInstance(h, 2))
+        assert has_clique(h, 2) == (not eval_forest(family, inst.graph, inst.mapping))
+    assert len(verified) == 1
+    assert any(kind == "iri" and name.startswith("frz:g#") for kind, name in made)
+    assert not [name for kind, name in made if kind == "var" and name.startswith("g#")]

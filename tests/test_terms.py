@@ -130,6 +130,20 @@ def test_canonical_order_is_stable():
     assert [str(t) for t in TGraph((t1, t2))] == ["a p b", "b p a"]
 
 
+# names that are prefixes of one another (a, a:b, ab; ?x, ?x#1, ?xy):
+# the canonical order must not depend on where one term's text ends
+prefixed_terms = st.sampled_from(
+    [iri(n) for n in ("a", "a:b", "ab", "a.", "b", "x")]
+    + [var(n) for n in ("x", "x#1", "xy", "x_", "a")]
+)
+triples = st.tuples(prefixed_terms, prefixed_terms, prefixed_terms).map(lambda t: Triple(*t))
+
+
+@given(st.lists(triples, max_size=12))
+def test_canonical_order_is_the_order_of_the_text(ts):
+    assert TGraph(tuple(ts)).triples == tuple(sorted(set(ts), key=str))
+
+
 names = st.text(alphabet="abcxyz", min_size=1, max_size=2)
 mappings = st.dictionaries(names, st.sampled_from("abcd"), max_size=4).map(
     lambda d: Mapping.of({var(k): iri(v) for k, v in d.items()})
@@ -222,6 +236,21 @@ def test_a_bad_name_raises_every_time_and_leaves_no_entry():
         with pytest.raises(ValueError):
             Term("blank", "?x")
     assert terms._live["?x"]() is held
+
+
+def test_a_generated_name_and_its_parsed_text_are_one_object():
+    # the unchecked constructor and the parser share one table, whichever
+    # makes the term first
+    for name in ("g#h0#h0#h1#1#1#o1", "frz:x#0#2"):
+        kind, text = ("var", "?" + name) if name.startswith("g#") else ("iri", name)
+        first = terms._interned(kind, name)
+        assert parse_term(text) is first and Term(kind, name) is first
+        del first
+        gc.collect()
+        assert text not in terms._live
+        parsed = parse_term(text)
+        assert terms._interned(kind, name) is parsed
+        assert parsed.kind == kind and parsed.name == name and str(parsed) == text
 
 
 def test_a_dropped_term_leaves_the_table():
