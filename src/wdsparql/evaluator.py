@@ -45,7 +45,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
-from .hom import GeneralizedTGraph, Plan, all_homomorphisms, maps_into_graph
+from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
 from .terms import Mapping, TGraph, Term, Triple
@@ -179,21 +179,20 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     return hit[0]
 
 
-def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan) -> bool:
-    return maps_into_graph(g, graph, mu, plan=plan) is not None
+def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
+    return maps_into_graph(g, graph, mu) is not None
 
 
 def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
     """Some tree holds mu's matched subtree, and no child t-graph of it, as
-    the forest's analysis keeps it cored with its search plan, passes
-    `extends`."""
+    the forest's analysis keeps it cored, passes `extends`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
     a = Analysis.of(forest)
     for i, tree in enumerate(forest):
         nodes = matched_subtree(tree, graph, mu)
         if nodes is not None and not any(
-            extends(g, graph, mu, plan=plan) for g, plan in a.child_cores(i, nodes)
+            extends(g, graph, mu) for g in a.child_cores(i, nodes)
         ):
             return True
     return False
@@ -218,14 +217,14 @@ def _tree_solutions(tree: WdPT, graph: TGraph, found: list[Mapping]) -> None:
     each extension takes it, and its children join the frontier.  By
     well-designedness a node meets the taken nodes only in its parent's
     variables, so its extensions depend on those values alone and are
-    searched once per (node, values), each node's search planned once per
-    call; siblings are decided independently, so each (subtree,
-    homomorphism) pair comes out once.  The pending states plus `found`
-    are held to MAX_MAPPINGS, checked whenever either grows."""
+    searched once per (node, values), from the node's label, which keeps
+    the plan of that search for every later call; siblings are decided
+    independently, so each (subtree, homomorphism) pair comes out once.
+    The pending states plus `found` are held to MAX_MAPPINGS, checked
+    whenever either grows."""
     shared = {
         c: tuple(tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
     }
-    plans = {c: Plan(tree.label(c), pins) for c, pins in shared.items()}
     extensions: dict[tuple[int, tuple[Term, ...]], list[dict[Term, Term]]] = {}
     kids = tree.children(tree.root)
     stack = [(h, kids) for h in all_homomorphisms(tree.label(tree.root), graph)]
@@ -241,9 +240,8 @@ def _tree_solutions(tree: WdPT, graph: TGraph, found: list[Mapping]) -> None:
         values = tuple(binding[x] for x in pins)
         exts = extensions.get((c, values))
         if exts is None:
-            exts = extensions[c, values] = all_homomorphisms(
-                tree.label(c), graph, dict(zip(pins, values)), plan=plans[c]
-            )
+            fixed = dict(zip(pins, values))
+            exts = extensions[c, values] = all_homomorphisms(tree.label(c), graph, fixed)
         if not exts:
             stack.append((binding, rest))
         else:

@@ -414,7 +414,7 @@ class FrozenInstance:
         if (
             t.is_iri
             and t.name.startswith(FROZEN_PREFIX)
-            and (t in self.graph.iris() or t in {a for _, a in self.mapping.items()})
+            and (t in self.graph.iris() or any(a is t for _, a in self.mapping.items()))
         ):
             return var(t.name[len(FROZEN_PREFIX):])
         return t
@@ -433,11 +433,17 @@ def freeze(b: GeneralizedTGraph) -> FrozenInstance:
 
 @dataclass(frozen=True)
 class HardInstance:
-    graph: TGraph
-    mapping: Mapping
+    frozen: FrozenInstance
     witness: HardWitness
     minor_map: MinorMap
-    frozen: FrozenInstance
+
+    @property
+    def graph(self) -> TGraph:
+        return self.frozen.graph
+
+    @property
+    def mapping(self) -> Mapping:
+        return self.frozen.mapping
 
     def report(self) -> str:
         lines = [
@@ -486,7 +492,7 @@ def generate_hard_instance(
     frozen = plan.freeze(inst.graph)
     if frozen.mapping.domain != subtree_vars(forest, witness.subtree):
         raise AssertionError("frozen mapping domain must equal the subtree variables")
-    return HardInstance(frozen.graph, frozen.mapping, witness, plan.minor_map, frozen)
+    return HardInstance(frozen, witness, plan.minor_map)
 
 
 def has_clique(h: UndirectedGraph, k: int) -> bool:

@@ -33,11 +33,11 @@ driver's matches are read then, at the level of its last variable but
 one.  A run that tries more than MAX_SEARCH_NODES values raises
 `SearchTooLarge`.
 
-Nothing here is cached across calls and no plan is kept at module level:
-a caller that runs one search shape many times keeps its plan, as
-`width.Analysis` does for the cored children of its forest, and each of
-the entry points below builds one plan per call unless given one.
-`core` plans each intermediate t-graph once for all its retraction tries.
+A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
+a target keeps its `by_mask` indexes: `_plan` builds one on the first
+search of its shape, and no caller keeps one.  A plan holds no reference
+to its t-graph, which would put every searched t-graph in a reference
+cycle.  `core` plans each intermediate t-graph once for all its tries.
 """
 
 from __future__ import annotations
@@ -137,11 +137,10 @@ class Plan:
     `TGraph.by_mask` index of its mask.
     """
 
-    __slots__ = ("source", "pinned", "order", "consts", "masks", "first", "levels", "domains")
+    __slots__ = ("pinned", "order", "consts", "masks", "first", "levels", "domains")
 
     def __init__(self, source: TGraph, pinned: Iterable[Term] = ()):
         src_vars = source.vars()
-        self.source = source
         self.pinned = tuple(sorted(src_vars.intersection(pinned), key=str))
         occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
         for t in source:
@@ -187,6 +186,16 @@ class Plan:
             for i, v in enumerate(order)
         ]
         self.masks = tuple(masks)
+
+
+def _plan(source: TGraph, pinned: frozenset[Term]) -> Plan:
+    """The plan of the searches from source that pin `pinned`, built on
+    the first and kept on the t-graph for the rest."""
+    plans = source.plans()
+    plan = plans.get(pinned)
+    if plan is None:
+        plan = plans[pinned] = Plan(source, pinned)
+    return plan
 
 
 def _domain(paths: list[tuple], indexes: list[dict], vals: list) -> list[Term]:
@@ -283,7 +292,7 @@ def find_homomorphism(
             f"{sorted(map(str, source.dist))} vs {sorted(map(str, target.dist))}"
         )
     fixed = {x: x for x in source.dist}
-    found = _solve(Plan(source.tgraph, fixed), target.tgraph, fixed)
+    found = _solve(_plan(source.tgraph, source.dist), target.tgraph, fixed)
     return found[0] if found else None
 
 
@@ -299,37 +308,19 @@ def check_target(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> None:
         )
 
 
-def maps_into_graph(
-    g: GeneralizedTGraph, graph: TGraph, mu: Mapping, *, plan: Plan | None = None
-) -> dict[Term, Term] | None:
-    """A homomorphism h from S to the ground graph with h(x) = mu(x) on X.
-    `plan`, if given, is a `Plan` of S pinning X, kept for reuse."""
+def maps_into_graph(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> dict[Term, Term] | None:
+    """A homomorphism h from S to the ground graph with h(x) = mu(x) on X."""
     check_target(g, graph, mu)
-    found = _solve(_checked(plan, g.tgraph, g.dist), graph, dict(mu.items()))
+    found = _solve(_plan(g.tgraph, g.dist), graph, dict(mu.items()))
     return found[0] if found else None
 
 
 def all_homomorphisms(
-    source: TGraph,
-    target: TGraph,
-    fixed: dict[Term, Term] | None = None,
-    *,
-    plan: Plan | None = None,
+    source: TGraph, target: TGraph, fixed: dict[Term, Term] | None = None
 ) -> list[dict[Term, Term]]:
-    """Every homomorphism from source to target extending `fixed`.  `plan`,
-    if given, is a kept `Plan` of source pinning the variables of `fixed`."""
+    """Every homomorphism from source to target extending `fixed`."""
     fixed = dict(fixed or {})
-    return _solve(_checked(plan, source, fixed), target, fixed, find_all=True)
-
-
-def _checked(plan: Plan | None, source: TGraph, pinned) -> Plan:
-    """The plan given for a search from source, or a new one pinning
-    `pinned` when none is given."""
-    if plan is None:
-        return Plan(source, pinned)
-    if plan.source is not source:
-        raise ValueError("the plan searches from another t-graph")
-    return plan
+    return _solve(_plan(source, frozenset(fixed)), target, fixed, find_all=True)
 
 
 def is_homomorphism(
@@ -356,7 +347,8 @@ def core(g: GeneralizedTGraph) -> GeneralizedTGraph:
     # a retraction fixes X, so the variables of X in S stay in every image
     fixed = {x: x for x in g.dist if x in current.vars()}
     while True:
-        plan = Plan(current, fixed)
+        # the same plan as pinning `fixed`, kept under the core's dist
+        plan = _plan(current, g.dist)
         for skip in current:
             found = _solve(plan, TGraph(tuple(t for t in current if t != skip)), fixed)
             if found:

@@ -237,10 +237,11 @@ class TGraph(_Value):
 
     Besides the sorted tuple it holds the same triples as a frozenset
     (`triple_set`); its variables, IRIs and per-mask indexes
-    (`by_mask`) are computed on first use and kept.
+    (`by_mask`) are computed on first use and kept, and so are the search
+    plans from it (`plans`).
     """
 
-    __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index")
+    __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index", "_plans")
 
     def __init__(self, triples: tuple[Triple, ...] = ()):
         members = frozenset(triples)
@@ -249,6 +250,7 @@ class TGraph(_Value):
         _set(self, "_vars", None)
         _set(self, "_iris", None)
         _set(self, "_index", None)
+        _set(self, "_plans", None)
 
     def vars(self) -> frozenset[Term]:
         found = self._vars
@@ -294,6 +296,14 @@ class TGraph(_Value):
                     found[key] = [u]
                 else:
                     hits.append(u)
+        return found
+
+    def plans(self) -> dict:
+        """The search plans from this t-graph by pinned set, kept by `hom`."""
+        found = self._plans
+        if found is None:
+            found = {}
+            _set(self, "_plans", found)
         return found
 
     def matching(self, t: Triple, values: dict | None = None) -> tuple[Triple, ...]:

@@ -17,11 +17,11 @@ degrade to heuristics.  The caps on trees and nodes guard only the width
 work; the evaluator reads the cored children of any NR forest.  There is
 no process-global cache: what these functions derive from a forest
 (associated sets, homomorphism tests, ctw values keyed by the t-graph
-alone, the width, the witnesses, the witness core and the clique-gadget
-plans over it with their grid minors, and the cored child t-graphs the
-evaluator decides, each with its compiled homomorphism search) is kept
-in the forest's one `Analysis`, built on first use, so the memo lives
-exactly as long as the forest.
+alone, each subtree's levels, the width, the witnesses, the witness core
+and the clique-gadget plans over it with their grid minors, and the cored
+child t-graphs the evaluator decides) is kept in the forest's one
+`Analysis`, built on first use, so the memo lives exactly as long as the
+forest.
 """
 
 from __future__ import annotations
@@ -149,19 +149,16 @@ class Analysis:
     forest, each part computed when first asked for and then kept.
 
     `Analysis.of` keeps it on the forest itself, so it lives exactly as
-    long as the forest: the subtrees, their associated
-    t-graphs, one `HomCache` (homomorphism tests and ctw values), the
-    per-subtree demands, the domination width, the hard witness per k, the
-    core of the witness at the exact width with its Gaifman components,
-    the clique gadget's plan (with its grid minor) per clique size, and
-    the cored child t-graphs of each subtree the evaluator has matched,
-    one core per distinct child, each with the `hom.Plan` of its search
-    (the core pinning its distinguished variables), so a stream of
-    mappings plans each child's search once.  Asking for the width
-    builds no witness and searches no minor; evaluating enumerates no
-    subtree and cores only the children it reaches, so it runs past the
-    size caps.  The plans are kept here and nowhere else, so they go with
-    the forest.
+    long as the forest: the subtrees, their associated t-graphs, one
+    `HomCache` (homomorphism tests and ctw values), the levels of each
+    subtree's members (read by the width and the witness), the domination
+    width, the hard witness per k, the core of the witness at the exact
+    width with its Gaifman components, the clique gadget's plan (with its
+    grid minor) per clique size, and the cored child t-graphs of each
+    subtree the evaluator has matched, one core per distinct child, which
+    keeps the plan of its search.  Asking for the width builds no witness
+    and searches no minor; evaluating enumerates no subtree and cores only
+    the children it reaches, so it runs past the size caps.
     """
 
     def __init__(self, forest: WdPF):
@@ -169,9 +166,9 @@ class Analysis:
         self.forest = forest
         self.cache = HomCache()
         self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
-        self._cores: dict[GeneralizedTGraph, tuple[GeneralizedTGraph, hom.Plan]] = {}
+        self._cores: dict[GeneralizedTGraph, GeneralizedTGraph] = {}
         self._associated: dict[Subtree, tuple] = {}
-        self._demands: dict[Subtree, int] = {}
+        self._levels: dict[Subtree, list[int]] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
         self._plans: dict[int, GadgetPlan | None] = {}
 
@@ -196,18 +193,14 @@ class Analysis:
                 )
         return subtrees(self.forest)
 
-    def child_cores(
-        self, tree_index: int, nodes: frozenset[int]
-    ) -> Iterator[tuple[GeneralizedTGraph, hom.Plan]]:
+    def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
         """The child t-graphs of the subtree `nodes` of one tree, in the
         order `WdPT.child_tgraphs` builds them, each cored when first asked
         for and then kept, once per forest: equal children of different
-        trees share one core.  Each core comes with its `hom.Plan`, pinning
-        its distinguished variables, built with it and kept with it.  A
-        child of more than MAX_VARS_PER_MEMBER variables is kept uncored.  A
-        core is homomorphically equivalent to its child with the
-        distinguished variables fixed, so the evaluator's tests read the
-        same on either."""
+        trees share one core.  A child of more than MAX_VARS_PER_MEMBER
+        variables is kept uncored.  A core is homomorphically equivalent to
+        its child with the distinguished variables fixed, so the evaluator's
+        tests read the same on either."""
         key = (tree_index, nodes)
         if key not in self._children:
             kids = tuple(self.forest.trees[tree_index].child_tgraphs(nodes))
@@ -221,9 +214,8 @@ class Analysis:
                 if kept is None:
                     small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
                     # looked up on hom at each call, so rebinding hom.core
-                    # or hom.Plan (to count or time it) reaches this step too
-                    cored = hom.core(g) if small else g
-                    kept = self._cores[g] = (cored, hom.Plan(cored.tgraph, cored.dist))
+                    # (to count or time it) reaches this step too
+                    kept = self._cores[g] = hom.core(g) if small else g
                 cores.append(kept)
             yield cores[i]
 
@@ -232,13 +224,17 @@ class Analysis:
             self._associated[sub] = associated_with_provenance(self.forest, sub)
         return self._associated[sub]
 
+    def levels(self, sub: Subtree) -> list[int]:
+        """The `_levels` of the subtree's associated t-graphs."""
+        if sub not in self._levels:
+            gset = [g for _, g in self.associated(sub)]
+            self._levels[sub] = _levels(gset, self.cache)
+        return self._levels[sub]
+
     def demand(self, sub: Subtree) -> int:
         """Least k making the subtree's associated set k-dominated: its
         largest level, or 1 for an empty set."""
-        if sub not in self._demands:
-            gset = [g for _, g in self.associated(sub)]
-            self._demands[sub] = max(_levels(gset, self.cache), default=1)
-        return self._demands[sub]
+        return max(self.levels(sub), default=1)
 
     @cached_property
     def width(self) -> int:
@@ -334,7 +330,7 @@ def find_hard_witness(forest: WdPF, k: int) -> HardWitness | None:
     for sub in a.subtrees:
         pairs = a.associated(sub)
         gset = [g for _, g in pairs]
-        hard = [g for g, level in zip(gset, _levels(gset, cache)) if level >= k]
+        hard = [g for g, level in zip(gset, a.levels(sub)) if level >= k]
         if not hard:  # the set is (k-1)-dominated
             continue
         picked = _source_component_member(hard, cache)

@@ -440,7 +440,7 @@ def test_cored_children_decide_as_the_children():
                 if nodes is None:
                     continue
                 kids = tree.child_tgraphs(nodes)
-                for child, (cored, _) in zip(kids, analysis.child_cores(i, nodes)):
+                for child, cored in zip(kids, analysis.child_cores(i, nodes)):
                     reached += 1
                     proper += len(cored.tgraph) < len(child.tgraph)
                     # a retract with X fixed: equivalent to the child
@@ -486,6 +486,7 @@ def test_each_child_is_cored_once_per_forest(monkeypatch):
 
 
 def test_each_child_core_is_planned_once_per_forest(monkeypatch):
+    import wdsparql.evaluator as evaluator
     import wdsparql.hom as hom
     import wdsparql.pebble as pebble
 
@@ -498,43 +499,43 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
         for nodes in tree.subtree_nodesets()
         for g in tree.child_tgraphs(nodes)
     }
-    planned, pebble_plans = [], []
-    coring = [False]
-    plan, core_fn, pebble_maps = hom.Plan, hom.core, pebble.maps_into_graph
+    planned, searched, pebble_searched = [], [], []
+    plan, maps = hom.Plan, hom.maps_into_graph
 
     def counted_plan(source, pinned=()):
-        if not coring[0]:  # the searches inside `core` plan their own
-            planned.append(source)
+        planned.append((source, frozenset(pinned)))
         return plan(source, pinned)
 
-    def quiet_core(g):
-        coring[0] = True
-        try:
-            return core_fn(g)
-        finally:
-            coring[0] = False
+    def spied_maps(g, *args):
+        searched.append(g)
+        return maps(g, *args)
 
-    def pebble_maps_with_plan(*args, plan=None):
-        pebble_plans.append(plan)
-        return pebble_maps(*args, plan=plan)
+    def pebble_spied_maps(g, *args):
+        pebble_searched.append(g)
+        return spied_maps(g, *args)
 
     monkeypatch.setattr(hom, "Plan", counted_plan)
-    monkeypatch.setattr(hom, "core", quiet_core)
-    monkeypatch.setattr(pebble, "maps_into_graph", pebble_maps_with_plan)
+    monkeypatch.setattr(evaluator, "maps_into_graph", spied_maps)
+    monkeypatch.setattr(pebble, "maps_into_graph", pebble_spied_maps)
     calls = [planted_call(rng, forest) for _ in range(50)]
     for graph, mu in calls:
         assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)
         assert eval_pebble(forest, graph, mu, dw) == eval_forest(forest, graph, mu)
-    # one plan per kept core, built with it
-    assert len(planned) == len(set(planned)) >= 3
-    assert set(planned) <= cores
+    # one plan per kept core: each t-graph searched is a kept core, and
+    # one plan pinning its distinguished variables was built from it
+    kept = {id(g): g for g in searched}.values()
+    assert len(kept) >= 3
+    assert {g.tgraph for g in kept} <= cores
+    for g in kept:
+        assert sum(s is g.tgraph and p == g.dist for s, p in planned) == 1
     before = len(planned)
     for graph, mu in calls:
         eval_forest(forest, graph, mu)
         eval_pebble(forest, graph, mu, dw)
     assert len(planned) == before
-    # the pebble game's homomorphism test ran on the kept plans
-    assert len(pebble_plans) >= 50 and None not in pebble_plans
+    # the pebble game's homomorphism test ran on the kept cores and plans
+    assert len(pebble_searched) >= 50
+    assert {id(g) for g in pebble_searched} <= {id(g) for g in kept}
 
 
 def test_the_analysis_and_its_plans_go_with_the_forest():

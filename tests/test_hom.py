@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -232,6 +233,38 @@ def test_all_homomorphisms_matches_oracle():
         oracle = {tuple(sorted((k.name, v.name) for k, v in h.items()))
                   for h in all_assignment_homs(src, graph)}
         assert mine == oracle
+
+
+def test_a_tgraph_keeps_one_plan_per_pinned_set(monkeypatch):
+    import wdsparql.hom as hom
+
+    built = []
+    plan = hom.Plan
+
+    def counted(source, pinned=()):
+        built.append((id(source), frozenset(pinned)))  # no reference kept here
+        return plan(source, pinned)
+
+    monkeypatch.setattr(hom, "Plan", counted)
+    x = var("x")
+    g = gt("?x p ?y\n?y q ?z", {x})
+    source = g.tgraph
+    graph = parse_graph("a p b\nb q c\nb q d", ground=True)
+    mu = Mapping.of({x: iri("a")})
+    refs = sys.getrefcount(source)
+    assert maps_into_graph(g, graph, mu) is not None
+    assert built == [(id(source), g.dist)]
+    # later searches pinning X, through each entry point, read that plan
+    assert maps_into_graph(g, graph, mu) is not None
+    assert find_homomorphism(g, g) is not None
+    assert len(all_homomorphisms(source, graph, {x: iri("a")})) == 2
+    assert len(built) == 1
+    # another pinned set gets a plan of its own, kept in turn
+    assert len(all_homomorphisms(source, graph)) == 2
+    assert len(all_homomorphisms(source, graph)) == 2
+    assert built == [(id(source), g.dist), (id(source), frozenset())]
+    # a kept plan holds no reference back to its t-graph
+    assert sys.getrefcount(source) == refs
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
