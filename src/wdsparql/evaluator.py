@@ -24,9 +24,9 @@ Three routes:
   always correct; acceptance is guaranteed correct when the forest's
   domination width is at most k.
 
-The scan decides each child t-graph on its core, which the forest's
-`width.Analysis` builds on first use and keeps, for every NR forest (the
-analysis caps guard only the width work).  Both tests read the same on a
+The scan decides each child t-graph on its core, which the tree keeps in
+the record of the matched subtree (`WdPT.cored_children`), built on first
+use, so evaluation reads no width analysis.  Both tests read the same on a
 child and on its core: the two are homomorphically equivalent with the
 distinguished variables fixed, and a homomorphism extending mu exists
 from one iff it exists from the other (compose with the map between
@@ -50,7 +50,6 @@ from .patterns import AND, OPT, UNION, GraphPattern, Leaf
 from .pebble import pebble_wins
 from .terms import Mapping, TGraph, Term, Triple
 from .trees import WdPF, WdPT
-from .width import Analysis
 
 MAX_MAPPINGS = 1_000_000
 
@@ -174,9 +173,9 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     (connectedness), so the walk misses that variable and finds none."""
     tree.ensure_nr()
     hit = tree.subtree_of(mu.domain)
-    if hit is None or not mu.images_in(hit[1], graph):
+    if hit is None or not mu.images_in(hit.triples, graph):
         return None
-    return hit[0]
+    return hit.nodes
 
 
 def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
@@ -185,14 +184,13 @@ def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
 
 def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
     """Some tree holds mu's matched subtree, and no child t-graph of it, as
-    the forest's analysis keeps it cored, passes `extends`."""
+    the tree keeps it cored, passes `extends`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    a = Analysis.of(forest)
-    for i, tree in enumerate(forest):
-        nodes = matched_subtree(tree, graph, mu)
-        if nodes is not None and not any(
-            extends(g, graph, mu) for g in a.child_cores(i, nodes)
+    forest.ensure_nr()
+    for tree in forest:
+        if matched_subtree(tree, graph, mu) is not None and not any(
+            extends(g, graph, mu) for g in tree.cored_children(mu.domain)
         ):
             return True
     return False

@@ -5,7 +5,9 @@ encodes OPT nesting, each node an AND-block.  Constructors validate the
 tree shape and the variable-connectivity condition (the nodes mentioning
 any one variable induce a connected subgraph).  NR normal form (every
 non-root node introduces a variable its parent lacks) is required by the
-evaluation and width machinery and established by `nr_normalize`.
+evaluation and width machinery and established by `nr_normalize`.  In it
+dom(mu) fixes mu's matched subtree, so a tree keeps, per variable set, a
+`SubtreeRecord` of what deciding mu reads: pattern and cored children.
 
 This module also hosts the combinatorics the width analysis is built on:
 root-containing subtrees, their support across the forest, children
@@ -19,10 +21,27 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterator
 
+from . import hom
 from .errors import NotNRNormalForm
 from .hom import GeneralizedTGraph, find_homomorphism
 from .patterns import AND, OPT, UNION, GraphPattern, Leaf, Node, union_normalize
 from .terms import TGraph, Term, Triple, _interned, substitute
+
+# The most variables of a t-graph that is cored: a child t-graph past it is
+# decided uncored, and the width analysis raises on a merged one past it.
+MAX_VARS_PER_MEMBER = 14
+
+
+@dataclass(eq=False, slots=True)
+class SubtreeRecord:
+    """What a tree keeps of one root subtree, under its variable set: its
+    nodes and pattern triples, and, once a scan reaches them, its child
+    t-graphs with the prefix of them cored so far."""
+
+    nodes: frozenset[int]
+    triples: tuple[Triple, ...]
+    children: tuple[GeneralizedTGraph, ...] | None = None
+    cores: list[GeneralizedTGraph] = field(default_factory=list)
 
 
 class WdPT:
@@ -33,7 +52,7 @@ class WdPT:
         self.parents = dict(parents)
         self.labels = dict(labels)
         self._children: dict[int, tuple[int, ...]] = {n: () for n in self.labels}
-        self._subtrees: dict = {}  # subtree_of's finds, by variable set
+        self._subtrees: dict[frozenset[Term], SubtreeRecord] = {}  # by variable set
         self._validate()
         self._nr = all(
             self.node_vars(n) - self.node_vars(p) for n, p in self.parents.items()
@@ -121,9 +140,9 @@ class WdPT:
 
         return tuple(sorted(grow(self.root), key=lambda s: tuple(sorted(s))))
 
-    def subtree_of(self, variables: frozenset[Term]) -> tuple[frozenset[int], tuple[Triple, ...]] | None:
-        """The root subtree whose variables are exactly `variables`, with
-        its pattern triples, or None: the nodes whose variables lie inside
+    def subtree_of(self, variables: frozenset[Term]) -> SubtreeRecord | None:
+        """The record of the root subtree whose variables are exactly
+        `variables`, or None: the nodes whose variables lie inside
         `variables`, grown from the root, if they cover them all (in NR
         normal form it is the only such subtree).  A find is kept under its
         variable set and a miss is not, so the table never holds more
@@ -135,21 +154,35 @@ class WdPT:
                 keep.extend(c for c in self.children(n) if self.node_vars(c) <= variables)
             if self.vars(keep) == variables:
                 triples = tuple(t for n in sorted(keep) for t in self.labels[n])
-                hit = self._subtrees[variables] = (frozenset(keep), triples)
+                hit = self._subtrees[variables] = SubtreeRecord(frozenset(keep), triples)
         return hit
+
+    def cored_children(self, variables: frozenset[Term]) -> Iterator[GeneralizedTGraph]:
+        """The child t-graphs of the root subtree whose variables are
+        `variables` (which must name one), in frontier order, each cored when
+        first asked for; the subtree's record keeps both.  A child of more
+        than MAX_VARS_PER_MEMBER variables is kept uncored."""
+        found = self.subtree_of(variables)
+        if found.children is None:
+            found.children = self.child_tgraphs(found.nodes)
+        cores = found.cores
+        for i, g in enumerate(found.children):
+            if i == len(cores):
+                small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
+                # hom.core is looked up per call, so rebinding it reaches here
+                cores.append(hom.core(g) if small else g)
+            yield cores[i]
 
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
         return tuple(sorted(c for n in nodes for c in self.children(n) if c not in nodes))
 
-    def child_tgraphs(self, nodes) -> Iterator[GeneralizedTGraph]:
-        """Per child of the subtree `nodes`, in frontier order and built as
-        it is asked for: the subtree's pattern plus the child's label, with
-        the subtree's variables distinguished."""
-        kids = self.frontier(nodes)
-        if kids:
-            pat, dist = self.pat(nodes), self.vars(nodes)
-            yield from (GeneralizedTGraph(pat | self.label(c), dist) for c in kids)
+    def child_tgraphs(self, nodes) -> tuple[GeneralizedTGraph, ...]:
+        """Per child of the subtree `nodes`, in frontier order: the subtree's
+        pattern plus the child's label, with the subtree's variables
+        distinguished."""
+        pat, dist = self.pat(nodes), self.vars(nodes)
+        return tuple(GeneralizedTGraph(pat | self.label(c), dist) for c in self.frontier(nodes))
 
     def renumbered(self) -> "WdPT":
         order = []
@@ -185,8 +218,8 @@ class WdPF:
     """An ordered forest of wdPTs; indices are stable and 0-based."""
 
     trees: tuple[WdPT, ...]
-    # width.Analysis, built on first use; not part of the value, and it
-    # lives exactly as long as the forest
+    # width.Analysis, built on first use by the width and hardness layers;
+    # not part of the value, and it lives exactly as long as the forest
     analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -372,7 +405,7 @@ def support(forest: WdPF, sub: Subtree) -> dict[int, Subtree]:
     each with that subtree, unique in NR normal form (`WdPT.subtree_of`)."""
     target = subtree_vars(forest, sub)
     hits = {i: tree.subtree_of(target) for i, tree in enumerate(forest.trees)}
-    return {i: Subtree(i, hit[0]) for i, hit in hits.items() if hit is not None}
+    return {i: Subtree(i, hit.nodes) for i, hit in hits.items() if hit is not None}
 
 
 @dataclass(frozen=True)
@@ -404,12 +437,11 @@ class ChildrenAssignment:
 
 
 def children_assignments(forest: WdPF, sub: Subtree) -> tuple[ChildrenAssignment, ...]:
-    supp = support(forest, sub)
-    eligible = [
-        (i, subtree_children(forest, supp[i]))
-        for i in sorted(supp)
-        if subtree_children(forest, supp[i])
-    ]
+    return _assignments(forest, support(forest, sub))
+
+
+def _assignments(forest: WdPF, supp: dict[int, Subtree]) -> tuple[ChildrenAssignment, ...]:
+    eligible = [(i, kids) for i in sorted(supp) if (kids := subtree_children(forest, supp[i]))]
     out = []
     for r in range(1, len(eligible) + 1):
         for chosen in combinations(eligible, r):
@@ -428,14 +460,15 @@ def assignment_tgraph(
     """pat(sub) plus each assigned child's label with its new variables
     renamed to fresh ones (`name#index#node`), distinguished set vars(sub)."""
     dist = subtree_vars(forest, sub)
-    supp = support(forest, sub)
     triples = list(subtree_pat(forest, sub))
     for i, c in ca.choices:
-        if i not in supp:
+        witness = forest.trees[i].subtree_of(dist) if 0 <= i < len(forest) else None
+        if witness is None:
             raise ValueError(f"index {i} is not in the support")
-        if c not in subtree_children(forest, supp[i]):
+        tree = forest.trees[i]
+        if c not in tree.frontier(witness.nodes):
             raise ValueError(f"node n{c} is not a child of the witness for index {i}")
-        label = forest.trees[i].label(c)
+        label = tree.label(c)
         # a checked name and two integers: valid by construction
         renaming = {
             v: _interned("var", f"{v.name}#{i}#{c}") for v in label.vars() if v not in dist
@@ -444,24 +477,19 @@ def assignment_tgraph(
     return GeneralizedTGraph(TGraph(tuple(triples)), dist)
 
 
+def _omits_unmapped(forest: WdPF, supp: dict, ca: ChildrenAssignment, merged) -> bool:
+    """No omitted supporting tree's witness pattern maps into `merged`."""
+    omitted = sorted(set(supp) - ca.domain)
+    probes = (GeneralizedTGraph(subtree_pat(forest, supp[i]), merged.dist) for i in omitted)
+    return all(find_homomorphism(probe, merged) is None for probe in probes)
+
+
 def is_valid_assignment(forest: WdPF, sub: Subtree, ca: ChildrenAssignment) -> bool:
     """No omitted supporting tree's witness pattern maps into the merged graph."""
     supp = support(forest, sub)
     if not ca.domain <= set(supp):
         raise ValueError("assignment domain must lie inside the support")
-    merged = assignment_tgraph(forest, sub, ca)
-    dist = merged.dist
-    for i in sorted(set(supp) - ca.domain):
-        probe = GeneralizedTGraph(subtree_pat(forest, supp[i]), dist)
-        if find_homomorphism(probe, merged) is not None:
-            return False
-    return True
-
-
-def valid_assignments(forest: WdPF, sub: Subtree) -> tuple[ChildrenAssignment, ...]:
-    return tuple(
-        ca for ca in children_assignments(forest, sub) if is_valid_assignment(forest, sub, ca)
-    )
+    return _omits_unmapped(forest, supp, ca, assignment_tgraph(forest, sub, ca))
 
 
 def _hom_equivalent(a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
@@ -475,11 +503,15 @@ def associated_with_provenance(
 ) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
     """Valid assignments and their merged t-graphs, deduplicated up to
     renaming of the fresh variables (checked by mutual homomorphism with the
-    distinguished set fixed); the first representative is kept."""
+    distinguished set fixed); the first representative is kept.  The support
+    is found once, and each assignment's merged t-graph built once."""
+    supp = support(forest, sub)
     out: list[tuple[ChildrenAssignment, GeneralizedTGraph]] = []
-    for ca in valid_assignments(forest, sub):
+    for ca in _assignments(forest, supp):
         g = assignment_tgraph(forest, sub, ca)
-        if not any(_hom_equivalent(g, kept) for _, kept in out):
+        if _omits_unmapped(forest, supp, ca, g) and not any(
+            _hom_equivalent(g, kept) for _, kept in out
+        ):
             out.append((ca, g))
     return tuple(out)
 

@@ -13,27 +13,25 @@ generator builds its reduction instances from that witness.
 per-tree primitive behind its bw rows.
 
 Everything here is exact and desk-scale: instance caps raise rather than
-degrade to heuristics.  The caps on trees and nodes guard only the width
-work; the evaluator reads the cored children of any NR forest.  There is
-no process-global cache: what these functions derive from a forest
-(associated sets, homomorphism tests, ctw values keyed by the t-graph
-alone, each subtree's levels, the width, the witnesses, the witness core
-and the clique-gadget plans over it with their grid minors, and the cored
-child t-graphs the evaluator decides) is kept in the forest's one
-`Analysis`, built on first use, so the memo lives exactly as long as the
-forest.
+degrade to heuristics.  The evaluator reads nothing from this module.
+There is no process-global cache: what these functions derive from a
+forest (associated sets, homomorphism tests, ctw values keyed by the
+t-graph alone, each subtree's levels, the width, the witnesses, the
+witness core and the clique-gadget plans over it with their grid minors)
+is kept in the forest's one `Analysis`, built on first use, so the memo
+lives exactly as long as the forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from . import hom
 from .errors import InstanceTooLarge, NoHardWitness
 from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
 from .trees import (
+    MAX_VARS_PER_MEMBER,
     ChildrenAssignment,
     Subtree,
     WdPF,
@@ -47,7 +45,6 @@ if TYPE_CHECKING:
 
 MAX_TREES = 4
 MAX_NODES_PER_TREE = 12
-MAX_VARS_PER_MEMBER = 14
 
 
 class HomCache:
@@ -135,13 +132,13 @@ def _levels(gset, cache: HomCache) -> list[int]:
     return levels
 
 
-def is_k_dominated(gset, k: int, cache: HomCache | None = None) -> bool:
+def is_k_dominated(gset, k: int) -> bool:
     """Do the members of ctw <= k homomorphically cover everything else?
     That is, is every member's level at most k.
 
     Vacuously true for the empty set.
     """
-    return all(level <= k for level in _levels(gset, cache or HomCache()))
+    return all(level <= k for level in _levels(gset, HomCache()))
 
 
 class Analysis:
@@ -153,20 +150,15 @@ class Analysis:
     `HomCache` (homomorphism tests and ctw values), the levels of each
     subtree's members (read by the width and the witness), the domination
     width, the hard witness per k, the core of the witness at the exact
-    width with its Gaifman components, the clique gadget's plan (with its
-    grid minor) per clique size, and the cored child t-graphs of each
-    subtree the evaluator has matched, one core per distinct child, which
-    keeps the plan of its search.  Asking for the width builds no witness
-    and searches no minor; evaluating enumerates no subtree and cores only
-    the children it reaches, so it runs past the size caps.
+    width with its Gaifman components, and the clique gadget's plan (with
+    its grid minor) per clique size.  Asking for the width builds no
+    witness and searches no minor.
     """
 
     def __init__(self, forest: WdPF):
         forest.ensure_nr()
         self.forest = forest
         self.cache = HomCache()
-        self._children: dict[tuple[int, frozenset[int]], tuple[tuple, list]] = {}
-        self._cores: dict[GeneralizedTGraph, GeneralizedTGraph] = {}
         self._associated: dict[Subtree, tuple] = {}
         self._levels: dict[Subtree, list[int]] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
@@ -192,32 +184,6 @@ class Analysis:
                     f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
                 )
         return subtrees(self.forest)
-
-    def child_cores(self, tree_index: int, nodes: frozenset[int]) -> Iterator[GeneralizedTGraph]:
-        """The child t-graphs of the subtree `nodes` of one tree, in the
-        order `WdPT.child_tgraphs` builds them, each cored when first asked
-        for and then kept, once per forest: equal children of different
-        trees share one core.  A child of more than MAX_VARS_PER_MEMBER
-        variables is kept uncored.  A core is homomorphically equivalent to
-        its child with the distinguished variables fixed, so the evaluator's
-        tests read the same on either."""
-        key = (tree_index, nodes)
-        if key not in self._children:
-            kids = tuple(self.forest.trees[tree_index].child_tgraphs(nodes))
-            self._children[key] = (kids, [])
-        kids, cores = self._children[key]
-        for i, g in enumerate(kids):
-            if i == len(cores):  # cores grow as a prefix of kids
-                # an equal child under another tree shares its core; the
-                # child is hashed here only, when its slot is first filled
-                kept = self._cores.get(g)
-                if kept is None:
-                    small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
-                    # looked up on hom at each call, so rebinding hom.core
-                    # (to count or time it) reaches this step too
-                    kept = self._cores[g] = hom.core(g) if small else g
-                cores.append(kept)
-            yield cores[i]
 
     def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
         if sub not in self._associated:

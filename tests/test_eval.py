@@ -35,7 +35,7 @@ from wdsparql.randgen import (
 )
 from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, substitute, var
 from wdsparql.trees import WdPF, WdPT, forest_pattern, to_forest
-from wdsparql.width import MAX_TREES, Analysis, domination_width
+from wdsparql.width import MAX_TREES, domination_width
 
 
 def m(**kv):
@@ -73,6 +73,18 @@ def test_eval_tree_requires_nr():
     sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
     with pytest.raises(NotNRNormalForm):
         eval_tree(sloppy, parse_graph("a p b"), m(x="a", y="b"))
+
+
+def test_every_tree_is_checked_for_nr_past_an_accepting_one():
+    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
+    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
+    forest = WdPF((accepting, sloppy))
+    graph, mu = parse_graph("a p b"), m(x="a", y="b")
+    assert eval_tree(accepting, graph, mu)
+    with pytest.raises(NotNRNormalForm):
+        eval_forest(forest, graph, mu)
+    with pytest.raises(NotNRNormalForm):
+        eval_pebble(forest, graph, mu, 1)
 
 
 def test_clique_family_membership():
@@ -429,18 +441,17 @@ def test_cored_children_decide_as_the_children():
     for _ in range(200):
         forest = with_planted_loops(rng, random_forest(rng))
         dw = domination_width(forest)
-        analysis = Analysis.of(forest)
         for _ in range(4):
             graph, mu = planted_call(rng, forest)
             exact = eval_forest(forest, graph, mu)
             assert exact == eval_forest_by_enumeration(forest, graph, mu)
             assert eval_pebble(forest, graph, mu, dw) == exact
-            for i, tree in enumerate(forest):
+            for tree in forest:
                 nodes = matched_subtree(tree, graph, mu)
                 if nodes is None:
                     continue
                 kids = tree.child_tgraphs(nodes)
-                for child, cored in zip(kids, analysis.child_cores(i, nodes)):
+                for child, cored in zip(kids, tree.cored_children(mu.domain)):
                     reached += 1
                     proper += len(cored.tgraph) < len(child.tgraph)
                     # a retract with X fixed: equivalent to the child
@@ -538,18 +549,59 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
     assert {id(g) for g in pebble_searched} <= {id(g) for g in kept}
 
 
-def test_the_analysis_and_its_plans_go_with_the_forest():
+def test_the_cores_and_their_plans_go_with_the_tree():
     rng = random.Random(107)
     forest = with_planted_loops(rng, forest_family(2))
     for _ in range(20):
         graph, mu = planted_call(rng, forest)
         eval_forest(forest, graph, mu)
-    analysis = Analysis.of(forest)
-    assert analysis._cores  # cores and plans are kept
-    ref = weakref.ref(analysis)
-    del analysis, forest
+        eval_pebble(forest, graph, mu, 2)
+    assert forest.analysis is None  # evaluation builds no width analysis
+    records = [
+        tree.subtree_of(tree.vars(nodes)) for tree in forest for nodes in tree.subtree_nodesets()
+    ]
+    cores = [g for record in records for g in record.cores]
+    assert cores and any(g.tgraph.plans() for g in cores)  # cores and plans are kept
+    refs = [weakref.ref(g) for g in cores] + [weakref.ref(tree) for tree in forest]
+    del records, cores, forest
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_tree_builds_and_cores_its_children_once(monkeypatch):
+    """Repeated scans of one tree, by `eval_tree` or through a forest
+    holding it, build its child t-graphs once and core each child once."""
+    import wdsparql.hom as hom
+
+    tree = WdPT(
+        0,
+        {1: 0, 2: 0},
+        {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?z"), 2: parse_graph("?y r ?w\n?w r ?w")},
+    )
+    cored, built = [], []
+    child_tgraphs = WdPT.child_tgraphs
+
+    def counted_core(g):
+        cored.append(g)
+        return core(g)
+
+    def counted_children(self, nodes):
+        built.append(nodes)
+        return child_tgraphs(self, nodes)
+
+    monkeypatch.setattr(hom, "core", counted_core)
+    monkeypatch.setattr(WdPT, "child_tgraphs", counted_children)
+    mu = m(x="a", y="b")
+    accepts = parse_graph("a p b")  # every child is scanned and fails
+    for _ in range(2):
+        assert eval_tree(tree, accepts, mu)
+    assert len(cored) == 2 and built == [frozenset({0})]
+    forest = WdPF((tree,))
+    for graph, expected in ((accepts, True), (accepts | parse_graph("b r c\nc r c"), False)):
+        for _ in range(2):
+            assert eval_forest(forest, graph, mu) is expected
+            assert eval_pebble(forest, graph, mu, 1) is expected
+    assert len(cored) == 2 and len(built) == 1
 
 
 def test_forest_past_the_caps_is_decided_on_its_children(monkeypatch):

@@ -139,6 +139,42 @@ def test_children_assignments_of_example_family():
     }
 
 
+def test_associated_merges_each_assignment_once(monkeypatch):
+    """Per subtree, the support is found once and each assignment tried
+    gets one merged t-graph, which the validity test and the set share."""
+    import wdsparql.trees as trees
+
+    family = forest_family(2, with_third_tree=True)
+    tried = {sub: len(children_assignments(family, sub)) for sub in subtrees(family)}
+    merged, found = [], []
+
+    def counted_merge(forest, sub, ca):
+        merged.append(sub)
+        return assignment_tgraph(forest, sub, ca)
+
+    def counted_support(forest, sub):
+        found.append(sub)
+        return support(forest, sub)
+
+    monkeypatch.setattr(trees, "assignment_tgraph", counted_merge)
+    monkeypatch.setattr(trees, "support", counted_support)
+    members = 0
+    for sub in subtrees(family):
+        members += len(associated_tgraphs(family, sub))
+        assert merged.count(sub) == tried[sub] and found.count(sub) == 1
+    assert members >= 2 and sum(tried.values()) > members
+
+
+def test_assignments_outside_the_support_are_refused():
+    family = forest_family(2)
+    sub = Subtree(0, frozenset({0}))
+    for choices in (((2, 1),), ((-1, 1),), ((0, 0),)):
+        with pytest.raises(ValueError):
+            assignment_tgraph(family, sub, ChildrenAssignment(choices))
+    with pytest.raises(ValueError):
+        is_valid_assignment(family, sub, ChildrenAssignment(((2, 1),)))
+
+
 def test_assignment_fresh_variables_are_disjoint():
     family = forest_family(3)
     sub = Subtree(0, frozenset({0}))
