@@ -23,7 +23,7 @@ from .hardness import (
     parse_undirected_graph,
 )
 from .hom import GeneralizedTGraph, find_homomorphism, maps_into_graph
-from .patterns import parse_pattern, well_designed_violation
+from .patterns import parse_pattern, serialize_pattern, well_designed_violation
 from .pebble import pebble_wins
 from .terms import (
     Mapping,
@@ -103,8 +103,8 @@ def cmd_eval_all(args) -> int:
         solutions = enumerate_solutions(to_forest(pattern), graph)
     else:
         raise ValueError(f"unknown --mode {args.mode!r}")
-    for m in solutions:
-        print(m)
+    if solutions:
+        sys.stdout.write(f"{solutions}\n")  # one line per mapping
     return 0
 
 
@@ -295,6 +295,18 @@ def cmd_selftest(args) -> int:
                     return False
         return True
 
+    def pattern_roundtrip():
+        from .trees import forest_pattern
+
+        for _ in range(trials):
+            forest = randgen.random_forest(rng)
+            pattern = forest_pattern(forest)
+            if parse_pattern(serialize_pattern(pattern)) != pattern:
+                return False
+            if render_forest(to_forest(pattern)) != render_forest(forest):
+                return False
+        return True
+
     check("oracle triangle (naive vs forest vs enumeration)", oracle_triangle)
     check("pebble game relaxation laws", pebble_relaxation)
     check("pebble game exact below the ctw bound", pebble_ctw_exactness)
@@ -302,6 +314,7 @@ def cmd_selftest(args) -> int:
     check("clique gadget equivalence at the smallest scale", hardness_smallest_scale)
     check("planned search equals brute force", planned_search)
     check("hard instance at the smallest scale", hard_instance_smallest_scale)
+    check("pattern roundtrip (serialize/parse, forest/pattern/forest)", pattern_roundtrip)
     return _tap(results)
 
 
@@ -393,8 +406,6 @@ def main(argv=None) -> int:
         error = f"InvalidInput: {exc}"
     except OSError as exc:
         error = f"IO: {exc}"
-    except RecursionError:  # the parser and the pattern walks recurse on nesting depth
-        error = "InstanceTooLarge: input nested too deeply to process"
     except Exception as exc:  # a defect: still one line, never a traceback
         error = f"Internal: {type(exc).__name__}: {exc}"
     # a detail may quote input, line breaks included

@@ -6,7 +6,8 @@ Three routes:
   pattern AST (works for arbitrary patterns, not just well-designed ones):
   AND and OPT are one hash join per pair of operand domains, on the
   shared variables, and every intermediate result is capped at
-  MAX_MAPPINGS mappings.
+  MAX_MAPPINGS mappings.  Intermediate results are plain dict rows,
+  grouped by domain, and only the final rows become `Mapping`s.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
   mu's matched subtree in each tree (`matched_subtree`: the tree keeps
@@ -36,6 +37,13 @@ Vardi 2000; Dalmau, Kolaitis and Vardi 2002).  A core has no more free
 variables than its child, so the relaxation more often fits every free
 variable under a pebble and runs a homomorphism search instead of the
 consistency fixpoint.
+
+The forest evaluators check their inputs once per call, in one order:
+`eval_pebble` first its k, then each of `eval_forest`, `eval_pebble` and
+`enumerate_solutions` the forest's NR normal form (`NotNRNormalForm`),
+then the graph's groundness (`NonGroundGraph`).  A graph from
+`terms.parse_graph` knows its variables, so the groundness check reads no
+triple.
 """
 
 from __future__ import annotations
@@ -46,12 +54,18 @@ from typing import Callable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
-from .patterns import AND, OPT, UNION, GraphPattern, Leaf
+from .patterns import OPT, UNION, GraphPattern, Leaf, _postorder
 from .pebble import pebble_wins
-from .terms import Mapping, TGraph, Term, Triple
+from .terms import Mapping, TGraph, Term, Triple, key_getter
 from .trees import WdPF, WdPT
 
 MAX_MAPPINGS = 1_000_000
+
+
+def _canonical(m: Mapping) -> tuple[list[str], list[str]]:
+    """A mapping's sort key: its domain's names, then its values' names.
+    Bindings are sorted by name, so the names come as the sorted domain."""
+    return [k.name for k, _ in m.bindings], [v.name for _, v in m.bindings]
 
 
 @dataclass(frozen=True)
@@ -62,14 +76,7 @@ class SolutionSet:
 
     def __post_init__(self):
         members = frozenset(self.mappings)
-        # bindings are sorted by name, so their names are the sorted domain
-        unique = sorted(
-            members,
-            key=lambda m: (
-                tuple(k.name for k, _ in m.bindings),
-                tuple((k.name, v.name) for k, v in m.bindings),
-            ),
-        )
+        unique = sorted(members, key=_canonical)
         object.__setattr__(self, "mappings", tuple(unique))
         object.__setattr__(self, "_members", members)
 
@@ -86,9 +93,29 @@ class SolutionSet:
         return "\n".join(str(m) for m in self.mappings)
 
 
-def _match_triple(t: Triple, graph: TGraph) -> list[Mapping]:
-    slots = [(pos, x) for pos, x in enumerate(t) if x.is_var]
-    return [Mapping._valid({x: u[pos] for pos, x in slots}) for u in graph.matching(t)]
+# An intermediate result of eval_naive: groups of plain dict rows, each
+# group a non-empty list of rows over one domain (a row's keys); two
+# groups may share a domain until a join merges them.
+Rows = list[list[dict[Term, Term]]]
+
+
+def _match_triple(t: Triple, graph: TGraph) -> Rows:
+    """The rows of one triple pattern: one per graph triple it matches,
+    binding each of its variables (a repeated one once)."""
+    names: list[Term] = []
+    slots: list[int] = []
+    for pos, x in enumerate(t):
+        if x.is_var and x not in names:
+            names.append(x)
+            slots.append(pos)
+    matches = graph.matching(t)
+    if not matches:
+        return []
+    if len(names) == 1:
+        x, pos = names[0], slots[0]
+        return [[{x: u[pos]} for u in matches]]
+    get = key_getter(tuple(slots))
+    return [[dict(zip(names, get(u))) for u in matches]]
 
 
 def _check_size(n: int) -> None:
@@ -96,64 +123,98 @@ def _check_size(n: int) -> None:
         raise InstanceTooLarge(f"an intermediate result passed {MAX_MAPPINGS} mappings")
 
 
-def _by_domain(mappings: list[Mapping]) -> dict[frozenset[Term], list[Mapping]]:
-    groups: dict[frozenset[Term], list[Mapping]] = {}
-    for m in mappings:
-        groups.setdefault(m.domain, []).append(m)
-    return groups
+def _by_domain(groups: Rows) -> Rows:
+    """The groups, those of one domain merged into one (a UNION leaves
+    them apart), so that a join indexes each domain's rows once."""
+    if len(groups) < 2:
+        return groups
+    merged: dict[frozenset[Term], list] = {}
+    for rows in groups:
+        found = merged.setdefault(frozenset(rows[0]), rows)
+        if found is not rows:
+            found += rows
+    return list(merged.values())
 
 
-def _join(left: list[Mapping], right: list[Mapping], keep_rest: bool) -> list[Mapping]:
-    """Every merge of a left and a compatible right mapping, and with
-    `keep_rest` also every left mapping that has no compatible partner.
+def _join(left: Rows, right: Rows, keep_rest: bool) -> tuple[Rows, int]:
+    """Every merge of a left and a compatible right row, and with
+    `keep_rest` also every left row that has no compatible partner; and
+    how many rows that is.
 
-    Per pair of domains the right mappings are indexed once on the values
-    of the shared variables, and each left mapping probes that index: two
-    mappings are compatible iff they agree there."""
-    rights = _by_domain(right)
-    out: list[Mapping] = []
-    for dom, group in _by_domain(left).items():
-        indexes = []
-        for other, candidates in rights.items():
-            shared = tuple(dom & other)
-            index: dict[tuple[Term, ...], list[Mapping]] = {}
+    Per pair of domains the right rows are indexed once on the values of
+    the shared variables, and each left row probes that index: two rows
+    are compatible iff they agree there.  A merge copies the larger row
+    and adds the smaller; a left row with one partner and at least its
+    size takes the partner's bindings in place, so a left-deep chain of
+    joins grows one row rather than copying it at every level."""
+    left, right = _by_domain(left), _by_domain(right)
+    out: Rows = []
+    count = 0
+    for rows in left:
+        domain = rows[0].keys()
+        probes = []
+        for candidates in right:
+            get = key_getter(tuple(domain & candidates[0].keys()))
+            index: dict = {}
             for m2 in candidates:
-                index.setdefault(tuple(map(m2.get, shared)), []).append(m2)
-            indexes.append((shared, index))
-        for m1 in group:
-            before = len(out)
-            for shared, index in indexes:
-                for m2 in index.get(tuple(map(m1.get, shared)), ()):
-                    out.append(Mapping._valid(m1.bindings + m2.bindings))
-            if keep_rest and len(out) == before:
-                out.append(m1)
-            _check_size(len(out))
-    return out
+                key = get(m2)
+                hit = index.get(key)
+                if hit is None:
+                    index[key] = [m2]
+                else:
+                    hit.append(m2)
+            into: list = []
+            out.append(into)
+            probes.append((get, index, into))
+        rest: list = []
+        if keep_rest:
+            out.append(rest)
+        for m1 in rows:
+            hits = [(into, partners) for get, index, into in probes if (partners := index.get(get(m1)))]
+            if not hits:
+                if keep_rest:
+                    rest.append(m1)
+                    count += 1
+                continue
+            into, partners = hits[0]
+            if len(hits) == 1 and len(partners) == 1 and len(m1) >= len(partners[0]):
+                m1.update(partners[0])  # m1's last use: it becomes the merge
+                into.append(m1)
+                count += 1
+            else:
+                for into, partners in hits:
+                    into += [m1 | m2 if len(m1) >= len(m2) else m2 | m1 for m2 in partners]
+                    count += len(partners)
+            _check_size(count)
+    return [rows for rows in out if rows], count
 
 
 def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
     """The compositional set semantics; `p` need not be well designed.
 
-    Evaluated bottom up with an explicit stack; an intermediate result of
-    more than MAX_MAPPINGS mappings raises `InstanceTooLarge`."""
+    Evaluated bottom up, in one sweep over the nodes in post-order (left
+    operand first), over plain dict rows grouped by domain (`Rows`); only
+    the final rows become `Mapping`s.  An intermediate result of more than
+    MAX_MAPPINGS rows raises `InstanceTooLarge`."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    done: list[list[Mapping]] = []
-    todo: list[tuple[GraphPattern, bool]] = [(p, False)]
-    while todo:
-        q, ready = todo.pop()
-        if isinstance(q, Leaf):
-            rows = _match_triple(q.triple, graph)
-        elif not ready:  # evaluate the operands first, left below right
-            todo += ((q, True), (q.right, False), (q.left, False))
-            continue
+    done: list[tuple[Rows, int]] = []  # each result with its number of rows
+    for q in _postorder(p):
+        if q.__class__ is Leaf:
+            groups = _match_triple(q.triple, graph)
+            size = sum(map(len, groups))
         else:
-            right = done.pop()
-            left = done.pop()
-            rows = left + right if q.op == UNION else _join(left, right, q.op == OPT)
-        _check_size(len(rows))
-        done.append(rows)
-    return SolutionSet(tuple(done[0]))
+            right, right_size = done.pop()
+            left, left_size = done.pop()
+            if q.op != UNION:
+                groups, size = _join(left, right, q.op == OPT)
+            else:  # the smaller result's groups join the larger's list
+                groups, more = (left, right) if len(left) >= len(right) else (right, left)
+                groups += more
+                size = left_size + right_size
+        _check_size(size)
+        done.append((groups, size))
+    return SolutionSet(tuple(Mapping._valid(row) for rows in done[0][0] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +231,9 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     lie in dom(mu) and whose image lies in the graph: a node of the
     subtree that fails the graph introduces a variable its parent lacks
     (NR normal form), every node holding that variable lies below it
-    (connectedness), so the walk misses that variable and finds none."""
-    tree.ensure_nr()
+    (connectedness), so the walk misses that variable and finds none.
+    The tree must be in NR normal form: `eval_forest` and `eval_pebble`
+    check that once per call, before they call this per tree."""
     hit = tree.subtree_of(mu.domain)
     if hit is None or not mu.images_in(hit.triples, graph):
         return None
@@ -182,12 +244,18 @@ def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
     return maps_into_graph(g, graph, mu) is not None
 
 
+def _check(forest: WdPF, graph: TGraph) -> None:
+    """The input checks of every forest evaluator, once per call and in
+    this order: the forest's NR normal form, then the graph's groundness."""
+    forest.ensure_nr()
+    if not graph.is_ground():
+        raise NonGroundGraph("evaluation target must be a ground RDF graph")
+
+
 def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
     """Some tree holds mu's matched subtree, and no child t-graph of it, as
     the tree keeps it cored, passes `extends`."""
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
-    forest.ensure_nr()
+    _check(forest, graph)
     for tree in forest:
         if matched_subtree(tree, graph, mu) is not None and not any(
             extends(g, graph, mu) for g in tree.cored_children(mu.domain)
@@ -260,9 +328,7 @@ def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
     answers can be; more than MAX_MAPPINGS pending states and solutions
     raise `InstanceTooLarge`, as in `eval_naive`.
     """
-    forest.ensure_nr()
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
+    _check(forest, graph)
     found: list[Mapping] = []
     for tree in forest:
         _tree_solutions(tree, graph, found)
@@ -273,5 +339,4 @@ def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:
     """The width-k relaxation: sound always, complete when dw(forest) <= k."""
     if k < 1:
         raise InvalidK(f"the relaxation needs k >= 1, got {k}")
-    forest.ensure_nr()
     return _decide(forest, graph, mu, partial(pebble_wins, k=k + 1))

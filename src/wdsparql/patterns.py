@@ -13,16 +13,33 @@ A general pattern is well designed if it is a top-level UNION of
 well-designed UNION-free patterns; UNION below AND or OPT is rejected
 rather than distributed, since distributing would change the class being
 tested.
+
+No walk here recurses, so nesting depth is bounded by memory alone, and
+each is linear in the pattern (up to a log factor).  The parser reads one
+regex tokenisation with an explicit stack of open nodes, and checks each
+distinct term token once.  One pass (`_scan`) over each top-level UNION
+component serves the well-designedness check, `union_normalize` and the
+forest translation: a pre-order walk lists the component's nodes, finds a
+UNION below AND/OPT, and counts per variable the leaves that mention it;
+a post-order sweep (that list reversed) then gives each node its variable
+counts, merging its operands' counts the smaller into the larger.  A
+variable is outside an OPT exactly when its count in the component
+exceeds its count under the OPT, so each OPT is checked against its
+operands' counts alone.  The same sweep collects each AND-block's triples
+and the blocks its OPTs hang below it (`Block`), from which `trees.to_forest`
+builds each tree.  `pattern_vars` and `serialize_pattern` walk with an
+explicit stack too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Union
 
 from .errors import NotWellDesigned, ParseError
-from .terms import Term, Triple, _IRI_NAME, _USER_VAR_NAME
+from .terms import Term, Triple, _interned, _IRI_NAME, _triple, _USER_VAR_NAME
 
 AND = "AND"
 OPT = "OPT"
@@ -49,108 +66,142 @@ class Node:
 GraphPattern = Union[Leaf, Node]
 
 
+def _preorder(p: GraphPattern) -> list[GraphPattern]:
+    """Every node of `p`, each before its operands, left before right."""
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        if q.__class__ is Node:
+            todo += (q.right, q.left)
+    return out
+
+
+def _postorder(p: GraphPattern) -> list[GraphPattern]:
+    """Every node of `p` after its operands, the left one's nodes first."""
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        if q.__class__ is Node:
+            todo += (q.left, q.right)
+    out.reverse()
+    return out
+
+
 def pattern_vars(p: GraphPattern) -> frozenset[Term]:
-    if isinstance(p, Leaf):
-        return p.triple.vars()
-    return pattern_vars(p.left) | pattern_vars(p.right)
+    return frozenset(
+        x for q in _preorder(p) if q.__class__ is Leaf for x in q.triple if x.is_var
+    )
 
 
 def serialize_pattern(p: GraphPattern) -> str:
-    if isinstance(p, Leaf):
-        t = p.triple
-        return f"({t.s}, {t.p}, {t.o})"
-    return f"({serialize_pattern(p.left)} {p.op} {serialize_pattern(p.right)})"
+    out = []
+    todo: list = [p]
+    while todo:
+        q = todo.pop()
+        if q.__class__ is str:
+            out.append(q)
+        elif q.__class__ is Leaf:
+            s, pred, o = q.triple
+            out.append(f"({s}, {pred}, {o})")
+        else:
+            out.append("(")
+            todo += (")", q.right, f" {q.op} ", q.left)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s*(?:(?P<punct>[(),])|(?P<word>[^\s(),]+))")
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
+_PUNCT = ("(", ")", ",")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        tokens.append((m.group("punct") or m.group("word"), m.start("punct") if m.group("punct") else m.start("word")))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
-    return tokens
+def _position(text: str, i: int) -> int:
+    """Where the i-th token of `text` starts; the end of the text past the
+    last one."""
+    found = next(islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if found is None else found.start()
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.length = len(text)
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def _pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
-
-    def _take(self, expected: str) -> None:
-        got = self._peek()
-        if got != expected:
-            raise ParseError(
-                f"expected {expected!r}, got {got!r}" if got else f"expected {expected!r}, got end of input",
-                position=self._pos(),
-            )
-        self.i += 1
-
-    def _term(self) -> Term:
-        tok = self._peek()
-        if tok is None or tok in ("(", ")", ","):
-            raise ParseError(f"expected a term, got {tok!r}", position=self._pos())
-        pos = self._pos()
-        self.i += 1
-        if tok.startswith("?"):
-            if not _USER_VAR_NAME.match(tok[1:]):
-                raise ParseError(f"bad variable {tok!r}", position=pos)
-            return Term("var", tok[1:])
-        if not _IRI_NAME.match(tok) or tok in _OPS:
-            raise ParseError(f"bad IRI {tok!r}", position=pos)
-        return Term("iri", tok)
-
-    def pattern(self) -> GraphPattern:
-        self._take("(")
-        if self._peek() == "(":
-            left = self.pattern()
-            op = self._peek()
-            if op not in _OPS:
-                raise ParseError(
-                    f"expected AND, OPT or UNION, got {op!r}", position=self._pos()
-                )
-            self.i += 1
-            right = self.pattern()
-            self._take(")")
-            return Node(op, left, right)
-        s = self._term()
-        self._take(",")
-        p = self._term()
-        self._take(",")
-        o = self._term()
-        self._take(")")
-        return Leaf(Triple(s, p, o))
-
-    def parse(self) -> GraphPattern:
-        out = self.pattern()
-        if self._peek() is not None:
-            raise ParseError(f"trailing input {self._peek()!r}", position=self._pos())
-        return out
+def _term(token: str | None) -> Term | str:
+    """The term a token names, or the message of its error."""
+    if token is None or token in _PUNCT:
+        return f"expected a term, got {token!r}"
+    if token[0] == "?":
+        if not _USER_VAR_NAME.match(token[1:]):
+            return f"bad variable {token!r}"
+        return _interned("var", token[1:])
+    if not _IRI_NAME.match(token) or token in _OPS:
+        return f"bad IRI {token!r}"
+    return _interned("iri", token)
 
 
 def parse_pattern(text: str) -> GraphPattern:
-    return _Parser(text).parse()
+    """Parse one pattern, left to right over its tokens.  `open_nodes`
+    holds the nodes whose operands are still being read: None before the
+    left one is done, then (left, operator).  Errors name the first token
+    that does not fit, at its position (the end of the text past the
+    last)."""
+    tokens = _TOKEN.findall(text)
+    n = len(tokens)
+    terms: dict[str, Term | str] = {}
+
+    def fail(message: str, i: int):
+        raise ParseError(message, position=_position(text, i))
+
+    def take(expected: str, i: int) -> int:
+        if i >= n:
+            fail(f"expected {expected!r}, got end of input", i)
+        if tokens[i] != expected:
+            fail(f"expected {expected!r}, got {tokens[i]!r}", i)
+        return i + 1
+
+    def term(i: int) -> Term:
+        token = tokens[i] if i < n else None
+        found = terms.get(token)
+        if found is None:
+            found = terms[token] = _term(token)
+        if found.__class__ is str:
+            fail(found, i)
+        return found
+
+    open_nodes: list = []
+    i = 0
+    while True:
+        i = take("(", i)
+        if i < n and tokens[i] == "(":  # a node: its left operand comes next
+            open_nodes.append(None)
+            continue
+        s = term(i)
+        i = take(",", i + 1)
+        p = term(i)
+        i = take(",", i + 1)
+        o = term(i)
+        i = take(")", i + 1)
+        done: GraphPattern = Leaf(_triple((s, p, o)))
+        while open_nodes:
+            if open_nodes[-1] is None:  # `done` is a left operand
+                op = tokens[i] if i < n else None
+                if op not in _OPS:
+                    fail(f"expected AND, OPT or UNION, got {op!r}", i)
+                open_nodes[-1] = (done, op)
+                i += 1
+                break
+            i = take(")", i)
+            left, op = open_nodes.pop()
+            done = Node(op, left, done)
+        else:
+            if i < n:
+                fail(f"trailing input {tokens[i]!r}", i)
+            return done
 
 
 # ---------------------------------------------------------------------------
-# well-designedness
+# well-designedness, UNION components and AND-blocks, in one pass
 
 
 @dataclass(frozen=True)
@@ -175,43 +226,123 @@ class Violation:
         )
 
 
+class Block:
+    """An AND-block of a UNION-free pattern: the triples its ANDs join, and
+    the blocks its OPTs hang below it, in the pattern's order."""
+
+    __slots__ = ("triples", "children")
+
+    def __init__(self, triples: list[Triple], children: list["Block"]):
+        self.triples = triples
+        self.children = children
+
+
 def _union_components(p: GraphPattern) -> list[GraphPattern]:
-    if isinstance(p, Node) and p.op == UNION:
-        return _union_components(p.left) + _union_components(p.right)
-    return [p]
+    """The operands of the top-level UNIONs, left to right."""
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if q.__class__ is Node and q.op == UNION:
+            todo += (q.right, q.left)
+        else:
+            out.append(q)
+    return out
 
 
-def _find_union(p: GraphPattern) -> Node | None:
-    if isinstance(p, Leaf):
-        return None
-    if p.op == UNION:
-        return p
-    return _find_union(p.left) or _find_union(p.right)
+def _escaped(q: Node, totals: dict[Term, int]) -> Violation:
+    """The violation at OPT node q: its least right-only variable that
+    occurs outside it."""
+    left, right = pattern_vars(q.left), pattern_vars(q.right)
+    under: dict[Term, int] = {}
+    for leaf in _preorder(q):
+        if leaf.__class__ is Leaf:
+            for x in {x for x in leaf.triple if x.is_var}:
+                under[x] = under.get(x, 0) + 1
+    escaped = [x for x in right - left if totals[x] > under[x]]
+    return Violation("escaped-variable", q, min(escaped, key=str))
 
 
-def _check_component(p: GraphPattern, outside: frozenset[Term]) -> Violation | None:
-    """Check every OPT occurrence against the variables visible outside it."""
-    if isinstance(p, Leaf):
-        return None
-    lv, rv = pattern_vars(p.left), pattern_vars(p.right)
-    if p.op == OPT:
-        escaped = (rv - lv) & outside
-        if escaped:
-            return Violation("escaped-variable", p, min(escaped, key=str))
-    return _check_component(p.left, outside | rv) or _check_component(
-        p.right, outside | lv
-    )
+def _scan_component(comp: GraphPattern) -> Violation | Block:
+    """The component's first violation in pre-order, or its root block."""
+    nodes = _preorder(comp)
+    leaf_vars: list[set[Term] | None] = []  # per node, a leaf's variables
+    totals: dict[Term, int] = {}  # per variable, the leaves mentioning it
+    for q in nodes:
+        if q.__class__ is Leaf:
+            found = {x for x in q.triple if x.is_var}
+            for x in found:
+                totals[x] = totals.get(x, 0) + 1
+            leaf_vars.append(found)
+        elif q.op == UNION:
+            return Violation("nested-union", q)
+        else:
+            leaf_vars.append(None)
+    # post-order: one entry per done node, [counts, open, triples, blocks],
+    # `open` the variables whose count is below their total (they occur
+    # outside the node); a node's right operand lies below its left one
+    done: list[list] = []
+    bad = None
+    for idx in range(len(nodes) - 1, -1, -1):
+        q = nodes[idx]
+        found = leaf_vars[idx]
+        if found is not None:
+            opened = len([x for x in found if totals[x] > 1])
+            done.append([dict.fromkeys(found, 1), opened, [q.triple], []])
+            continue
+        left = done.pop()
+        right = done.pop()
+        lc, rc = left[0], right[0]
+        if q.op == OPT:
+            # a variable open below the right operand and absent from the
+            # left one occurs outside q
+            if len(lc) <= len(rc):
+                shared_open = sum(1 for x in lc if x in rc and rc[x] < totals[x])
+                escapes = shared_open < right[1]
+            else:
+                escapes = any(x not in lc and c < totals[x] for x, c in rc.items())
+            if escapes:
+                bad = idx  # the last one found is the first in pre-order
+            left[3].append(Block(right[2], right[3]))
+        else:  # AND: one block of both operands' triples
+            big, small = (left[2], right[2]) if len(left[2]) >= len(right[2]) else (right[2], left[2])
+            big += small
+            left[2] = big
+            left[3] += right[3]
+        big, small = (left, right) if len(lc) >= len(rc) else (right, left)
+        counts, still_open = big[0], big[1]
+        for x, c in small[0].items():
+            before = counts.get(x)
+            if before is None:
+                counts[x] = c
+                still_open += c < totals[x]
+            else:
+                counts[x] = before + c
+                still_open -= before + c == totals[x]
+        left[0], left[1] = counts, still_open
+        done.append(left)
+    if bad is not None:
+        return _escaped(nodes[bad], totals)
+    _, _, triples, blocks = done[0]
+    return Block(triples, blocks)
+
+
+def _scan(p: GraphPattern) -> tuple[list[GraphPattern], Violation | None, list[Block]]:
+    """The top-level UNION components of `p`, its first violation (in
+    component order, then pre-order) and, when there is none, each
+    component's root block."""
+    comps = _union_components(p)
+    blocks = []
+    for comp in comps:
+        found = _scan_component(comp)
+        if found.__class__ is Violation:
+            return comps, found, []
+        blocks.append(found)
+    return comps, None, blocks
 
 
 def well_designed_violation(p: GraphPattern) -> Violation | None:
-    for comp in _union_components(p):
-        nested = _find_union(comp)
-        if nested is not None:
-            return Violation("nested-union", nested)
-        bad = _check_component(comp, frozenset())
-        if bad is not None:
-            return bad
-    return None
+    return _scan(p)[1]
 
 
 def is_well_designed(p: GraphPattern) -> bool:
@@ -220,7 +351,18 @@ def is_well_designed(p: GraphPattern) -> bool:
 
 def union_normalize(p: GraphPattern) -> tuple[GraphPattern, ...]:
     """Flatten the top-level UNIONs of a well-designed pattern, left to right."""
-    bad = well_designed_violation(p)
+    comps, bad, _ = _scan(p)
     if bad is not None:
         raise NotWellDesigned(str(bad))
-    return tuple(_union_components(p))
+    return tuple(comps)
+
+
+def and_blocks(p: GraphPattern) -> tuple[Block, ...]:
+    """The root AND-block of each top-level UNION component of a
+    well-designed pattern, left to right: AND joins its operands' blocks
+    (triples and hung blocks alike), OPT hangs its right operand's block
+    below its left one's."""
+    _, bad, blocks = _scan(p)
+    if bad is not None:
+        raise NotWellDesigned(str(bad))
+    return tuple(blocks)

@@ -46,7 +46,8 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .errors import (
     DuplicateBinding,
@@ -62,6 +63,7 @@ _IRI_NAME = re.compile(r"(?!#)[A-Za-z0-9_:/#.\-]+\Z")
 _NAME = {"var": _VAR_NAME, "iri": _IRI_NAME}
 
 _set = object.__setattr__
+_name = attrgetter("name")
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
 
@@ -362,10 +364,6 @@ class TGraph(_Value):
         return f"TGraph(triples={self.triples!r})"
 
 
-def _binding_name(kv: tuple[Term, Term]) -> str:
-    return kv[0].name
-
-
 @dataclass(frozen=True)
 class Mapping:
     """A partial function from variables to IRIs.
@@ -386,7 +384,8 @@ class Mapping:
         self._fill(seen)
 
     def _fill(self, seen: dict[Term, Term]) -> None:
-        _set(self, "bindings", tuple(sorted(seen.items(), key=_binding_name)))
+        names = sorted(seen, key=_name)
+        _set(self, "bindings", tuple(zip(names, map(seen.__getitem__, names))))
         _set(self, "_map", seen)
         _set(self, "domain", frozenset(seen))
 
@@ -446,7 +445,7 @@ class Mapping:
         return True
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.bindings)
+        inner = ", ".join([f"{k._text}={v._text}" for k, v in self.bindings])
         return "{" + inner + "}"
 
 
@@ -462,38 +461,77 @@ def _data_lines(text: str):
         yield no, line
 
 
+def _row(tokens: list[str]) -> tuple[str, ...] | None:
+    """The terms of one split line of a graph file: None for a blank line
+    or a comment, else its tokens with the line's one optional trailing "."
+    dropped (three of them on a good line)."""
+    if not tokens or tokens[0][0] == "#":
+        return None
+    last = tokens[-1]
+    if last[-1] == ".":
+        tokens[-1:] = [last[:-1]] if len(last) > 1 else []
+    return tuple(tokens)
+
+
+def _token_term(token: str) -> Term | None:
+    """The term a graph-file token names, or None for a bad token."""
+    if token[0] == "?":
+        return _interned("var", token[1:]) if _VAR_NAME.match(token[1:]) else None
+    return _interned("iri", token) if _IRI_NAME.match(token) else None
+
+
 def parse_graph(text: str, *, ground: bool = False) -> TGraph:
     """Parse a t-graph file; with ground=True reject variables (RDF graphs).
-    A line of three tokens all seen before builds its triple at once; any
-    other line reads every token first, so a bad one is a `ParseError`."""
-    triples = []
-    # a token seen before costs one dict read here; a call through
-    # parse_term and Term's table for each token measured slower (answers
-    # throughput 14% lower, its setup_s 28% higher)
-    known: dict[str, Term] = {}
-    get = known.get
-    for no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
+
+    One pass splits every line into its row of terms, and each distinct
+    token is checked, and made a term, once.  A bad line (not three terms,
+    a bad token, or a variable in a ground graph) raises for the first one
+    in file order, each line checked in that order.  The distinct rows are
+    sorted by their text, so the t-graph takes its triples in canonical
+    order without sorting them again, and with its variables and IRIs
+    already known: `is_ground` then reads no triple."""
+    rows = [
+        (t[0], t[1], t[2]) if len(t) == 4 and t[3] == "." and t[0][0] != "#" else _row(t)
+        for t in map(str.split, text.splitlines())
+    ]
+    data = list(filter(None, rows))  # a line of just "." is () and fails below
+    known = {token: _token_term(token) for token in set(chain.from_iterable(data))}
+    variables = frozenset(x for x in known.values() if x is not None and x.is_var)
+    if (
+        () in rows
+        or not set(map(len, data)) <= {3}
+        or None in known.values()
+        or (ground and variables)
+    ):
+        _raise_first_bad_row(rows, known, ground)
+    get = known.__getitem__
+    # " ".join of a row is its triple's text, the canonical order's key
+    unique = sorted(set(data), key=" ".join)
+    triples = [_triple((get(s), get(p), get(o))) for s, p, o in unique]
+    g = object.__new__(TGraph)
+    _set(g, "triples", tuple(triples))
+    _set(g, "triple_set", frozenset(triples))
+    _set(g, "_vars", variables)
+    _set(g, "_iris", frozenset(known.values()) - variables)
+    _set(g, "_index", None)
+    _set(g, "_plans", None)
+    return g
+
+
+def _raise_first_bad_row(rows, known: dict, ground: bool) -> None:
+    for no, row in enumerate(rows, start=1):
+        if row is None:
             continue
-        last = tokens[-1]
-        if last[-1] == ".":  # the line's one optional trailing "."
-            tokens[-1:] = [last[:-1]] if len(last) > 1 else []
-        if len(tokens) != 3:
-            raise ParseError(f"expected three terms, got {len(tokens)}", line=no)
-        s, p, o = tokens
-        s, p, o = get(s), get(p), get(o)
-        if s is not None and p is not None and o is not None:
-            triples.append(_triple((s, p, o)))
-            continue
-        t = _triple(tuple(get(tok) or known.setdefault(tok, parse_term(tok, line=no)) for tok in tokens))
-        # a ground parse stops at the first variable, so `known` holds none
-        # and a line of known tokens is ground
-        if ground and not t.is_ground():
-            worst = min(t.vars(), key=str)
+        if len(row) != 3:
+            raise ParseError(f"expected three terms, got {len(row)}", line=no)
+        for token in row:
+            if known[token] is None:
+                kind = "variable" if token[0] == "?" else "IRI"
+                raise ParseError(f"bad {kind} token {token!r}", line=no)
+        found = [known[token] for token in row if known[token].is_var]
+        if ground and found:
+            worst = min(found, key=str)
             raise NonGroundGraph(f"variable {worst} in an RDF graph", line=no)
-        triples.append(t)
-    return TGraph(tuple(triples))
 
 
 def serialize_graph(g: TGraph) -> str:

@@ -3,11 +3,20 @@
 A wdPT is a rooted tree whose nodes carry t-graphs; the tree structure
 encodes OPT nesting, each node an AND-block.  Constructors validate the
 tree shape and the variable-connectivity condition (the nodes mentioning
-any one variable induce a connected subgraph).  NR normal form (every
-non-root node introduces a variable its parent lacks) is required by the
-evaluation and width machinery and established by `nr_normalize`.  In it
+any one variable induce a connected subgraph), in time linear in the
+tree: every node is reached from the root, and each variable has one
+topmost holder.  NR normal form (every non-root node introduces a
+variable its parent lacks) is required by the evaluation and width
+machinery and established by `nr_normalize`, in one pre-order pass: a
+merge leaves the variables of the node merged into as they were.  In it
 dom(mu) fixes mu's matched subtree, so a tree keeps, per variable set, a
 `SubtreeRecord` of what deciding mu reads: pattern and cored children.
+
+`to_forest` takes each component's AND-blocks with their triples from
+the pattern layer's one pass (`patterns.and_blocks`), NR-normalizes them
+in that one pre-order pass, numbers the kept nodes breadth first and
+builds and validates each tree once.  Neither the translation, nor
+`tree_pattern` or `render_forest`, recurses on the nesting depth.
 
 This module also hosts the combinatorics the width analysis is built on:
 root-containing subtrees, their support across the forest, children
@@ -19,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Iterator
 
 from . import hom
 from .errors import NotNRNormalForm
 from .hom import GeneralizedTGraph, find_homomorphism
-from .patterns import AND, OPT, UNION, GraphPattern, Leaf, Node, union_normalize
+from .patterns import AND, OPT, UNION, Block, GraphPattern, Leaf, Node, and_blocks
 from .terms import TGraph, Term, Triple, _interned, substitute
 
 # The most variables of a t-graph that is cored: a child t-graph past it is
@@ -70,22 +80,20 @@ class WdPT:
                 raise ValueError(f"node {n} has unknown parent {p}")
             kids[p].append(n)
         self._children = {n: tuple(sorted(c)) for n, c in kids.items()}
-        for n in nodes:  # acyclicity: every node reaches the root
-            seen = set()
-            while n != self.root:
-                if n in seen:
-                    raise ValueError("parent links contain a cycle")
-                seen.add(n)
-                n = self.parents[n]
-        for x in self.vars():
-            holders = {n for n in nodes if x in self.labels[n].vars()}
-            top = sum(
-                1
-                for n in holders
-                if n == self.root or self.parents[n] not in holders
-            )
-            if top != 1:
-                raise ValueError(f"nodes mentioning {x} are not connected")
+        reached = [self.root]
+        for n in reached:  # breadth first: `reached` grows as it is read
+            reached.extend(self._children[n])
+        if len(reached) != len(nodes):  # a node off the root's tree is on a cycle
+            raise ValueError("parent links contain a cycle")
+        # connected: per variable, one holder whose parent lacks it (or the root)
+        tops: set[Term] = set()
+        for n in reached:
+            up = self.parents.get(n)
+            fresh = self.node_vars(n) - self.node_vars(up) if up is not None else self.node_vars(n)
+            for x in fresh:
+                if x in tops:
+                    raise ValueError(f"nodes mentioning {x} are not connected")
+                tops.add(x)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -184,20 +192,6 @@ class WdPT:
         pat, dist = self.pat(nodes), self.vars(nodes)
         return tuple(GeneralizedTGraph(pat | self.label(c), dist) for c in self.frontier(nodes))
 
-    def renumbered(self) -> "WdPT":
-        order = []
-        queue = [self.root]
-        while queue:
-            n = queue.pop(0)
-            order.append(n)
-            queue.extend(self.children(n))
-        new_id = {n: i for i, n in enumerate(order)}
-        return WdPT(
-            0,
-            {new_id[n]: new_id[p] for n, p in self.parents.items()},
-            {new_id[n]: g for n, g in self.labels.items()},
-        )
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -279,60 +273,55 @@ def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
 # translation from graph patterns
 
 
-def _component_structure(p: GraphPattern):
-    """(t-graph, children) nesting: AND merges, OPT hangs the right side."""
-    if isinstance(p, Leaf):
-        return TGraph((p.triple,)), []
-    if p.op == AND:
-        lg, lc = _component_structure(p.left)
-        rg, rc = _component_structure(p.right)
-        return lg | rg, lc + rc
-    if p.op == OPT:
-        lg, lc = _component_structure(p.left)
-        return lg, lc + [_component_structure(p.right)]
-    raise ValueError("UNION below the top level")  # unreachable on wd input
-
-
-def _materialize(structure) -> WdPT:
-    labels: dict[int, TGraph] = {}
-    parents: dict[int, int] = {}
-    counter = 0
-
-    def walk(node, parent: int | None) -> None:
-        nonlocal counter
-        me = counter
-        counter += 1
-        g, kids = node
-        labels[me] = g
-        if parent is not None:
-            parents[me] = parent
-        for kid in kids:
-            walk(kid, me)
-
-    walk(structure, None)
-    return WdPT(0, parents, labels)
+def _merge_covered(root, label, children) -> tuple[dict, dict]:
+    """NR normal form in one pre-order pass over a tree given by its root
+    and two functions (a node's triples, its children in order).  A node
+    whose variables its nearest kept ancestor covers is merged into that
+    ancestor; merging leaves the ancestor's variables as they were, so one
+    pass settles every node.  Returns, per kept node in pre-order, its
+    triples with those of the nodes merged into it, and its kept children
+    in pre-order."""
+    triples = {root: list(label(root))}
+    kids: dict = {root: []}
+    covers = {root: {x for t in triples[root] for x in t if x.is_var}}
+    todo = [(c, root) for c in reversed(children(root))]
+    while todo:
+        n, above = todo.pop()
+        own = label(n)
+        variables = {x for t in own for x in t if x.is_var}
+        if variables <= covers[above]:
+            triples[above] += own
+            kept = above
+        else:
+            triples[n] = list(own)
+            kids[n] = []
+            covers[n] = variables
+            kids[above].append(n)
+            kept = n
+        todo += ((c, kept) for c in reversed(children(n)))
+    return triples, kids
 
 
 def nr_normalize(tree: WdPT) -> WdPT:
     """Merge every node whose variables are covered by its parent into it."""
-    labels = dict(tree.labels)
-    parents = dict(tree.parents)
-    while True:
-        merged = False
-        for n in sorted(parents):
-            p = parents[n]
-            if labels[n].vars() <= labels[p].vars():
-                labels[p] = labels[p] | labels[n]
-                del labels[n]
-                del parents[n]
-                for child, q in list(parents.items()):
-                    if q == n:
-                        parents[child] = p
-                merged = True
-                break
-        if not merged:
-            break
-    return WdPT(tree.root, parents, labels)
+    triples, kids = _merge_covered(tree.root, tree.label, tree.children)
+    parents = {c: n for n, cs in kids.items() for c in cs}
+    return WdPT(tree.root, parents, {n: TGraph(tuple(ts)) for n, ts in triples.items()})
+
+
+def _block_tree(root: Block) -> WdPT:
+    """The NR-normal tree of one component's root block, its nodes
+    numbered breadth first."""
+    triples, kids = _merge_covered(root, attrgetter("triples"), attrgetter("children"))
+    order = [root]
+    for b in order:  # breadth first: `order` grows as it is read
+        order += kids[b]
+    new_id = {b: i for i, b in enumerate(order)}
+    return WdPT(
+        0,
+        {new_id[c]: new_id[b] for b in order for c in kids[b]},
+        {new_id[b]: TGraph(tuple(triples[b])) for b in order},
+    )
 
 
 def to_forest(p: GraphPattern) -> WdPF:
@@ -340,38 +329,30 @@ def to_forest(p: GraphPattern) -> WdPF:
 
     One tree per top-level UNION component; a triple becomes a single root
     node, AND merges root t-graphs and concatenates child lists, OPT hangs
-    the right side under the left root.  Trees are NR-normalized and
-    renumbered breadth-first.
+    the right side under the left root (`patterns.and_blocks`).  Trees are
+    NR-normalized in one pass and numbered breadth-first, and each tree is
+    built and validated once.
     """
-    comps = union_normalize(p)
-    trees = []
-    for comp in comps:
-        tree = _materialize(_component_structure(comp))
-        tree = nr_normalize(tree).renumbered()
-        tree.ensure_nr()
-        trees.append(tree)
-    return WdPF(tuple(trees))
+    return WdPF(tuple(_block_tree(root) for root in and_blocks(p)))
 
 
 def tree_pattern(tree: WdPT) -> GraphPattern:
     """The AND/OPT pattern a tree denotes (labels must be non-empty)."""
-
-    def conj(g: TGraph) -> GraphPattern:
-        triples = list(g)
+    order = [tree.root]
+    for n in order:  # breadth first: each node's children come after it
+        order.extend(tree.children(n))
+    built: dict[int, GraphPattern] = {}
+    for n in reversed(order):
+        triples = list(tree.label(n))
         if not triples:
             raise ValueError("cannot express an empty AND-block as a pattern")
         out: GraphPattern = Leaf(triples[0])
         for t in triples[1:]:
             out = Node(AND, out, Leaf(t))
-        return out
-
-    def walk(n: int) -> GraphPattern:
-        out = conj(tree.label(n))
         for c in tree.children(n):
-            out = Node(OPT, out, walk(c))
-        return out
-
-    return walk(tree.root)
+            out = Node(OPT, out, built.pop(c))
+        built[n] = out
+    return built[tree.root]
 
 
 def forest_pattern(forest: WdPF) -> GraphPattern:
@@ -386,12 +367,12 @@ def render_forest(forest: WdPF) -> str:
     blocks = []
     for tree in forest.trees:
         lines = []
-        stack = [tree.root]
+        stack = [(tree.root, 0)]
         while stack:
-            n = stack.pop()
+            n, depth = stack.pop()
             inner = " ; ".join(str(t) for t in tree.label(n))
-            lines.append("  " * tree.depth(n) + f"n{n}: {{ {inner} }}")
-            stack.extend(reversed(tree.children(n)))
+            lines.append("  " * depth + f"n{n}: {{ {inner} }}")
+            stack += ((c, depth + 1) for c in reversed(tree.children(n)))
         blocks.append("\n".join(lines))
     return "\n---\n".join(blocks) + "\n"
 

@@ -6,19 +6,33 @@ elimination order, the pebble game by solving the actual two-player game,
 the consistency family by naive deletion to a fixpoint, tree evaluation
 by enumerating every subtree instead of the greedy scan, pattern
 evaluation by joining every pair of mappings in nested loops, the clique
-gadget by filtering the full product of gadget variables per triple, and
-graph files by the plain line-by-line parser the fast one replaced.
+gadget by filtering the full product of gadget variables per triple,
+graph files by the plain line-by-line parser the fast one replaced, and
+patterns by the recursive-descent parser, the recursive well-designedness
+check and the merge-and-restart forest translation the one-pass pattern
+layer replaced.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations, product
 
-from wdsparql.errors import NonGroundGraph, ParseError
+from wdsparql.errors import NonGroundGraph, NotWellDesigned, ParseError
 from wdsparql.graphs import UndirectedGraph
 from wdsparql.hom import GeneralizedTGraph, core
-from wdsparql.patterns import AND, UNION, GraphPattern, Leaf
-from wdsparql.terms import Mapping, TGraph, Term, Triple, parse_term, substitute, var
+from wdsparql.patterns import AND, OPT, UNION, GraphPattern, Leaf, Node, Violation, pattern_vars
+from wdsparql.terms import (
+    _IRI_NAME,
+    _USER_VAR_NAME,
+    Mapping,
+    TGraph,
+    Term,
+    Triple,
+    parse_term,
+    substitute,
+    var,
+)
 from wdsparql.trees import WdPF, WdPT
 
 
@@ -334,3 +348,221 @@ def parse_graph_by_lines(text: str, *, ground: bool = False) -> TGraph:
             raise NonGroundGraph(f"variable {worst} in an RDF graph", line=no)
         triples.append(Triple(*found))
     return TGraph(tuple(triples))
+
+
+# ---------------------------------------------------------------------------
+# the pattern layer as it was before the one-pass rewrite: a recursive
+# descent parser, a recursive well-designedness check, and a forest
+# translation that builds a tree, NR-normalizes it by merge-and-restart
+# and renumbers it, each step a new WdPT
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<punct>[(),])|(?P<word>[^\s(),]+))")
+_OPS = (AND, OPT, UNION)
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            break
+        tokens.append((m.group("punct") or m.group("word"), m.start("punct") if m.group("punct") else m.start("word")))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.length = len(text)
+
+    def _peek(self) -> str | None:
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def _pos(self) -> int:
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
+
+    def _take(self, expected: str) -> None:
+        got = self._peek()
+        if got != expected:
+            raise ParseError(
+                f"expected {expected!r}, got {got!r}" if got else f"expected {expected!r}, got end of input",
+                position=self._pos(),
+            )
+        self.i += 1
+
+    def _term(self) -> Term:
+        tok = self._peek()
+        if tok is None or tok in ("(", ")", ","):
+            raise ParseError(f"expected a term, got {tok!r}", position=self._pos())
+        pos = self._pos()
+        self.i += 1
+        if tok.startswith("?"):
+            if not _USER_VAR_NAME.match(tok[1:]):
+                raise ParseError(f"bad variable {tok!r}", position=pos)
+            return Term("var", tok[1:])
+        if not _IRI_NAME.match(tok) or tok in _OPS:
+            raise ParseError(f"bad IRI {tok!r}", position=pos)
+        return Term("iri", tok)
+
+    def pattern(self) -> GraphPattern:
+        self._take("(")
+        if self._peek() == "(":
+            left = self.pattern()
+            op = self._peek()
+            if op not in _OPS:
+                raise ParseError(
+                    f"expected AND, OPT or UNION, got {op!r}", position=self._pos()
+                )
+            self.i += 1
+            right = self.pattern()
+            self._take(")")
+            return Node(op, left, right)
+        s = self._term()
+        self._take(",")
+        p = self._term()
+        self._take(",")
+        o = self._term()
+        self._take(")")
+        return Leaf(Triple(s, p, o))
+
+    def parse(self) -> GraphPattern:
+        out = self.pattern()
+        if self._peek() is not None:
+            raise ParseError(f"trailing input {self._peek()!r}", position=self._pos())
+        return out
+
+
+def parse_pattern_by_recursion(text: str) -> GraphPattern:
+    return _Parser(text).parse()
+
+
+def _union_components(p: GraphPattern) -> list[GraphPattern]:
+    if isinstance(p, Node) and p.op == UNION:
+        return _union_components(p.left) + _union_components(p.right)
+    return [p]
+
+
+def _find_union(p: GraphPattern) -> Node | None:
+    if isinstance(p, Leaf):
+        return None
+    if p.op == UNION:
+        return p
+    return _find_union(p.left) or _find_union(p.right)
+
+
+def _check_component(p: GraphPattern, outside: frozenset[Term]) -> Violation | None:
+    """Check every OPT occurrence against the variables visible outside it."""
+    if isinstance(p, Leaf):
+        return None
+    lv, rv = pattern_vars(p.left), pattern_vars(p.right)
+    if p.op == OPT:
+        escaped = (rv - lv) & outside
+        if escaped:
+            return Violation("escaped-variable", p, min(escaped, key=str))
+    return _check_component(p.left, outside | rv) or _check_component(
+        p.right, outside | lv
+    )
+
+
+def well_designed_violation_by_recursion(p: GraphPattern) -> Violation | None:
+    for comp in _union_components(p):
+        nested = _find_union(comp)
+        if nested is not None:
+            return Violation("nested-union", nested)
+        bad = _check_component(comp, frozenset())
+        if bad is not None:
+            return bad
+    return None
+
+
+def _component_structure(p: GraphPattern):
+    """(t-graph, children) nesting: AND merges, OPT hangs the right side."""
+    if isinstance(p, Leaf):
+        return TGraph((p.triple,)), []
+    if p.op == AND:
+        lg, lc = _component_structure(p.left)
+        rg, rc = _component_structure(p.right)
+        return lg | rg, lc + rc
+    if p.op == OPT:
+        lg, lc = _component_structure(p.left)
+        return lg, lc + [_component_structure(p.right)]
+    raise ValueError("UNION below the top level")
+
+
+def _materialize(structure) -> WdPT:
+    labels: dict[int, TGraph] = {}
+    parents: dict[int, int] = {}
+    counter = 0
+
+    def walk(node, parent: int | None) -> None:
+        nonlocal counter
+        me = counter
+        counter += 1
+        g, kids = node
+        labels[me] = g
+        if parent is not None:
+            parents[me] = parent
+        for kid in kids:
+            walk(kid, me)
+
+    walk(structure, None)
+    return WdPT(0, parents, labels)
+
+
+def _nr_normalize_by_restarts(tree: WdPT) -> WdPT:
+    """Merge every node whose variables are covered by its parent into it,
+    rescanning from the start after each merge."""
+    labels = dict(tree.labels)
+    parents = dict(tree.parents)
+    while True:
+        merged = False
+        for n in sorted(parents):
+            p = parents[n]
+            if labels[n].vars() <= labels[p].vars():
+                labels[p] = labels[p] | labels[n]
+                del labels[n]
+                del parents[n]
+                for child, q in list(parents.items()):
+                    if q == n:
+                        parents[child] = p
+                merged = True
+                break
+        if not merged:
+            break
+    return WdPT(tree.root, parents, labels)
+
+
+def _renumbered(tree: WdPT) -> WdPT:
+    order = []
+    queue = [tree.root]
+    while queue:
+        n = queue.pop(0)
+        order.append(n)
+        queue.extend(tree.children(n))
+    new_id = {n: i for i, n in enumerate(order)}
+    return WdPT(
+        0,
+        {new_id[n]: new_id[p] for n, p in tree.parents.items()},
+        {new_id[n]: g for n, g in tree.labels.items()},
+    )
+
+
+def to_forest_by_recursion(p: GraphPattern) -> WdPF:
+    """One tree per top-level UNION component, built, NR-normalized and
+    renumbered breadth first, each step a new tree."""
+    bad = well_designed_violation_by_recursion(p)
+    if bad is not None:
+        raise NotWellDesigned(str(bad))
+    trees = []
+    for comp in _union_components(p):
+        tree = _materialize(_component_structure(comp))
+        tree = _renumbered(_nr_normalize_by_restarts(tree))
+        tree.ensure_nr()
+        trees.append(tree)
+    return WdPF(tuple(trees))

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -329,7 +330,7 @@ def test_selftest_smoke():
     code, out, err = run("selftest", "--seed", "3", "--trials", "6")
     assert code == 0, err
     lines = out.splitlines()
-    assert lines[0] == "1..7"
+    assert lines[0] == "1..8"
     assert all(line.startswith("ok") for line in lines[1:])
 
 
@@ -368,15 +369,27 @@ def test_eval_rejects_non_ground_graph(tmp_path):
     assert err.startswith("ERROR NonGroundGraph:")
 
 
-def test_deep_nesting_is_one_error_line(tmp_path):
-    depth = 1500
-    text = "(" * depth + "(?x,p,?y)" + " AND (?x,p,?y))" * depth
-    pattern = write(tmp_path, "deep.sparql", text)
-    code, out, err = run("check-wd", "--pattern", pattern)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("ERROR InstanceTooLarge:")
-    assert len(err.splitlines()) == 1
+def test_ten_thousand_levels_through_the_cli(tmp_path):
+    """check-wd, to-forest and eval --mode naive each take a 10,000-deep
+    left-deep AND, OPT and UNION chain in under 2 s."""
+    depth = 10_000
+    graph = write(tmp_path, "g.nt", "a p b .\n")
+    bindings = "".join(f"?x{i} = b\n" for i in range(1, depth + 2))
+    every = write(tmp_path, "every.map", "?x0 = a\n" + bindings)
+    first = write(tmp_path, "first.map", "?x0 = a\n?x1 = b\n")
+    # the lines to-forest prints: one tree, a root with a child per level,
+    # or a tree per level with "---" between
+    for op, lines, mapping in (("AND", 1, every), ("OPT", depth + 1, every), ("UNION", 2 * depth + 1, first)):
+        tail = "".join(f" {op} (?x0, p, ?x{i}))" for i in range(2, depth + 2))
+        pattern = write(tmp_path, f"{op}.sparql", "(" * depth + "(?x0, p, ?x1)" + tail)
+        naive = ("eval", "--graph", graph, "--mapping", mapping, "--mode", "naive")
+        for command, *rest in (("check-wd",), ("to-forest",), naive):
+            t0 = perf_counter()
+            code, out, err = run(command, "--pattern", pattern, *rest)
+            assert perf_counter() - t0 < 2.0, (op, command)
+            assert (code, err) == (0, ""), (op, command)
+            if command == "to-forest":
+                assert len(out.splitlines()) == lines
 
 
 def test_unexpected_exception_is_one_internal_error_line(monkeypatch, tmp_path):

@@ -87,6 +87,19 @@ def test_every_tree_is_checked_for_nr_past_an_accepting_one():
         eval_pebble(forest, graph, mu, 1)
 
 
+def test_forest_evaluators_check_their_inputs_in_one_order():
+    """NR normal form first, groundness second, in all three evaluators."""
+    sloppy = WdPF((WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")}),))
+    graph, mu = parse_graph("a p ?v"), m(x="a", y="b")
+    for evaluate in (
+        lambda: eval_forest(sloppy, graph, mu),
+        lambda: eval_pebble(sloppy, graph, mu, 1),
+        lambda: enumerate_solutions(sloppy, graph),
+    ):
+        with pytest.raises(NotNRNormalForm):
+            evaluate()
+
+
 def test_clique_family_membership():
     tree = two_node_clique_tree(3)
     forest = WdPF((tree,))
