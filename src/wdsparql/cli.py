@@ -227,8 +227,10 @@ def cmd_selftest(args) -> int:
     def random_h():
         from .graphs import UndirectedGraph
 
-        n = rng.randint(2, 5)
-        names = [f"h{i}" for i in range(n)]
+        n = rng.randint(2, 12)
+        # from four vertices on, text order differs from index order
+        # (h1, h10, h13, h4, ...), which the gadget's sorted pairs must not mind
+        names = [f"h{3 * i + 1}" for i in range(n)]
         edges = [
             (a, b)
             for i, a in enumerate(names)
@@ -262,7 +264,13 @@ def cmd_selftest(args) -> int:
         for _ in range(trials):
             h = random_h()
             inst = generate_hard_instance(forest, CliqueInstance(h, 2))
-            if has_clique(h, 2) == eval_forest(forest, inst.graph, inst.mapping):
+            graph = inst.graph
+            if has_clique(h, 2) == eval_forest(forest, graph, inst.mapping):
+                return False
+            # made knowing it is ground: it must be, and in canonical order
+            if not graph.is_ground() or any(x.is_var for t in graph for x in t):
+                return False
+            if graph.triples != tuple(sorted(graph, key=str)):
                 return False
         return True
 

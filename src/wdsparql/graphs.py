@@ -13,6 +13,7 @@ By convention a graph with no vertices or no edges has treewidth 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import GraphTooLarge
@@ -59,8 +60,13 @@ class UndirectedGraph:
     def has_edge(self, a, b) -> bool:
         return frozenset((a, b)) in self.edges
 
+    @cached_property
+    def _degrees(self) -> dict:
+        """Each vertex's degree, from one adjacency built on first use."""
+        return {v: len(nbrs) for v, nbrs in self.adjacency().items()}
+
     def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return self._degrees.get(v, 0)
 
     def subgraph(self, keep) -> "UndirectedGraph":
         keep = frozenset(keep)

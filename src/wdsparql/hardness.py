@@ -17,12 +17,19 @@ witness instead.
 
 What depends on (S, X), its core, the minor map and k alone is a
 `GadgetPlan`: checked and compiled once, and kept per k in the forest's
-`Analysis` for the forest's own witness core and grid minor.  Each H then
-only instantiates the plan, in one pass: `build_clique_gadget` makes the
-gadget's variables, and `generate_hard_instance` makes their frozen IRIs
-directly, with no gadget variable and no second substitution.  The
-per-H checks (vertex names, the two gadget properties, the frozen
-mapping's domain) run on every instance.
+`Analysis` for the forest's own witness core and grid minor.  The plan
+sorts the core triples into kept ones and templates, and records each
+template's shape: per anchor, its side (whether `vertex in edge`) and the
+earlier anchor it shares a grid row or column with.  Each H then only
+instantiates the plan, in one pass: the consistent (vertex, edge)
+combinations are found once per shape, column by column, and each
+template's triples are zipped from its columns of terms, with no tuple
+built per partial combination.  `build_clique_gadget` makes the gadget's
+variables, and `generate_hard_instance` makes their frozen IRIs
+directly, into a t-graph made knowing it is ground, with no gadget
+variable and no second substitution.  The per-H checks (vertex names,
+the two gadget properties, the frozen mapping's domain) run on every
+instance.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import (
     ComponentMismatch,
@@ -198,11 +205,13 @@ class GadgetPlan:
     connected component of the core's Gaifman graph, has the
     (k x C(k,2)) shape and passes `verify_minor_map`.  It keeps each
     anchor (a variable of that component) with whether its grid row lies
-    in its column's pair and the tail `#row#column#anchor` of its terms'
-    names; the core triples leaning on another component, kept verbatim;
-    and the others as templates, with a slot per position: None for a
-    term kept as it is, or the anchor there and the earlier anchor slots
-    in its row and in its column, whose vertex and edge it must take.
+    in its column's pair (its side) and the tail `#row#column#anchor` of
+    its terms' names; the core triples that lean on another component or
+    hold no anchor, kept verbatim; and the others as templates.  A
+    template is its layout, per position a kept term or the index of an
+    anchor slot, and its shape, per anchor slot its side and the earlier
+    slots in its row and in its column, whose vertex and edge it must
+    take.  Templates of one shape share their consistent combinations.
     Freezing adds, on first use, the reserved-prefix check on the core's
     IRIs and the frozen IRI of every core variable.
     """
@@ -233,25 +242,37 @@ class GadgetPlan:
         }
         dist = cored.dist
         kept: list[Triple] = []
-        templates: list[tuple[Triple, tuple]] = []
+        templates: list[tuple[tuple, tuple]] = []
         for t in cored.tgraph:
-            if any(v not in dist and v not in covered for v in t.vars()):
-                kept.append(t)  # leans on another component; projects to itself
+            if not any(x in cell_of for x in t) or any(
+                v not in dist and v not in covered for v in t.vars()
+            ):
+                kept.append(t)  # projects to itself
                 continue
-            slots: list = []
-            seen: list[tuple[int, int]] = []  # the cell of each anchor slot so far
+            layout: list[tuple[Term, int | None]] = []
+            shape: list[tuple[bool, int | None, int | None]] = []
+            cells: list[tuple[int, int]] = []  # the cell of each anchor slot so far
             for x in t:
                 if x not in cell_of:
-                    slots.append(None)
+                    layout.append((x, None))
                     continue
                 i, p = cell_of[x]
-                row = next((n for n, (r, _) in enumerate(seen) if r == i), None)
-                column = next((n for n, (_, c) in enumerate(seen) if c == p), None)
-                slots.append((x, self.anchors[x][0], row, column))
-                seen.append((i, p))
-            templates.append((t, tuple(slots)))
+                row = next((n for n, (r, _) in enumerate(cells) if r == i), None)
+                column = next((n for n, (_, c) in enumerate(cells) if c == p), None)
+                layout.append((x, len(shape)))
+                shape.append((self.anchors[x][0], row, column))
+                cells.append((i, p))
+            templates.append((tuple(layout), tuple(shape)))
         self.kept = tuple(kept)
         self.templates = tuple(templates)
+        # the lookups the shapes read past their first slot: (side, keyed
+        # by vertex, keyed by edge), the unconstrained ones excepted
+        self.lookups = frozenset(
+            (side, row is not None, column is not None)
+            for _, shape in templates
+            for side, row, column in shape[1:]
+            if row is not None or column is not None
+        )
 
     @cached_property
     def _frozen(self) -> tuple[tuple, tuple, dict[Term, Term], Mapping]:
@@ -266,14 +287,17 @@ class GadgetPlan:
         }
         get = frozen.get
         kept = tuple(_triple(map(get, t, t)) for t in self.kept)
-        templates = tuple((_triple(map(get, t, t)), slots) for t, slots in self.templates)
+        templates = tuple(
+            (tuple((x, n) if n is not None else (get(x, x), n) for x, n in layout), shape)
+            for layout, shape in self.templates
+        )
         mapping = Mapping._valid({x: frozen[x] for x in self.cored.dist})
         return kept, templates, {a: v for v, a in frozen.items()}, mapping
 
     def gadget(self, h: UndirectedGraph) -> GeneralizedTGraph:
         """The gadget (B, X) for H, its variables named `?g#...`."""
         triples, projection = self._instantiate(h, "var", "", self.kept, self.templates)
-        gadget = GeneralizedTGraph(TGraph(tuple(triples)), self.cored.dist, declared=True)
+        gadget = GeneralizedTGraph(TGraph(triples), self.cored.dist, declared=True)
         _check_gadget(self.original, self.cored, gadget, projection)
         return gadget
 
@@ -283,10 +307,8 @@ class GadgetPlan:
         kept, templates, thawed, mapping = self._frozen
         triples, projection = self._instantiate(h, "iri", FROZEN_PREFIX, kept, templates)
         projection.update(thawed)
-        graph = TGraph(tuple(triples))
-        _check_gadget(
-            self.original, self.cored, GeneralizedTGraph(graph, frozenset()), projection
-        )
+        graph = TGraph._ground(triples)
+        _check_gadget(self.original, self.cored, graph, projection)
         return FrozenInstance(graph, mapping)
 
     def _instantiate(
@@ -303,48 +325,78 @@ class GadgetPlan:
         h_edges = sorted(tuple(sorted(e)) for e in h.edges)
 
         # Per side (whether `vertex in edge`): the (vertex, edge) pairs on
-        # it, the stems of their terms' names, and the pairs listed under
-        # every key (vertex or None, edge or None) they agree with, so that
-        # the pairs consistent with a partial combination are one lookup
-        # away.  The names hold checked H names, integers and a variable
+        # it.  The names hold checked H names, integers and a variable
         # name: valid by construction.
         sides = {}
-        for in_pair in {in_pair for in_pair, _ in self.anchors.values()}:
-            pairs = [(v, e) for v in h_vertices for e in h_edges if (v in e) == in_pair]
-            keyed: dict[tuple, list] = {}
-            for ve in pairs:
-                v, e = ve
-                for key in (ve, (v, None), (None, e), (None, None)):
-                    keyed.setdefault(key, []).append(ve)
-            stems = [f"{prefix}g#{v}#{e[0]}#{e[1]}" for v, e in pairs]
-            sides[in_pair] = (pairs, stems, keyed)
+        stems = {}
+        for side in {side for side, _ in self.anchors.values()}:
+            pairs = sides[side] = [
+                (v, e) for v in h_vertices for e in h_edges if (v in e) == side
+            ]
+            stems[side] = [f"{prefix}g#{v}#{e[0]}#{e[1]}" for v, e in pairs]
         projection: dict[Term, Term] = {}
-        terms_of: dict[Term, dict] = {}
-        for anchor, (in_pair, tail) in self.anchors.items():
-            pairs, stems, _ = sides[in_pair]
-            made = [_interned(kind, stem + tail) for stem in stems]
-            terms_of[anchor] = dict(zip(pairs, made))
+        # per anchor, its terms in the order of its side's pairs
+        terms_of: dict[Term, list[Term]] = {}
+        for anchor, (side, tail) in self.anchors.items():
+            made = terms_of[anchor] = [_interned(kind, stem + tail) for stem in stems[side]]
             projection.update(dict.fromkeys(made, anchor))
+        # per lookup the plan reads, the positions of a side's pairs under
+        # each key (vertex, edge, or both) they have
+        keyed = {}
+        for side, by_vertex, by_edge in self.lookups:
+            pairs = sides[side]
+            if by_vertex and by_edge:  # a side's pairs are distinct
+                found = dict(zip(pairs, zip(range(len(pairs)))))
+            else:
+                found = {}
+                for i, ve in enumerate(pairs):
+                    found.setdefault(ve[0 if by_vertex else 1], []).append(i)
+            keyed[side, by_vertex, by_edge] = found
 
         triples = list(kept)
-        for t, slots in templates:
-            # partial combinations: (terms so far, (vertex, edge) per anchor slot)
-            partial: list[tuple[tuple[Term, ...], tuple]] = [((), ())]
-            for term, slot in zip(t, slots):
-                if slot is None:
-                    partial = [(terms + (term,), chosen) for terms, chosen in partial]
-                    continue
-                anchor, in_pair, row, column = slot
-                keyed, term_of = sides[in_pair][2], terms_of[anchor]
-                grown = []
-                for terms, chosen in partial:
-                    need_v = None if row is None else chosen[row][0]
-                    need_e = None if column is None else chosen[column][1]
-                    for ve in keyed.get((need_v, need_e), ()):
-                        grown.append((terms + (term_of[ve],), chosen + (ve,)))
-                partial = grown
-            triples.extend([_triple(terms) for terms, _ in partial])
+        consistent: dict[tuple, list] = {}
+        for layout, shape in templates:
+            columns = consistent.get(shape)
+            if columns is None:
+                columns = consistent[shape] = _combinations(shape, sides, keyed)
+            n = len(columns[0])
+            triples.extend(map(_triple, zip(*[
+                repeat(x, n) if slot is None else map(terms_of[x].__getitem__, columns[slot])
+                for x, slot in layout
+            ])))
         return triples, projection
+
+
+def _combinations(shape: tuple, sides: dict, keyed: dict) -> list:
+    """The consistent combinations of `shape`, column by column: per anchor
+    slot, the position in its side's pairs of the (vertex, edge) pair it
+    takes in each combination.  A slot takes the vertex of the earlier slot
+    in its row and the edge of the one in its column, through the `keyed`
+    lookup of its side."""
+    (side, _, _), *rest = shape
+    columns: list = [range(len(sides[side]))]
+    pairs_of = [sides[side]]  # per slot so far, its side's pairs
+    for side, row, column in rest:
+        pairs = sides[side]
+        if row is None and column is None:
+            hits = [range(len(pairs))] * len(columns[0])
+        else:
+            if column is None:
+                keys = [pairs_of[row][i][0] for i in columns[row]]
+            elif row is None:
+                keys = [pairs_of[column][i][1] for i in columns[column]]
+            else:
+                keys = zip(
+                    [pairs_of[row][i][0] for i in columns[row]],
+                    [pairs_of[column][i][1] for i in columns[column]],
+                )
+            lookup = keyed[side, row is not None, column is not None].get
+            hits = list(map(lookup, keys, repeat(())))
+        counts = list(map(len, hits))
+        columns = [list(chain.from_iterable(map(repeat, c, counts))) for c in columns]
+        columns.append(list(chain.from_iterable(hits)))
+        pairs_of.append(pairs)
+    return columns
 
 
 def build_clique_gadget(
@@ -374,17 +426,19 @@ def build_clique_gadget(
 def _check_gadget(
     original: GeneralizedTGraph,
     cored: GeneralizedTGraph,
-    gadget: GeneralizedTGraph,
+    gadget: GeneralizedTGraph | TGraph,
     projection: dict[Term, Term],
 ) -> None:
-    """Each triple of the gadget, under `projection` (each gadget term to
-    its core term, other terms unchanged), is a core triple, and each
-    all-distinguished triple of the original is such an image.  Through
-    the projection the check reads alike on a gadget and on its frozen
-    graph."""
-    # each triple under the projection, a plain tuple as in `Mapping.images_in`
+    """Each triple of the gadget (B, X), or of its frozen graph, under
+    `projection` (each gadget term to its core term, other terms
+    unchanged) is a core triple, and each all-distinguished triple of the
+    original is such an image.  Through the projection the check reads
+    alike on a gadget and on its frozen graph."""
+    tgraph = gadget.tgraph if isinstance(gadget, GeneralizedTGraph) else gadget
+    # each triple under the projection, column by column, as plain tuples
+    # as in `Mapping.images_in`
     get = projection.get
-    projected = {tuple(map(get, t, t)) for t in gadget.tgraph}
+    projected = set(zip(*(map(get, c, c) for c in zip(*tgraph.triples))))
     dist = original.dist
     for t in original.tgraph:
         if t not in projected and t.vars() <= dist:
@@ -427,7 +481,7 @@ def freeze(b: GeneralizedTGraph) -> FrozenInstance:
     # `frz:` and a variable name: valid by construction
     frozen = {v: _interned("iri", FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
     get = frozen.get
-    graph = TGraph(tuple(_triple(map(get, t, t)) for t in b.tgraph))
+    graph = TGraph._ground(_triple(map(get, t, t)) for t in b.tgraph)
     return FrozenInstance(graph, Mapping._valid({x: frozen[x] for x in b.dist}))
 
 

@@ -11,7 +11,9 @@ must be cheap.  A term is one object per text (``?name`` for a variable,
 when there is one, from a table of weak references that forgets a term
 once the program drops it.  So two terms are equal iff they are the same
 object, and compare and hash by identity, in C; the name is checked only
-when a term is made.  A triple is the tuple of its three terms, so it is
+when a term is made.  Each kind has its own subclass of `Term`, which
+holds `kind`, `is_var` and `is_iri` as class attributes, so making a term
+writes only its name and its text.  A triple is the tuple of its three terms, so it is
 built, hashed and compared as a tuple, in C, and equals the plain tuple
 of the same terms.  A t-graph keeps its triples three ways: the canonical
 sorted tuple, a frozenset for membership (`triple_set`), and indexes keyed
@@ -66,6 +68,7 @@ _set = object.__setattr__
 _name = attrgetter("name")
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
+_ALL_BOUND = (0, 1, 2)
 
 
 def _no_key(_items) -> tuple:
@@ -120,9 +123,11 @@ class Term(_Value):
     """An IRI or a variable, one object per text: `Term(kind, name)` checks
     the name and returns the live term of that kind and name when there is
     one, so two terms are equal iff they are the same object, and hash by
-    identity."""
+    identity.  A term is an instance of its kind's class (`_Var` or
+    `_Iri`), which holds `kind`, `is_var` and `is_iri`, so a new term
+    writes only its name and its text."""
 
-    __slots__ = ("kind", "name", "is_var", "is_iri", "_text", "__weakref__")
+    __slots__ = ("name", "_text", "__weakref__")
 
     def __new__(cls, kind: str, name: str):
         pattern = _NAME.get(kind)
@@ -142,6 +147,20 @@ class Term(_Value):
         return f"Term({self._text!r})"
 
 
+class _Var(Term):
+    __slots__ = ()
+    kind = "var"
+    is_var = True
+    is_iri = False
+
+
+class _Iri(Term):
+    __slots__ = ()
+    kind = "iri"
+    is_var = False
+    is_iri = True
+
+
 def _interned(kind: str, name: str) -> Term:
     """The live term of that kind and name, or a new one entered in the
     table; the one place terms are made.  The name is not checked: `Term`
@@ -149,17 +168,19 @@ def _interned(kind: str, name: str) -> Term:
     only with names valid by construction (generated variables and frozen
     IRIs, built from names already checked and integers)."""
     # IRIs never start with "?", so the text alone tells terms apart
-    text = "?" + name if kind == "var" else name
+    if kind == "var":
+        text = "?" + name
+        cls = _Var
+    else:
+        text = name
+        cls = _Iri
     ref = _live.get(text)
     if ref is not None:
         term = ref()
         if term is not None:
             return term
-    term = object.__new__(Term)
-    _set(term, "kind", kind)
+    term = object.__new__(cls)
     _set(term, "name", name)
-    _set(term, "is_var", kind == "var")
-    _set(term, "is_iri", kind == "iri")
     _set(term, "_text", text)
     ref = _live[text] = _Ref(term, _forget)
     ref.text = text
@@ -254,6 +275,15 @@ class TGraph(_Value):
         _set(self, "_index", None)
         _set(self, "_plans", None)
 
+    @classmethod
+    def _ground(cls, triples) -> "TGraph":
+        """The t-graph of `triples`, which the caller knows to hold no
+        variable, made with its variables known (none), as `parse_graph`
+        makes a ground graph: `is_ground` then reads no triple."""
+        g = cls(triples)
+        _set(g, "_vars", frozenset())
+        return g
+
     def vars(self) -> frozenset[Term]:
         found = self._vars
         if found is None:
@@ -286,18 +316,24 @@ class TGraph(_Value):
             index = {}
             _set(self, "_index", index)
         found = index.get((mask, ties))
-        if found is None:
-            found = index[mask, ties] = {}
-            get = key_getter(mask)
-            for u in self.triples:
-                if ties and not all(u[i] == u[j] for i, j in ties):
-                    continue
-                key = get(u)
-                hits = found.get(key)
-                if hits is None:
-                    found[key] = [u]
-                else:
-                    hits.append(u)
+        if found is not None:
+            return found
+        triples = self.triples
+        if mask == _ALL_BOUND:
+            # each triple is its own key, once (no position is left to tie)
+            found = index[mask, ties] = dict(zip(triples, map(list, zip(triples))))
+            return found
+        found = index[mask, ties] = {}
+        get = key_getter(mask)
+        for u in triples:
+            if ties and not all(u[i] == u[j] for i, j in ties):
+                continue
+            key = get(u)
+            hits = found.get(key)
+            if hits is None:
+                found[key] = [u]
+            else:
+                hits.append(u)
         return found
 
     def plans(self) -> dict:

@@ -19,6 +19,7 @@ from wdsparql.evaluator import eval_forest
 from wdsparql.graphs import UndirectedGraph, grid_graph
 from wdsparql.hardness import (
     CliqueInstance,
+    GadgetPlan,
     MinorMap,
     build_clique_gadget,
     find_grid_minor,
@@ -307,6 +308,15 @@ def test_has_clique():
         has_clique(ug(25, []), 2)
 
 
+def test_degree_counts_the_edges_holding_the_vertex():
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        for v in list(h.vertices) + ["absent"]:
+            assert h.degree(v) == sum(1 for e in h.edges if v in e)
+
+
 def test_ug_and_mm_files():
     h = parse_undirected_graph("# comment\nvertex a\nedge a b\nedge b c\n")
     assert h.vertices == {"a", "b", "c"}
@@ -446,3 +456,34 @@ def test_generate_hard_instance_plans_once_and_makes_no_gadget_variable(monkeypa
     assert len(verified) == 1
     assert any(kind == "iri" and name.startswith("frz:g#") for kind, name in made)
     assert not [name for kind, name in made if kind == "var" and name.startswith("g#")]
+
+
+def test_per_shape_expansion_is_the_frozen_reference_gadget():
+    # H's with isolated vertices, with no edge (every anchored template
+    # expands to nothing) and with names whose text order is not their
+    # index order (h1, h2, h10), at k = 2 and at k = 3, where some anchors'
+    # rows lie outside their column's pair
+    rng = random.Random(71)
+    names = ["h1", "h2", "h10", "h3", "h11", "h20"]
+    fixed = [
+        UndirectedGraph.of(["h1", "h2", "h10"], []),
+        UndirectedGraph.of(["h1", "h2", "h10", "h3"], [("h1", "h10"), ("h10", "h2")]),
+        UndirectedGraph.of(["h2", "h10"], [("h2", "h10")]),
+        UndirectedGraph.of(names[:4], [("h1", "h2"), ("h2", "h10"), ("h1", "h10")]),
+    ]
+    for k, clique_size, trials in ((2, 3, 12), (3, 9, 3)):
+        family = forest_family(clique_size)
+        drawn = []
+        for _ in range(trials):
+            vs = rng.sample(names, rng.randint(2, 5))
+            drawn.append(UndirectedGraph.of(vs, [e for e in combinations(vs, 2) if rng.random() < 0.5]))
+        for h in fixed + drawn:
+            inst = generate_hard_instance(family, CliqueInstance(h, k))
+            cells = dict(inst.minor_map.cells)
+            reference = clique_gadget_by_product(inst.witness.tgraph, h, k, cells)
+            assert inst.frozen == freeze(reference)
+            plan = GadgetPlan(inst.witness.tgraph, core(inst.witness.tgraph), inst.minor_map, k)
+            assert plan.gadget(h).tgraph == reference.tgraph
+            if not h.edges:
+                assert not [t for t in inst.graph if any(x.name.startswith("frz:g#") for x in t)]
+            assert inst.graph.is_ground() and not any(x.is_var for t in inst.graph for x in t)

@@ -265,6 +265,47 @@ def test_a_dropped_term_leaves_the_table():
     assert terms._live[text]() is again and str(again) == text
 
 
+def test_every_way_of_making_a_term_gives_the_one_term_of_its_text():
+    rng = random.Random(53)
+    for _ in range(30):
+        name = "".join(rng.choice("abxyz019_") for _ in range(rng.randint(1, 6)))
+        for kind in ("var", "iri"):
+            text = "?" + name if kind == "var" else name
+            first = var(name) if kind == "var" else iri(name)
+            ((s, p, o),) = parse_graph(f"{text} {text} {text} .").triples
+            made = [
+                Term(kind, name),
+                parse_term(text),
+                s,
+                p,
+                o,
+                parse_pattern(f"({text}, {text}, {text})").triple.o,
+                terms._interned(kind, name),
+                pickle.loads(pickle.dumps(first)),
+                copy.copy(first),
+                copy.deepcopy(first),
+            ]
+            assert all(t is first for t in made)
+            assert isinstance(first, Term) and first.kind == kind and first.name == name
+            assert first.is_var == (kind == "var") and first.is_iri == (kind == "iri")
+            assert str(first) == text and terms._live[text]() is first
+            for attr in ("kind", "name", "is_var", "is_iri", "_text", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(first, attr, first)
+                with pytest.raises(AttributeError):
+                    delattr(first, attr)
+            assert first.kind == kind and str(first) == text
+    for kind in ("var", "iri"):
+        name = f"dropped_{kind}_by_this_test"
+        text = "?" + name if kind == "var" else name
+        assert text not in terms._live
+        term = Term(kind, name)
+        assert terms._live[text]() is term
+        del term
+        gc.collect()
+        assert text not in terms._live
+
+
 def test_terms_compare_and_hash_by_identity():
     # no Python-level method may come back: each lookup keyed by a term
     # would run it
