@@ -9,31 +9,33 @@ topmost holder.  NR normal form (every non-root node introduces a
 variable its parent lacks) is required by the evaluation and width
 machinery and established by `nr_normalize`, in one pre-order pass: a
 merge leaves the variables of the node merged into as they were.  In it
-dom(mu) fixes mu's matched subtree, so a tree keeps, per variable set, a
-`SubtreeRecord` of what deciding mu reads: pattern and cored children.
+a variable set names at most one root subtree, so a tree keeps, per
+variable set, the one `SubtreeRecord` that evaluation and the width
+analysis both work on; a `Subtree` is its printed handle, resolved in one
+place (`_record`).
 
 `to_forest` takes each component's AND-blocks with their triples from
 the pattern layer's one pass (`patterns.and_blocks`), NR-normalizes them
 in that one pre-order pass, numbers the kept nodes breadth first and
-builds and validates each tree once.  Neither the translation, nor
-`tree_pattern` or `render_forest`, recurses on the nesting depth.
+builds and validates each tree once.  No function here recurses.
 
 This module also hosts the combinatorics the width analysis is built on:
-root-containing subtrees, their support across the forest, children
-assignments, the merged-and-renamed t-graphs they induce, and the set of
-generalized t-graphs associated with a subtree.
+support, children assignments, the merged-and-renamed t-graphs they
+induce, and the generalized t-graphs associated with a subtree, tested
+for homomorphisms through the forest's one `HomCache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from operator import attrgetter
 from typing import Iterator
 
 from . import hom
-from .errors import NotNRNormalForm
-from .hom import GeneralizedTGraph, find_homomorphism
+from .errors import InstanceTooLarge, NotNRNormalForm
+from .hom import GeneralizedTGraph, ctw, find_homomorphism
 from .patterns import AND, OPT, UNION, Block, GraphPattern, Leaf, Node, and_blocks
 from .terms import TGraph, Term, Triple, _interned, substitute
 
@@ -42,16 +44,50 @@ from .terms import TGraph, Term, Triple, _interned, substitute
 MAX_VARS_PER_MEMBER = 14
 
 
-@dataclass(eq=False, slots=True)
+class HomCache:
+    """Memo of directed homomorphism tests between generalized t-graphs, and
+    of their ctw values; each forest keeps one (`WdPF.homs`), and every
+    homomorphism test of its width analysis goes through it."""
+
+    def __init__(self):
+        self._seen: dict[tuple, bool] = {}
+        self._ctws: dict[GeneralizedTGraph, int] = {}
+
+    def maps(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
+        # keyed by the triples, not the t-graphs: a merged t-graph tested
+        # once then dies, with the indexes and plans its searches built
+        key = (a.tgraph.triples, a.dist, b.tgraph.triples, b.dist)
+        if key not in self._seen:
+            self._seen[key] = find_homomorphism(a, b) is not None
+        return self._seen[key]
+
+    def ctw(self, g: GeneralizedTGraph) -> int:
+        """ctw of a member of an associated set, within the instance caps."""
+        if (n := len(g.tgraph.vars())) > MAX_VARS_PER_MEMBER:
+            raise InstanceTooLarge(
+                f"{n} variables in a merged t-graph, cap is {MAX_VARS_PER_MEMBER}"
+            )
+        if g not in self._ctws:
+            self._ctws[g] = ctw(g)
+        return self._ctws[g]
+
+
+@dataclass(eq=False)
 class SubtreeRecord:
     """What a tree keeps of one root subtree, under its variable set: its
-    nodes and pattern triples, and, once a scan reaches them, its child
-    t-graphs with the prefix of them cored so far."""
+    nodes, variables and pattern triples, and, each once first asked for,
+    its pattern as a t-graph (which keeps the plans of searches from it)
+    and its child t-graphs with the prefix of them cored so far."""
 
     nodes: frozenset[int]
+    variables: frozenset[Term]
     triples: tuple[Triple, ...]
     children: tuple[GeneralizedTGraph, ...] | None = None
     cores: list[GeneralizedTGraph] = field(default_factory=list)
+
+    @cached_property
+    def pat(self) -> TGraph:
+        return TGraph(self.triples)
 
 
 class WdPT:
@@ -113,10 +149,7 @@ class WdPT:
 
     def pat(self, nodes=None) -> TGraph:
         picked = self.nodes if nodes is None else sorted(nodes)
-        out: tuple[Triple, ...] = ()
-        for n in picked:
-            out += self.labels[n].triples
-        return TGraph(out)
+        return TGraph(tuple(t for n in picked for t in self.labels[n]))
 
     def vars(self, nodes=None) -> frozenset[Term]:
         picked = self.labels if nodes is None else nodes
@@ -138,15 +171,16 @@ class WdPT:
             raise NotNRNormalForm("tree is not in NR normal form")
 
     def subtree_nodesets(self) -> tuple[frozenset[int], ...]:
-        """Every root-containing connected node set, sorted canonically."""
+        """Every root-containing connected node set, sorted canonically.
 
-        def grow(n: int) -> list[frozenset[int]]:
-            options = [[frozenset()] + grow(c) for c in self.children(n)]
-            return [
-                frozenset({n}).union(*combo) for combo in product(*options)
-            ]
-
-        return tuple(sorted(grow(self.root), key=lambda s: tuple(sorted(s))))
+        A worklist of (set, the frontier nodes it may still grow by): each
+        set grows by one of them, and keeps those after it plus the new
+        node's children.  So a set is found once, from the set without its
+        last node in breadth-first order."""
+        found = [(frozenset({self.root}), self.children(self.root))]
+        for nodes, room in found:  # `found` grows as it is read
+            found += ((nodes | {c}, room[j + 1 :] + self.children(c)) for j, c in enumerate(room))
+        return tuple(sorted((nodes for nodes, _ in found), key=lambda s: tuple(sorted(s))))
 
     def subtree_of(self, variables: frozenset[Term]) -> SubtreeRecord | None:
         """The record of the root subtree whose variables are exactly
@@ -162,7 +196,7 @@ class WdPT:
                 keep.extend(c for c in self.children(n) if self.node_vars(c) <= variables)
             if self.vars(keep) == variables:
                 triples = tuple(t for n in sorted(keep) for t in self.labels[n])
-                hit = self._subtrees[variables] = SubtreeRecord(frozenset(keep), triples)
+                hit = self._subtrees[variables] = SubtreeRecord(frozenset(keep), variables, triples)
         return hit
 
     def cored_children(self, variables: frozenset[Term]) -> Iterator[GeneralizedTGraph]:
@@ -186,10 +220,13 @@ class WdPT:
         return tuple(sorted(c for n in nodes for c in self.children(n) if c not in nodes))
 
     def child_tgraphs(self, nodes) -> tuple[GeneralizedTGraph, ...]:
-        """Per child of the subtree `nodes`, in frontier order: the subtree's
-        pattern plus the child's label, with the subtree's variables
-        distinguished."""
-        pat, dist = self.pat(nodes), self.vars(nodes)
+        """Per child of the root subtree `nodes`, in frontier order: the
+        subtree's pattern (its record's) plus the child's label, with the
+        subtree's variables distinguished."""
+        found = self.subtree_of(self.vars(nodes))
+        if found is None or found.nodes != nodes:
+            raise ValueError(f"nodes {sorted(nodes)} are not a root subtree")
+        pat, dist = found.pat, found.variables
         return tuple(GeneralizedTGraph(pat | self.label(c), dist) for c in self.frontier(nodes))
 
     def __len__(self) -> int:
@@ -212,9 +249,11 @@ class WdPF:
     """An ordered forest of wdPTs; indices are stable and 0-based."""
 
     trees: tuple[WdPT, ...]
-    # width.Analysis, built on first use by the width and hardness layers;
-    # not part of the value, and it lives exactly as long as the forest
+    # width.Analysis, built on first use by the width and hardness layers,
+    # and the one memo of homomorphism tests it reads; not part of the
+    # value, they live exactly as long as the forest
     analysis: object = field(default=None, init=False, repr=False, compare=False)
+    homs: HomCache = field(default_factory=HomCache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
@@ -225,10 +264,7 @@ class WdPF:
             t.ensure_nr()
 
     def vars(self) -> frozenset[Term]:
-        out: frozenset[Term] = frozenset()
-        for t in self.trees:
-            out |= t.vars()
-        return out
+        return frozenset().union(*(t.vars() for t in self.trees))
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -239,7 +275,8 @@ class WdPF:
 
 @dataclass(frozen=True)
 class Subtree:
-    """A root-containing subtree of one tree of a forest, by node ids."""
+    """A root-containing subtree of one tree of a forest, by node ids: the
+    public, printed handle of the tree's `SubtreeRecord`."""
 
     tree_index: int
     nodes: frozenset[int]
@@ -249,24 +286,27 @@ class Subtree:
         return f"tree {self.tree_index} [{ids}]"
 
 
-def subtree_pat(forest: WdPF, sub: Subtree) -> TGraph:
-    return forest.trees[sub.tree_index].pat(sub.nodes)
+def _record(forest: WdPF, sub: Subtree | SubtreeRecord) -> SubtreeRecord:
+    """The record a handle names (a record names itself).  An unknown tree
+    index, or a node set that is not a root subtree of its tree, is refused
+    with ValueError."""
+    if isinstance(sub, SubtreeRecord):
+        return sub
+    if not 0 <= sub.tree_index < len(forest):
+        raise ValueError(f"no tree {sub.tree_index} in a forest of {len(forest)}")
+    tree = forest.trees[sub.tree_index]
+    found = tree.subtree_of(tree.vars(sub.nodes)) if tree.labels.keys() >= sub.nodes else None
+    if found is None or found.nodes != sub.nodes:
+        raise ValueError(f"{sub} is not a root subtree of its tree")
+    return found
 
 
 def subtree_vars(forest: WdPF, sub: Subtree) -> frozenset[Term]:
-    return forest.trees[sub.tree_index].vars(sub.nodes)
-
-
-def subtree_children(forest: WdPF, sub: Subtree) -> tuple[int, ...]:
-    """Nodes outside the subtree whose parent lies inside it."""
-    return forest.trees[sub.tree_index].frontier(sub.nodes)
+    return _record(forest, sub).variables
 
 
 def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
-    out = []
-    for i, tree in enumerate(forest.trees):
-        out.extend(Subtree(i, ns) for ns in tree.subtree_nodesets())
-    return tuple(out)
+    return tuple(Subtree(i, ns) for i, t in enumerate(forest.trees) for ns in t.subtree_nodesets())
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +421,13 @@ def render_forest(forest: WdPF) -> str:
 # support, children assignments and associated generalized t-graphs
 
 
-def support(forest: WdPF, sub: Subtree) -> dict[int, Subtree]:
+def support(forest: WdPF, sub: Subtree) -> dict[int, SubtreeRecord]:
     """Indices of trees owning a subtree with exactly the same variables,
-    each with that subtree, unique in NR normal form (`WdPT.subtree_of`)."""
-    target = subtree_vars(forest, sub)
+    each with that subtree's record, unique in NR normal form
+    (`WdPT.subtree_of`)."""
+    target = _record(forest, sub).variables
     hits = {i: tree.subtree_of(target) for i, tree in enumerate(forest.trees)}
-    return {i: Subtree(i, hit.nodes) for i, hit in hits.items() if hit is not None}
+    return {i: hit for i, hit in hits.items() if hit is not None}
 
 
 @dataclass(frozen=True)
@@ -406,12 +447,6 @@ class ChildrenAssignment:
     def domain(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.choices)
 
-    def child(self, i: int) -> int:
-        for j, c in self.choices:
-            if j == i:
-                return c
-        raise KeyError(i)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{i} -> n{c}" for i, c in self.choices)
         return "{" + inner + "}"
@@ -421,27 +456,22 @@ def children_assignments(forest: WdPF, sub: Subtree) -> tuple[ChildrenAssignment
     return _assignments(forest, support(forest, sub))
 
 
-def _assignments(forest: WdPF, supp: dict[int, Subtree]) -> tuple[ChildrenAssignment, ...]:
-    eligible = [(i, kids) for i in sorted(supp) if (kids := subtree_children(forest, supp[i]))]
+def _assignments(forest: WdPF, supp: dict[int, SubtreeRecord]) -> tuple[ChildrenAssignment, ...]:
+    frontiers = ((i, forest.trees[i].frontier(supp[i].nodes)) for i in sorted(supp))
+    eligible = [(i, kids) for i, kids in frontiers if kids]
     out = []
     for r in range(1, len(eligible) + 1):
         for chosen in combinations(eligible, r):
             for picks in product(*(kids for _, kids in chosen)):
-                out.append(
-                    ChildrenAssignment(
-                        tuple((i, c) for (i, _), c in zip(chosen, picks))
-                    )
-                )
+                out.append(ChildrenAssignment(tuple(zip((i for i, _ in chosen), picks))))
     return tuple(out)
 
 
-def assignment_tgraph(
-    forest: WdPF, sub: Subtree, ca: ChildrenAssignment
-) -> GeneralizedTGraph:
+def assignment_tgraph(forest: WdPF, sub: Subtree, ca: ChildrenAssignment) -> GeneralizedTGraph:
     """pat(sub) plus each assigned child's label with its new variables
     renamed to fresh ones (`name#index#node`), distinguished set vars(sub)."""
-    dist = subtree_vars(forest, sub)
-    triples = list(subtree_pat(forest, sub))
+    found = _record(forest, sub)
+    dist, triples = found.variables, list(found.triples)
     for i, c in ca.choices:
         witness = forest.trees[i].subtree_of(dist) if 0 <= i < len(forest) else None
         if witness is None:
@@ -458,11 +488,10 @@ def assignment_tgraph(
     return GeneralizedTGraph(TGraph(tuple(triples)), dist)
 
 
-def _omits_unmapped(forest: WdPF, supp: dict, ca: ChildrenAssignment, merged) -> bool:
+def _omits_unmapped(homs: HomCache, supp: dict, ca: ChildrenAssignment, merged) -> bool:
     """No omitted supporting tree's witness pattern maps into `merged`."""
-    omitted = sorted(set(supp) - ca.domain)
-    probes = (GeneralizedTGraph(subtree_pat(forest, supp[i]), merged.dist) for i in omitted)
-    return all(find_homomorphism(probe, merged) is None for probe in probes)
+    omitted = sorted(supp.keys() - ca.domain)
+    return not any(homs.maps(GeneralizedTGraph(supp[i].pat, merged.dist), merged) for i in omitted)
 
 
 def is_valid_assignment(forest: WdPF, sub: Subtree, ca: ChildrenAssignment) -> bool:
@@ -470,13 +499,7 @@ def is_valid_assignment(forest: WdPF, sub: Subtree, ca: ChildrenAssignment) -> b
     supp = support(forest, sub)
     if not ca.domain <= set(supp):
         raise ValueError("assignment domain must lie inside the support")
-    return _omits_unmapped(forest, supp, ca, assignment_tgraph(forest, sub, ca))
-
-
-def _hom_equivalent(a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
-    return (
-        find_homomorphism(a, b) is not None and find_homomorphism(b, a) is not None
-    )
+    return _omits_unmapped(forest.homs, supp, ca, assignment_tgraph(forest, sub, ca))
 
 
 def associated_with_provenance(
@@ -485,13 +508,14 @@ def associated_with_provenance(
     """Valid assignments and their merged t-graphs, deduplicated up to
     renaming of the fresh variables (checked by mutual homomorphism with the
     distinguished set fixed); the first representative is kept.  The support
-    is found once, and each assignment's merged t-graph built once."""
-    supp = support(forest, sub)
+    is found once, and each assignment's merged t-graph built once; every
+    homomorphism test goes through the forest's `HomCache`."""
+    supp, homs = support(forest, sub), forest.homs
     out: list[tuple[ChildrenAssignment, GeneralizedTGraph]] = []
     for ca in _assignments(forest, supp):
         g = assignment_tgraph(forest, sub, ca)
-        if _omits_unmapped(forest, supp, ca, g) and not any(
-            _hom_equivalent(g, kept) for _, kept in out
+        if _omits_unmapped(homs, supp, ca, g) and not any(
+            homs.maps(g, kept) and homs.maps(kept, g) for _, kept in out
         ):
             out.append((ca, g))
     return tuple(out)

@@ -10,16 +10,18 @@ generator builds its reduction instances from that witness.
 
 `width_report` is the one place that tabulates a measure row by row;
 `local_tractability_width` reads its value, and `branch_treewidth` is the
-per-tree primitive behind its bw rows.
+per-tree primitive behind its bw rows.  The width work runs on the
+trees' `SubtreeRecord`s, which evaluation reads too; a `Subtree` handle is
+made only for a report row and the hard witness.  Nothing here recurses.
 
 Everything here is exact and desk-scale: instance caps raise rather than
 degrade to heuristics.  The evaluator reads nothing from this module.
 There is no process-global cache: what these functions derive from a
-forest (associated sets, homomorphism tests, ctw values keyed by the
-t-graph alone, each subtree's levels, the width, the witnesses, the
-witness core and the clique-gadget plans over it with their grid minors)
-is kept in the forest's one `Analysis`, built on first use, so the memo
-lives exactly as long as the forest.
+forest (each record's associated set and levels, the width, the
+witnesses, the witness core and the clique-gadget plans over it with
+their grid minors) is kept in the forest's one `Analysis`, built on first
+use, and its homomorphism tests and ctw values in the forest's one
+`trees.HomCache`, so the memo lives exactly as long as the forest.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InstanceTooLarge, NoHardWitness
-from .hom import GeneralizedTGraph, core, ctw, find_homomorphism, gaifman
+from .hom import GeneralizedTGraph, core, ctw, gaifman
 from .trees import (
-    MAX_VARS_PER_MEMBER,
     ChildrenAssignment,
+    HomCache,
     Subtree,
+    SubtreeRecord,
     WdPF,
     WdPT,
     associated_with_provenance,
-    subtrees,
 )
 
 if TYPE_CHECKING:
@@ -45,32 +47,6 @@ if TYPE_CHECKING:
 
 MAX_TREES = 4
 MAX_NODES_PER_TREE = 12
-
-
-class HomCache:
-    """Memo of directed homomorphism tests between generalized t-graphs, and
-    of their ctw values, for one analysis."""
-
-    def __init__(self):
-        self._seen: dict[tuple[GeneralizedTGraph, GeneralizedTGraph], bool] = {}
-        self._ctws: dict[GeneralizedTGraph, int] = {}
-
-    def maps(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
-        key = (a, b)
-        if key not in self._seen:
-            self._seen[key] = find_homomorphism(a, b) is not None
-        return self._seen[key]
-
-    def ctw(self, g: GeneralizedTGraph) -> int:
-        """ctw of a member of an associated set, within the instance caps."""
-        if len(g.tgraph.vars()) > MAX_VARS_PER_MEMBER:
-            raise InstanceTooLarge(
-                f"{len(g.tgraph.vars())} variables in a merged t-graph, "
-                f"cap is {MAX_VARS_PER_MEMBER}"
-            )
-        if g not in self._ctws:
-            self._ctws[g] = ctw(g)
-        return self._ctws[g]
 
 
 @dataclass(frozen=True)
@@ -91,20 +67,19 @@ class WidthReport:
 
 
 def branch_treewidth(tree: WdPT) -> int:
-    """Max over non-root nodes of the ctw of the branch t-graph above them."""
+    """Max over non-root nodes of the ctw of the branch t-graph above them:
+    the child t-graph of the node under the root subtree of its proper
+    ancestors (in NR normal form the branch is that subtree exactly)."""
     tree.ensure_nr()
     worst = 1
-    for n in tree.nodes:
-        if n == tree.root:
-            continue
-        branch = []
-        up = tree.parent(n)
-        while up is not None:
-            branch.append(up)
-            up = tree.parent(up)
-        above = tree.pat(branch)
-        g = GeneralizedTGraph(tree.label(n) | above, above.vars())
-        worst = max(worst, ctw(g))
+    branches = [(tree.root, tree.node_vars(tree.root))]
+    for n, variables in branches:  # breadth first: `branches` grows as it is read
+        kids = tree.children(n)
+        if kids:
+            nodes = tree.subtree_of(variables).nodes
+            children = dict(zip(tree.frontier(nodes), tree.child_tgraphs(nodes)))
+            worst = max(worst, *(ctw(children[c]) for c in kids))
+            branches += ((c, variables | tree.node_vars(c)) for c in kids)
     return worst
 
 
@@ -146,21 +121,19 @@ class Analysis:
     forest, each part computed when first asked for and then kept.
 
     `Analysis.of` keeps it on the forest itself, so it lives exactly as
-    long as the forest: the subtrees, their associated t-graphs, one
-    `HomCache` (homomorphism tests and ctw values), the levels of each
-    subtree's members (read by the width and the witness), the domination
-    width, the hard witness per k, the core of the witness at the exact
-    width with its Gaifman components, and the clique gadget's plan (with
-    its grid minor) per clique size.  Asking for the width builds no
-    witness and searches no minor.
+    long as the forest: the subtree records, each one's associated
+    t-graphs with their members' levels (read by the width and the
+    witness), the domination width, the hard witness per k, the core of
+    the witness at the exact width with its Gaifman components, and the
+    clique gadget's plan (with its grid minor) per clique size.  Its
+    homomorphism tests and ctw values go through the forest's `HomCache`.
+    Asking for the width builds no witness and searches no minor.
     """
 
     def __init__(self, forest: WdPF):
         forest.ensure_nr()
         self.forest = forest
-        self.cache = HomCache()
-        self._associated: dict[Subtree, tuple] = {}
-        self._levels: dict[Subtree, list[int]] = {}
+        self._associated: dict[SubtreeRecord, tuple[tuple, list[int]]] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
         self._plans: dict[int, GadgetPlan | None] = {}
 
@@ -173,9 +146,11 @@ class Analysis:
         return forest.analysis
 
     @cached_property
-    def subtrees(self) -> tuple[Subtree, ...]:
-        """The one entry to the width work, so the one place the size caps
-        are checked; a refusal is kept nowhere and raises again."""
+    def subtrees(self) -> tuple[tuple[int, SubtreeRecord], ...]:
+        """Each tree's index with the record of each of its root subtrees,
+        in canonical order.  The one entry to the width work, so the one
+        place the size caps are checked; a refusal is kept nowhere and
+        raises again."""
         if len(self.forest) > MAX_TREES:
             raise InstanceTooLarge(f"{len(self.forest)} trees exceed the cap of {MAX_TREES}")
         for i, tree in enumerate(self.forest):
@@ -183,24 +158,24 @@ class Analysis:
                 raise InstanceTooLarge(
                     f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
                 )
-        return subtrees(self.forest)
+        return tuple(
+            (i, tree.subtree_of(tree.vars(nodes)))
+            for i, tree in enumerate(self.forest)
+            for nodes in tree.subtree_nodesets()
+        )
 
-    def associated(self, sub: Subtree) -> tuple[tuple[ChildrenAssignment, GeneralizedTGraph], ...]:
-        if sub not in self._associated:
-            self._associated[sub] = associated_with_provenance(self.forest, sub)
-        return self._associated[sub]
+    def associated(self, rec: SubtreeRecord) -> tuple[tuple, list[int]]:
+        """The record's associated t-graphs with their assignments
+        (`associated_with_provenance`), and the `_levels` of those t-graphs."""
+        if rec not in self._associated:
+            pairs = associated_with_provenance(self.forest, rec)
+            self._associated[rec] = pairs, _levels([g for _, g in pairs], self.forest.homs)
+        return self._associated[rec]
 
-    def levels(self, sub: Subtree) -> list[int]:
-        """The `_levels` of the subtree's associated t-graphs."""
-        if sub not in self._levels:
-            gset = [g for _, g in self.associated(sub)]
-            self._levels[sub] = _levels(gset, self.cache)
-        return self._levels[sub]
-
-    def demand(self, sub: Subtree) -> int:
+    def demand(self, rec: SubtreeRecord) -> int:
         """Least k making the subtree's associated set k-dominated: its
         largest level, or 1 for an empty set."""
-        return max(self.levels(sub), default=1)
+        return max(self.associated(rec)[1], default=1)
 
     @cached_property
     def width(self) -> int:
@@ -243,7 +218,7 @@ class Analysis:
 
 def domination_width(forest: WdPF) -> int:
     a = Analysis.of(forest)
-    return max((a.demand(sub) for sub in a.subtrees), default=1)
+    return max((a.demand(rec) for _, rec in a.subtrees), default=1)
 
 
 def width_report(forest: WdPF, measure: str) -> WidthReport:
@@ -255,19 +230,17 @@ def width_report(forest: WdPF, measure: str) -> WidthReport:
     elif measure == "local":
         forest.ensure_nr()
         for i, tree in enumerate(forest):
-            for n in tree.nodes:
-                if n == tree.root:
-                    continue
-                shared = tree.node_vars(n) & tree.node_vars(tree.parent(n))
+            for n, up in sorted(tree.parents.items()):
+                shared = tree.node_vars(n) & tree.node_vars(up)
                 value = ctw(GeneralizedTGraph(tree.label(n), shared))
                 rows.append((f"tree {i} node n{n}", value))
     elif measure == "dw":
         a = Analysis.of(forest)
-        for sub in a.subtrees:
-            pairs = a.associated(sub)
+        for i, rec in a.subtrees:
+            pairs = a.associated(rec)[0]
             domains = ", ".join(str(set(ca.domain)) for ca, _ in pairs) or "none"
-            label = f"{sub} ({len(pairs)} members; assignment domains: {domains})"
-            rows.append((label, a.demand(sub)))
+            label = f"{Subtree(i, rec.nodes)} ({len(pairs)} members; assignment domains: {domains})"
+            rows.append((label, a.demand(rec)))
     else:
         raise ValueError(f"unknown measure {measure!r}")
     return WidthReport(measure, max((v for _, v in rows), default=1), tuple(rows))
@@ -292,17 +265,17 @@ def find_hard_witness(forest: WdPF, k: int) -> HardWitness | None:
     re-verified against the full member set before being handed out.
     """
     a = Analysis.of(forest)
-    cache = a.cache
-    for sub in a.subtrees:
-        pairs = a.associated(sub)
+    cache = forest.homs
+    for i, rec in a.subtrees:
+        pairs, levels = a.associated(rec)
         gset = [g for _, g in pairs]
-        hard = [g for g, level in zip(gset, a.levels(sub)) if level >= k]
+        hard = [g for g, level in zip(gset, levels) if level >= k]
         if not hard:  # the set is (k-1)-dominated
             continue
         picked = _source_component_member(hard, cache)
         for ca, g in pairs:
             if g == picked:
-                witness = HardWitness(sub, ca, g)
+                witness = HardWitness(Subtree(i, rec.nodes), ca, g)
                 _verify_witness(witness, gset, k, cache)
                 return witness
     return None
@@ -312,9 +285,7 @@ def _source_component_member(hard, cache: HomCache) -> GeneralizedTGraph:
     # Homomorphism existence is transitive, so the edge relation is already
     # its own reachability relation; no closure pass is needed.
     n = len(hard)
-    reach = [
-        [i == j or cache.maps(hard[i], hard[j]) for j in range(n)] for i in range(n)
-    ]
+    reach = [[i == j or cache.maps(hard[i], hard[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         scc = {j for j in range(n) if reach[i][j] and reach[j][i]}
         if all(not reach[j][i] for j in range(n) if j not in scc):

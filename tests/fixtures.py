@@ -119,6 +119,17 @@ def forest_family(k: int, with_third_tree: bool = False) -> WdPF:
     return WdPF(tuple(trees))
 
 
+def opt_star(n: int) -> WdPT:
+    """Root {(?x,p,?r)} with n OPT children {(?x,q,?ai),(?ai,q,?bi)}: 2^n
+    root subtrees."""
+    x = var("x")
+    labels = {0: TGraph((Triple(x, iri("p"), var("r")),))}
+    for i in range(1, n + 1):
+        a, b = var(f"a{i}"), var(f"b{i}")
+        labels[i] = TGraph((Triple(x, iri("q"), a), Triple(a, iri("q"), b)))
+    return WdPT(0, {i: 0 for i in range(1, n + 1)}, labels)
+
+
 # ?x p ?a with one child: a directed triangle b -> c -> d -> b hanging off
 # ?x, and a tail b -> e (dw = 2).  The tail folds into the triangle, so the
 # child's core has three free variables, one per pebble of eval_pebble(k=2).

@@ -3,8 +3,9 @@
 These deliberately share no code path with the implementations they check:
 homomorphisms by enumerating every assignment, treewidth by trying every
 elimination order, the pebble game by solving the actual two-player game,
-the consistency family by naive deletion to a fixpoint, tree evaluation
-by enumerating every subtree instead of the greedy scan, pattern
+the consistency family by naive deletion to a fixpoint, the root
+subtrees of a tree by taking or leaving each node in turn, tree
+evaluation by enumerating those subtrees instead of the greedy scan, pattern
 evaluation by joining every pair of mappings in nested loops, the clique
 gadget by filtering the full product of gadget variables per triple,
 graph files by the plain line-by-line parser the fast one replaced, and
@@ -218,9 +219,29 @@ def eval_naive_by_nested_loops(p: GraphPattern, graph: TGraph) -> frozenset[Mapp
     return frozenset(joined | bare)  # OPT
 
 
+def root_subtrees_by_enumeration(tree: WdPT) -> tuple[frozenset[int], ...]:
+    """Every node subset that holds the root and the parent of each of its
+    other nodes, in canonical order.  The subsets are built node by node,
+    each node after its parent, by taking it or not; a subset that takes a
+    node without its parent is dropped at once, which leaves the same
+    family as filtering all 2^n subsets, at a cost that a 30-node path can
+    pay."""
+
+    def depth(n: int) -> int:
+        d = 0
+        while n != tree.root:
+            n, d = tree.parents[n], d + 1
+        return d
+
+    found = [frozenset({tree.root})]
+    for n in sorted(set(tree.labels) - {tree.root}, key=depth):
+        found += [s | {n} for s in found if tree.parents[n] in s]
+    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+
+
 def eval_tree_by_subtree_enumeration(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
     """The subtree characterization, quantifying over every subtree."""
-    for nodes in tree.subtree_nodesets():
+    for nodes in root_subtrees_by_enumeration(tree):
         pat = tree.pat(nodes)
         if tree.vars(nodes) != mu.domain:
             continue
@@ -255,7 +276,7 @@ def matched_subtree_by_enumeration(tree: WdPT, graph: TGraph, mu: Mapping) -> fr
     sub = dict(mu.items())
     hits = [
         nodes
-        for nodes in tree.subtree_nodesets()
+        for nodes in root_subtrees_by_enumeration(tree)
         if tree.vars(nodes) == mu.domain
         and all(substitute(t, sub) in set(graph) for t in tree.pat(nodes))
     ]
@@ -269,7 +290,7 @@ def support_by_enumeration(forest: WdPF, target_vars) -> dict[int, list[frozense
     out: dict[int, list[frozenset]] = {}
     for i, tree in enumerate(forest.trees):
         hits = [
-            ns for ns in tree.subtree_nodesets() if tree.vars(ns) == target_vars
+            ns for ns in root_subtrees_by_enumeration(tree) if tree.vars(ns) == target_vars
         ]
         if hits:
             out[i] = hits

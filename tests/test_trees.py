@@ -1,15 +1,22 @@
+import gc
 import random
+import statistics
+from time import perf_counter
 
 import pytest
 
-from fixtures import XYZ, collapsing_tgraph, forest_family, P_UNION_TEXT
-from oracles import eval_forest_by_enumeration, support_by_enumeration
+from fixtures import XYZ, collapsing_tgraph, forest_family, opt_star, P_UNION_TEXT
+from oracles import (
+    eval_forest_by_enumeration,
+    root_subtrees_by_enumeration,
+    support_by_enumeration,
+)
 from wdsparql.errors import NotWellDesigned
 from wdsparql.evaluator import eval_naive
 from wdsparql.hom import GeneralizedTGraph, find_homomorphism
 from wdsparql.patterns import parse_pattern
 from wdsparql.randgen import random_forest, random_rdf_graph, random_tree
-from wdsparql.terms import parse_graph
+from wdsparql.terms import TGraph, Triple, iri, parse_graph, var
 from wdsparql.trees import (
     ChildrenAssignment,
     Subtree,
@@ -22,7 +29,7 @@ from wdsparql.trees import (
     is_valid_assignment,
     nr_normalize,
     render_forest,
-    subtree_pat,
+    associated_with_provenance,
     subtree_vars,
     subtrees,
     support,
@@ -100,6 +107,37 @@ def test_subtree_counts():
     assert len(subtrees(forest_family(2))) == 4 + 2
 
 
+def relabeled(rng, tree):
+    """The tree with its node ids shuffled, so that ids need not follow the
+    breadth-first order."""
+    ids = list(tree.nodes)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    return WdPT(
+        new[tree.root],
+        {new[n]: new[p] for n, p in tree.parents.items()},
+        {new[n]: label for n, label in tree.labels.items()},
+    )
+
+
+def test_subtree_nodesets_match_the_oracle():
+    """The worklist finds every root subtree once, in canonical order, on
+    random trees of up to 8 nodes (ids shuffled in half of them) and on the
+    12-node OPT star."""
+    rng = random.Random(139)
+    sizes = set()
+    for _ in range(200):
+        tree = random_tree(rng, max_nodes=8)
+        if rng.random() < 0.5:
+            tree = relabeled(rng, tree)
+        found, brute = tree.subtree_nodesets(), root_subtrees_by_enumeration(tree)
+        assert set(found) == set(brute) and found == brute
+        sizes.add(len(tree))
+    assert sizes == set(range(1, 9))
+    star = opt_star(11)
+    assert star.subtree_nodesets() == root_subtrees_by_enumeration(star)
+    assert len(star.subtree_nodesets()) == 2048
+
+
 def test_support_of_example_family():
     family = forest_family(2)
     supp = support(family, Subtree(0, frozenset({0})))
@@ -175,6 +213,62 @@ def test_assignments_outside_the_support_are_refused():
         is_valid_assignment(family, sub, ChildrenAssignment(((2, 1),)))
 
 
+def test_invalid_subtree_handles_are_refused():
+    """A node set that is not a root subtree, a node the tree lacks and an
+    unknown tree index are refused with ValueError by every function that
+    takes a handle, not answered as an empty support or set."""
+    family = forest_family(2)
+    d1 = ChildrenAssignment(((0, 1), (1, 1)))
+    calls = (
+        lambda sub: support(family, sub),
+        lambda sub: subtree_vars(family, sub),
+        lambda sub: children_assignments(family, sub),
+        lambda sub: associated_tgraphs(family, sub),
+        lambda sub: associated_with_provenance(family, sub),
+        lambda sub: assignment_tgraph(family, sub, d1),
+        lambda sub: is_valid_assignment(family, sub, d1),
+    )
+    for tree_index, nodes in ((0, {1}), (0, {0, 5}), (7, {0})):
+        sub = Subtree(tree_index, frozenset(nodes))
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(sub)
+    with pytest.raises(ValueError):
+        family.trees[0].child_tgraphs(frozenset({1}))
+    assert sorted(support(family, Subtree(0, frozenset({0})))) == [0, 1]  # a valid handle
+
+
+def chain(n):
+    """An n-node path: node i holds (?xi-1, p, ?xi) under node i-1."""
+    labels = {i: TGraph((Triple(var(f"x{i}"), iri("p"), var(f"x{i + 1}")),)) for i in range(n)}
+    return WdPT(0, {i: i - 1 for i in range(1, n)}, labels)
+
+
+def test_doubling_the_nodes_at_most_doubles_the_pattern_time():
+    """A tree's pattern is built in one pass: on a path of 8,000 nodes it
+    costs at most 3 times that of 4,000 (a build that copies the tuple per
+    node costs 4 times), in the median over seven pairs of runs, each pair
+    back to back and with the cyclic garbage collector off (see the
+    nesting-depth test of test_patterns.py).  The t-graph sorts its
+    triples, so the one pass reads about 2.2 times."""
+    small, large = chain(4000), chain(8000)
+
+    def seconds(tree):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = perf_counter()
+            for _ in range(5):
+                tree.pat()
+            return perf_counter() - t0
+        finally:
+            gc.enable()
+
+    assert len(large.pat()) == 8000
+    ratios = [seconds(large) / seconds(small) for _ in range(7)]
+    assert statistics.median(ratios) <= 3, ratios
+
+
 def test_assignment_fresh_variables_are_disjoint():
     family = forest_family(3)
     sub = Subtree(0, frozenset({0}))
@@ -192,7 +286,7 @@ def test_subtree_pattern_is_contained_in_merged_graph():
     for sub in subtrees(family):
         for ca in children_assignments(family, sub):
             merged = assignment_tgraph(family, sub, ca)
-            for t in subtree_pat(family, sub):
+            for t in family.trees[sub.tree_index].pat(sub.nodes):
                 assert t in merged.tgraph
 
 

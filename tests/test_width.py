@@ -193,6 +193,44 @@ def test_find_hard_witness_on_family():
         assert find_hard_witness(family, k) is None  # dw is exactly k-1
 
 
+def test_the_analysis_plans_each_probe_once_and_tests_each_pair_once(monkeypatch):
+    """On the four forest_family fixtures, the width and the witness plan
+    each record's pattern, the omitted-tree probe, at most once, and every
+    homomorphism test of the width layer is a miss of the forest's one
+    HomCache: find_homomorphism runs once per pair the cache keeps."""
+    import wdsparql.hom as hom
+    import wdsparql.trees as trees
+    import wdsparql.width as width
+
+    planned, searched = [], []
+    plan, find = hom.Plan, trees.find_homomorphism
+
+    def counted_plan(source, pinned=()):
+        planned.append(source)
+        return plan(source, pinned)
+
+    def counted_find(a, b):
+        searched.append((a, b))
+        return find(a, b)
+
+    monkeypatch.setattr(hom, "Plan", counted_plan)
+    monkeypatch.setattr(trees, "find_homomorphism", counted_find)
+    monkeypatch.setattr(width, "find_homomorphism", counted_find, raising=False)
+    probed = 0
+    for k in (2, 3):
+        for third in (False, True):
+            forest = forest_family(k, with_third_tree=third)
+            del planned[:], searched[:]
+            assert find_hard_witness(forest, domination_width(forest)) is not None
+            for tree in forest:
+                for rec in tree._subtrees.values():
+                    uses = sum(source is rec.pat for source in planned)
+                    assert uses <= 1
+                    probed += uses
+            assert searched and len(searched) == len(forest.homs._seen)
+    assert probed >= 4, probed
+
+
 def test_find_hard_witness_iff_width_reaches_k():
     rng = random.Random(113)
     for _ in range(40):
@@ -216,7 +254,7 @@ def test_domination_width_matches_definition_level_oracle():
     # no deduplication of the associated sets
     from oracles import hom_exists
     from wdsparql.hom import GeneralizedTGraph
-    from wdsparql.trees import children_assignments, subtree_pat, support
+    from wdsparql.trees import children_assignments, support
 
     def oracle_dw(forest):
         sets = []
@@ -229,7 +267,7 @@ def test_domination_width_matches_definition_level_oracle():
                 merged = assignment_tgraph(forest, sub, ca)
                 valid = all(
                     not hom_exists(
-                        GeneralizedTGraph(subtree_pat(forest, supp[i]), merged.dist),
+                        GeneralizedTGraph(forest.trees[i].pat(supp[i].nodes), merged.dist),
                         merged,
                     )
                     for i in set(supp) - ca.domain
