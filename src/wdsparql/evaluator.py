@@ -10,26 +10,32 @@ Three routes:
   grouped by domain, and only the final rows become `Mapping`s.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
-  mu's matched subtree in each tree (`matched_subtree`: the tree keeps
-  the subtree of each domain, and the graph is asked only for its image)
-  and accepts when no child of it "extends", a test it takes as an
-  argument; here the test is exact, a homomorphism search.  `eval_tree`
-  is `eval_forest` on a one-tree forest.  `enumerate_solutions` turns the
+  mu's matched subtree in each tree (as `matched_subtree` does: one
+  lookup of the record the tree keeps for dom(mu), and the graph is
+  asked only for its image) and accepts when no child of it "extends",
+  each child decided by the compiled test its record keeps; here the
+  test is exact, the test's homomorphism search.  `eval_tree` is
+  `eval_forest` on a one-tree forest.  `enumerate_solutions` turns the
   same characterization into a solution enumerator: it grows each tree's
   subtrees top down from the root's homomorphisms, deciding one frontier
   node at a time, so the search that tells whether a child extends a
   binding is also the one that extends it.  Its pending states and found
   solutions share the MAX_MAPPINGS cap.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
-  existential (k+1)-pebble game as the "child extends" test.  Rejection is
+  existential (k+1)-pebble game as the "child extends" test, decided by
+  `pebble.duplicator_wins`, the one rule of the game's regimes: the
+  test's search when the core's free variables (its plan's order) fit
+  under the pebbles, the consistency fixpoint otherwise.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
   domination width is at most k.
 
-The scan decides each child t-graph on its core, which the tree keeps in
-the record of the matched subtree (`WdPT.cored_children`), built on first
-use, so evaluation reads no width analysis.  Both tests read the same on a
-child and on its core: the two are homomorphically equivalent with the
-distinguished variables fixed, and a homomorphism extending mu exists
+The scan decides each child t-graph on its compiled test, which the tree
+keeps in the record of the matched subtree (`WdPT.child_tests`): the
+child's core and the plan of the search from it that pins the subtree's
+variables, built when the scan first reaches the child, so evaluation
+reads no width analysis.  Both tests read the same on a child and on its
+core: the two are homomorphically equivalent with the distinguished
+variables fixed, and a homomorphism extending mu exists
 from one iff it exists from the other (compose with the map between
 them), while the existential pebble game is preserved in the same way,
 its Duplicator strategies carried across by those maps (Kolaitis and
@@ -41,21 +47,20 @@ consistency fixpoint.
 The forest evaluators check their inputs once per call, in one order:
 `eval_pebble` first its k, then each of `eval_forest`, `eval_pebble` and
 `enumerate_solutions` the forest's NR normal form (`NotNRNormalForm`),
-then the graph's groundness (`NonGroundGraph`).  A graph from
+then the graph's groundness (`NonGroundGraph`).  A forest reads its
+trees' NR form once, when built, and refuses on every call; a graph from
 `terms.parse_graph` knows its variables, so the groundness check reads no
-triple.
+triple.  No child test checks anything again (see `_decide`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
-from .hom import GeneralizedTGraph, all_homomorphisms, maps_into_graph
+from .hom import all_homomorphisms, search
 from .patterns import OPT, UNION, GraphPattern, Leaf, _postorder
-from .pebble import pebble_wins
+from .pebble import duplicator_wins
 from .terms import Mapping, TGraph, Term, Triple, key_getter
 from .trees import WdPF, WdPT
 
@@ -233,15 +238,12 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     (NR normal form), every node holding that variable lies below it
     (connectedness), so the walk misses that variable and finds none.
     The tree must be in NR normal form: `eval_forest` and `eval_pebble`
-    check that once per call, before they call this per tree."""
+    check that once per call, before their scan makes this same test per
+    tree."""
     hit = tree.subtree_of(mu.domain)
     if hit is None or not mu.images_in(hit.triples, graph):
         return None
     return hit.nodes
-
-
-def _exact_extends(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> bool:
-    return maps_into_graph(g, graph, mu) is not None
 
 
 def _check(forest: WdPF, graph: TGraph) -> None:
@@ -252,14 +254,31 @@ def _check(forest: WdPF, graph: TGraph) -> None:
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
 
 
-def _decide(forest: WdPF, graph: TGraph, mu: Mapping, extends: Callable[..., bool]) -> bool:
-    """Some tree holds mu's matched subtree, and no child t-graph of it, as
-    the tree keeps it cored, passes `extends`."""
+def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
+    """Some tree holds mu's matched subtree (as `matched_subtree` finds it),
+    and no child of it extends mu: by a homomorphism search when k is None,
+    else in the existential k-pebble game (`pebble.duplicator_wins`).
+
+    Each child is decided by the compiled test the tree keeps for it
+    (`WdPT.child_tests`), a core and its search plan, run on mu's own
+    binding dict.  The inputs are checked once per call (`_check`).  The
+    one check of a single test left out is `hom.check_target`'s domain
+    check, which holds by construction: the matched subtree's record has
+    exactly dom(mu) as its variables, and every child and its core take
+    them as their distinguished variables."""
     _check(forest, graph)
-    for tree in forest:
-        if matched_subtree(tree, graph, mu) is not None and not any(
-            extends(g, graph, mu) for g in tree.cored_children(mu.domain)
-        ):
+    variables, binding = mu.domain, mu._map
+    for tree in forest.trees:
+        record = tree.subtree_of(variables)
+        if record is None or not mu.images_in(record.triples, graph):
+            continue
+        for g, plan in record.tests if record.complete else tree.child_tests(variables):
+            if k is None:
+                if search(plan, graph, binding) is not None:
+                    break
+            elif duplicator_wins(g, plan, graph, mu, k):
+                break
+        else:  # no child extends mu
             return True
     return False
 
@@ -273,7 +292,7 @@ def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
 def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
     """Whether some tree of the forest accepts mu, as `eval_tree` decides
     it, each child tested on its kept core."""
-    return _decide(forest, graph, mu, _exact_extends)
+    return _decide(forest, graph, mu, None)
 
 
 def _tree_solutions(tree: WdPT, graph: TGraph, found: list[Mapping]) -> None:
@@ -339,4 +358,4 @@ def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:
     """The width-k relaxation: sound always, complete when dw(forest) <= k."""
     if k < 1:
         raise InvalidK(f"the relaxation needs k >= 1, got {k}")
-    return _decide(forest, graph, mu, partial(pebble_wins, k=k + 1))
+    return _decide(forest, graph, mu, k + 1)

@@ -35,9 +35,10 @@ one.  A run that tries more than MAX_SEARCH_NODES values raises
 
 A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
 a target keeps its `by_mask` indexes: `_plan` builds one on the first
-search of its shape, and no caller keeps one.  A plan holds no reference
-to its t-graph, which would put every searched t-graph in a reference
-cycle.  `core` plans each intermediate t-graph once for all its tries.
+search of its shape.  Only a tree's subtree record holds one beside it,
+the plan of each child test (`trees.WdPT.child_tests`), which `search`
+runs.  A plan holds no reference to its t-graph, which would put every
+searched t-graph in a reference cycle.  `core` plans each intermediate t-graph once for all its tries.
 """
 
 from __future__ import annotations
@@ -123,7 +124,10 @@ class Plan:
 
     It holds the variable order (`_connected_order` of the unpinned
     variables), and each source variable, pinned ones first, then in that
-    order, and each IRI of the source a slot in the run's list of values.
+    order, and each IRI of the source a slot in the run's list of values:
+    `names` are the variables by slot, and `tail` is that list past the
+    pinned values (blanks to assign, then the IRIs), which a run copies.
+    So `len(order)` is the number of free variables of a search.
     Every lookup is an access path: a mask of bound positions with the
     pairs of free positions that a repeated variable ties, a key getter
     over the slots, the position it outputs and the level whose
@@ -139,7 +143,7 @@ class Plan:
     `TGraph.by_mask` index of its mask.
     """
 
-    __slots__ = ("pinned", "order", "consts", "masks", "first", "levels", "domains")
+    __slots__ = ("pinned", "order", "names", "tail", "masks", "first", "levels", "domains")
 
     def __init__(self, source: TGraph, pinned: Iterable[Term] = ()):
         src_vars = source.vars()
@@ -152,8 +156,11 @@ class Plan:
         pinned_set = frozenset(self.pinned)
         free = [v for v in src_vars if v not in pinned_set]
         self.order = order = _connected_order(source, free, occurrences)
-        self.consts = sorted(source.iris(), key=str)
-        slots = {x: i for i, x in enumerate((*self.pinned, *order, *self.consts))}
+        self.names = (*self.pinned, *order)
+        consts = sorted(source.iris(), key=str)
+        # the slots after the pinned values: blank ones to assign, then the IRIs
+        self.tail = [None] * len(order) + consts
+        slots = {x: i for i, x in enumerate((*self.names, *consts))}
         masks: dict[tuple, int] = {}
 
         def path(t: Triple, known, free: Term | None = None, j: int | None = None) -> tuple:
@@ -230,10 +237,9 @@ def _solve(
     value passes when every lookup of its level finds a match.  Past
     MAX_SEARCH_NODES values tried, `SearchTooLarge` is raised.
     """
-    names = (*plan.pinned, *plan.order)
+    names = plan.names
     vals = [fixed[v] for v in plan.pinned]
-    vals += [None] * len(plan.order)
-    vals += plan.consts
+    vals += plan.tail
     indexes = [target.by_mask(*m) for m in plan.masks]
     order = plan.order
     cands: list[list[Term] | None] = [None] * len(order)
@@ -285,6 +291,17 @@ def _solve(
     return solutions
 
 
+def search(plan: Plan, target: TGraph, fixed: dict[Term, Term]) -> dict[Term, Term] | None:
+    """The first homomorphism the plan finds into the target, with the
+    values `fixed` gives its pinned variables, or None.  Nothing is
+    checked and `fixed` is read as it is, not copied: `maps_into_graph`
+    and `pebble.pebble_wins` check their inputs first, and `evaluator`'s
+    scan (`_decide`), which runs every child test through here, checks its
+    own once per call."""
+    found = _solve(plan, target, fixed)
+    return found[0] if found else None
+
+
 def find_homomorphism(
     source: GeneralizedTGraph, target: GeneralizedTGraph
 ) -> dict[Term, Term] | None:
@@ -313,8 +330,7 @@ def check_target(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> None:
 def maps_into_graph(g: GeneralizedTGraph, graph: TGraph, mu: Mapping) -> dict[Term, Term] | None:
     """A homomorphism h from S to the ground graph with h(x) = mu(x) on X."""
     check_target(g, graph, mu)
-    found = _solve(_plan(g.tgraph, g.dist), graph, dict(mu.items()))
-    return found[0] if found else None
+    return search(_plan(g.tgraph, g.dist), graph, mu._map)
 
 
 def all_homomorphisms(

@@ -3,9 +3,12 @@
 With at least as many pebbles as free variables (|free| <= k) the Spoiler
 can pebble every free variable at once, so the Duplicator wins exactly when
 a homomorphism extending mu exists (Kolaitis and Vardi 2000).
-`pebble_wins` then runs the homomorphism search, which covers at most k
-free variables and so stays inside the game's own |dom|^k bound, and
-builds no family.
+`duplicator_wins`, the one place that picks the regime, then runs the
+homomorphism search, which covers at most k free variables and so stays
+inside the game's own |dom|^k bound, and builds no family.  It takes the
+search's `hom.Plan`, whose order counts the free variables: `pebble_wins`
+checks its inputs and looks the plan up, and `evaluator.eval_pebble`
+passes the plan each child test keeps.
 
 Otherwise, instead of playing the two-player game we compute the largest
 family of partial assignments (non-distinguished variables to IRIs of the
@@ -57,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidK, SearchTooLarge
-from .hom import GeneralizedTGraph, check_target, maps_into_graph
+from .hom import GeneralizedTGraph, Plan, _plan, check_target, search
 from .terms import Mapping, TGraph, Term, substitute
 
 _Member = frozenset  # of (variable, iri) pairs
@@ -68,7 +71,9 @@ _Member = frozenset  # of (variable, iri) pairs
 # support sets, so the cap holds the family to about 70 MB and about a
 # second.  The test suite generates families of at most a few hundred
 # members, the benchmark none: over the membership and hardness streams at
-# seeds 5, 29 and 60, every `pebble_wins` call ran the homomorphism test.
+# seeds 5, 29 and 60, every game `duplicator_wins` decided, whether for
+# `pebble_wins` or for a child test of `evaluator.eval_pebble`, ran the
+# homomorphism test.
 MAX_FAMILY_MEMBERS = 100_000
 
 
@@ -91,9 +96,9 @@ def _check_k(k: int) -> None:
 def _fixpoint(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> set[_Member]:
-    check_target(g, graph, mu)
+    """The surviving members; the inputs are checked by the caller."""
     free = sorted(g.free_vars(), key=lambda v: v.name)
-    mu_sub = dict(mu.items())
+    mu_sub = mu._map
 
     # per-triple templates with distinguished variables already substituted
     templates = [(t.vars() - g.dist, substitute(t, mu_sub)) for t in g.tgraph]
@@ -218,13 +223,22 @@ def consistency_family(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> ConsistencyFamily:
     _check_k(k)
+    check_target(g, graph, mu)
     alive = _fixpoint(g, graph, mu, k)
     return ConsistencyFamily(k, frozenset(Mapping(tuple(f)) for f in alive))
+
+
+def duplicator_wins(g: GeneralizedTGraph, plan: Plan, graph: TGraph, mu: Mapping, k: int) -> bool:
+    """The game's outcome in its regime, on checked inputs: `plan` is the
+    search from g's t-graph pinning g's distinguished variables, and
+    len(plan.order) its number of free variables."""
+    if len(plan.order) <= k:  # the Spoiler can pebble every free variable
+        return search(plan, graph, mu._map) is not None
+    return frozenset() in _fixpoint(g, graph, mu, k)
 
 
 def pebble_wins(g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int) -> bool:
     """Whether the Duplicator wins the existential k-pebble game."""
     _check_k(k)
-    if len(g.free_vars()) <= k:  # the Spoiler can pebble every free variable
-        return maps_into_graph(g, graph, mu) is not None
-    return frozenset() in _fixpoint(g, graph, mu, k)
+    check_target(g, graph, mu)
+    return duplicator_wins(g, _plan(g.tgraph, g.dist), graph, mu, k)

@@ -405,7 +405,8 @@ class Mapping:
     """A partial function from variables to IRIs.
 
     Lookup outside the domain yields None, never a default value.  The
-    bindings are kept sorted by variable name and, for lookups, as a dict.
+    bindings are kept sorted by variable name and, for lookups, as a dict
+    (`_map`), which the package's searches read as it is and never change.
     """
 
     bindings: tuple[tuple[Term, Term], ...] = ()

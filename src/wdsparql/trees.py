@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import hom
 from .errors import InstanceTooLarge, NotNRNormalForm
@@ -72,22 +72,34 @@ class HomCache:
         return self._ctws[g]
 
 
+# a child's compiled test: its core (the child itself past the cap) and the
+# plan of the search from that core pinning the subtree's variables
+ChildTest = tuple[GeneralizedTGraph, hom.Plan]
+
+
 @dataclass(eq=False)
 class SubtreeRecord:
     """What a tree keeps of one root subtree, under its variable set: its
     nodes, variables and pattern triples, and, each once first asked for,
-    its pattern as a t-graph (which keeps the plans of searches from it)
-    and its child t-graphs with the prefix of them cored so far."""
+    its pattern as a t-graph (which keeps the plans of searches from it),
+    its child t-graphs and the prefix of them compiled so far into child
+    tests (`WdPT.child_tests`), `complete` once that prefix is all of
+    them."""
 
     nodes: frozenset[int]
     variables: frozenset[Term]
     triples: tuple[Triple, ...]
     children: tuple[GeneralizedTGraph, ...] | None = None
-    cores: list[GeneralizedTGraph] = field(default_factory=list)
+    tests: list[ChildTest] = field(default_factory=list)
+    complete: bool = False
 
     @cached_property
     def pat(self) -> TGraph:
         return TGraph(self.triples)
+
+    @property
+    def cores(self) -> list[GeneralizedTGraph]:
+        return [g for g, _ in self.tests]
 
 
 class WdPT:
@@ -199,21 +211,40 @@ class WdPT:
                 hit = self._subtrees[variables] = SubtreeRecord(frozenset(keep), variables, triples)
         return hit
 
-    def cored_children(self, variables: frozenset[Term]) -> Iterator[GeneralizedTGraph]:
-        """The child t-graphs of the root subtree whose variables are
-        `variables` (which must name one), in frontier order, each cored when
-        first asked for; the subtree's record keeps both.  A child of more
-        than MAX_VARS_PER_MEMBER variables is kept uncored."""
+    def child_tests(self, variables: frozenset[Term]) -> Iterable[ChildTest]:
+        """The compiled tests of the children of the root subtree whose
+        variables are `variables`, in frontier order: per child t-graph its
+        core and the `hom.Plan` of searches from that core pinning
+        `variables`, which are the core's distinguished variables, so
+        `len(plan.order)` is the core's number of free variables.  Each is
+        compiled when first asked for, so a scan that stops early leaves the
+        rest uncored; the subtree's record keeps the child t-graphs and the
+        tests.  A child of more than MAX_VARS_PER_MEMBER variables is kept
+        uncored.  A variable set that names no root subtree is refused with
+        ValueError."""
         found = self.subtree_of(variables)
+        if found is None:
+            names = ", ".join(sorted(map(str, variables)))
+            raise ValueError(f"no root subtree has the variables {{{names}}}")
+        return found.tests if found.complete else self._compile(found)
+
+    def _compile(self, found: SubtreeRecord) -> Iterator[ChildTest]:
+        """The record's tests, compiling each past its prefix when reached."""
         if found.children is None:
             found.children = self.child_tgraphs(found.nodes)
-        cores = found.cores
+        tests = found.tests
         for i, g in enumerate(found.children):
-            if i == len(cores):
+            if i == len(tests):
                 small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
                 # hom.core is looked up per call, so rebinding it reaches here
-                cores.append(hom.core(g) if small else g)
-            yield cores[i]
+                kept = hom.core(g) if small else g
+                tests.append((kept, hom._plan(kept.tgraph, found.variables)))
+            yield tests[i]
+        found.complete = True
+
+    def cored_children(self, variables: frozenset[Term]) -> Iterator[GeneralizedTGraph]:
+        """The cores of `child_tests`, compiled and refused alike."""
+        return (g for g, _ in self.child_tests(variables))
 
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
@@ -254,14 +285,18 @@ class WdPF:
     # value, they live exactly as long as the forest
     analysis: object = field(default=None, init=False, repr=False, compare=False)
     homs: HomCache = field(default_factory=HomCache, init=False, repr=False, compare=False)
+    # whether every tree is in NR normal form: its trees are immutable, so
+    # it is read once, and `ensure_nr` checks the flag on every call
+    nr: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
             raise ValueError("a pattern forest holds at least one tree")
+        object.__setattr__(self, "nr", all(t.is_nr() for t in self.trees))
 
     def ensure_nr(self) -> None:
-        for t in self.trees:
-            t.ensure_nr()
+        if not self.nr:
+            raise NotNRNormalForm("tree is not in NR normal form")
 
     def vars(self) -> frozenset[Term]:
         return frozenset().union(*(t.vars() for t in self.trees))

@@ -10,6 +10,7 @@ from oracles import (
     eval_forest_by_enumeration,
     eval_naive_by_nested_loops,
     eval_tree_by_subtree_enumeration,
+    hom_into_graph_exists,
     matched_subtree_by_enumeration,
 )
 from wdsparql.errors import InstanceTooLarge, InvalidK, NotNRNormalForm
@@ -85,6 +86,23 @@ def test_every_tree_is_checked_for_nr_past_an_accepting_one():
         eval_forest(forest, graph, mu)
     with pytest.raises(NotNRNormalForm):
         eval_pebble(forest, graph, mu, 1)
+
+
+def test_a_forest_not_in_nr_form_is_refused_on_every_call():
+    """The forest's NR form is read once, and a forest holding a tree not
+    in NR normal form still raises on each repeated call, also past a tree
+    that accepts."""
+    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
+    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
+    graph, mu = parse_graph("a p b"), m(x="a", y="b")
+    for forest in (WdPF((sloppy,)), WdPF((accepting, sloppy)), WdPF((sloppy, accepting))):
+        assert not forest.nr
+        for _ in range(3):
+            with pytest.raises(NotNRNormalForm):
+                eval_forest(forest, graph, mu)
+            with pytest.raises(NotNRNormalForm):
+                eval_pebble(forest, graph, mu, 1)
+    assert WdPF((accepting,)).nr and eval_forest(WdPF((accepting,)), graph, mu)
 
 
 def test_forest_evaluators_check_their_inputs_in_one_order():
@@ -475,6 +493,77 @@ def test_cored_children_decide_as_the_children():
     assert reached >= 100 and proper >= 0.2 * reached, (reached, proper)
 
 
+def wide_child_forest(rng):
+    """One or two trees with root (?x, p, ?y) and up to three more nodes,
+    each hanging a path of one to three fresh variables off a variable of
+    its parent, plus up to two random triples: a child of three fresh
+    variables that do not fold outgrows the two pebbles of k = 1."""
+    count = 0
+    trees = []
+    for _ in range(rng.randint(1, 2)):
+        labels = {0: parse_graph("?x p ?y")}
+        parents = {}
+        for n in range(1, rng.randint(2, 4)):
+            parents[n] = rng.randrange(n)
+            above = sorted(labels[parents[n]].vars(), key=str)
+            fresh = [var(f"v{i}") for i in range(count, count + rng.randint(1, 3))]
+            count += len(fresh)
+            pool = above + fresh
+            triples = [Triple(rng.choice(above), rng.choice(PREDICATES), fresh[0])]
+            triples += [Triple(a, rng.choice(PREDICATES), b) for a, b in zip(fresh, fresh[1:])]
+            triples += [
+                Triple(rng.choice(pool), rng.choice(PREDICATES), rng.choice(pool))
+                for _ in range(rng.randint(0, 2))
+            ]
+            labels[n] = TGraph(tuple(triples))
+        trees.append(WdPT(0, parents, labels))
+    return WdPF(tuple(trees))
+
+
+def test_the_scan_decides_each_child_in_its_regime(monkeypatch):
+    """Every child decision of eval_pebble's scan, for k = 1..3 (k + 1
+    pebbles), equals the homomorphism oracle when the child's core has at
+    most k + 1 free variables and the game oracle otherwise, each regime
+    taken at least 20 times; and eval_pebble at k = dw agrees with exact
+    evaluation and with the enumeration oracle."""
+    import wdsparql.evaluator as evaluator
+
+    decided = []
+    wins = evaluator.duplicator_wins
+
+    def spied(g, plan, graph, mu, pebbles):
+        won = wins(g, plan, graph, mu, pebbles)
+        decided.append((g, plan, graph, mu, pebbles, won))
+        return won
+
+    monkeypatch.setattr(evaluator, "duplicator_wins", spied)
+    rng = random.Random(109)
+    accepted = 0
+    for _ in range(60):
+        forest = wide_child_forest(rng)
+        dw = domination_width(forest)
+        for _ in range(3):
+            graph, mu = planted_call(rng, forest)
+            exact = eval_forest(forest, graph, mu)
+            assert exact == eval_forest_by_enumeration(forest, graph, mu)
+            assert eval_pebble(forest, graph, mu, dw) == exact
+            accepted += exact
+            for k in (1, 2, 3):
+                eval_pebble(forest, graph, mu, k)
+    searched = played = 0
+    for g, plan, graph, mu, pebbles, won in decided:
+        free = len(g.free_vars())
+        assert len(plan.order) == free and g.dist == mu.domain
+        if free <= pebbles:
+            searched += 1
+            assert won == hom_into_graph_exists(g, graph, mu)
+        else:
+            played += 1
+            assert won == duplicator_wins_game(g, graph, mu, pebbles)
+    assert searched >= 20 and played >= 20, (searched, played)
+    assert 0 < accepted < 180
+
+
 def test_each_child_is_cored_once_per_forest(monkeypatch):
     import wdsparql.hom as hom
 
@@ -524,34 +613,39 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
         for g in tree.child_tgraphs(nodes)
     }
     planned, searched, pebble_searched = [], [], []
-    plan, maps = hom.Plan, hom.maps_into_graph
+    plan, find = hom.Plan, hom.search
 
     def counted_plan(source, pinned=()):
-        planned.append((source, frozenset(pinned)))
-        return plan(source, pinned)
+        built = plan(source, pinned)
+        planned.append((source, frozenset(pinned), built))
+        return built
 
-    def spied_maps(g, *args):
-        searched.append(g)
-        return maps(g, *args)
+    def spied_search(p, graph, fixed):
+        searched.append((p, frozenset(fixed)))
+        return find(p, graph, fixed)
 
-    def pebble_spied_maps(g, *args):
-        pebble_searched.append(g)
-        return spied_maps(g, *args)
+    def pebble_spied_search(p, *args):
+        pebble_searched.append(p)
+        return spied_search(p, *args)
 
     monkeypatch.setattr(hom, "Plan", counted_plan)
-    monkeypatch.setattr(evaluator, "maps_into_graph", spied_maps)
-    monkeypatch.setattr(pebble, "maps_into_graph", pebble_spied_maps)
+    monkeypatch.setattr(evaluator, "search", spied_search)
+    monkeypatch.setattr(pebble, "search", pebble_spied_search)
     calls = [planted_call(rng, forest) for _ in range(50)]
     for graph, mu in calls:
         assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)
         assert eval_pebble(forest, graph, mu, dw) == eval_forest(forest, graph, mu)
-    # one plan per kept core: each t-graph searched is a kept core, and
-    # one plan pinning its distinguished variables was built from it
-    kept = {id(g): g for g in searched}.values()
+    # one plan per kept core: each search ran a plan built here from a kept
+    # core, pinning its distinguished variables (mu's domain), and one plan
+    # pinning them was built from that core
+    built_from = {id(b): (source, pins) for source, pins, b in planned}
+    kept = {id(p): built_from[id(p)] for p, _ in searched}
     assert len(kept) >= 3
-    assert {g.tgraph for g in kept} <= cores
-    for g in kept:
-        assert sum(s is g.tgraph and p == g.dist for s, p in planned) == 1
+    assert {source for source, _ in kept.values()} <= cores
+    for p, domain in searched:
+        assert kept[id(p)][1] == domain
+    for source, pins in kept.values():
+        assert sum(s is source and p == pins for s, p, _ in planned) == 1
     before = len(planned)
     for graph, mu in calls:
         eval_forest(forest, graph, mu)
@@ -559,7 +653,7 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
     assert len(planned) == before
     # the pebble game's homomorphism test ran on the kept cores and plans
     assert len(pebble_searched) >= 50
-    assert {id(g) for g in pebble_searched} <= {id(g) for g in kept}
+    assert {id(p) for p in pebble_searched} <= kept.keys()
 
 
 def test_the_cores_and_their_plans_go_with_the_tree():

@@ -238,6 +238,23 @@ def test_invalid_subtree_handles_are_refused():
     assert sorted(support(family, Subtree(0, frozenset({0})))) == [0, 1]  # a valid handle
 
 
+def test_child_tests_refuse_a_variable_set_naming_no_subtree():
+    """`child_tests` and `cored_children` take a variable set, and one that
+    names no root subtree of the tree is refused with ValueError, before
+    anything is cored."""
+    tree = forest_family(2).trees[0]
+    x, y, z = var("x"), var("y"), var("z")
+    for variables in (frozenset(), frozenset({x}), frozenset({x, y, var("w")})):
+        with pytest.raises(ValueError):
+            tree.child_tests(variables)
+        with pytest.raises(ValueError):
+            list(tree.cored_children(variables))
+    assert tree.subtree_of(frozenset({x, y})).tests == []  # nothing compiled
+    tests = list(tree.child_tests(frozenset({x, y, z})))
+    assert [g for g, _ in tests] == list(tree.cored_children(frozenset({x, y, z})))
+    assert all(len(plan.order) == len(g.free_vars()) for g, plan in tests)
+
+
 def chain(n):
     """An n-node path: node i holds (?xi-1, p, ?xi) under node i-1."""
     labels = {i: TGraph((Triple(var(f"x{i}"), iri("p"), var(f"x{i + 1}")),)) for i in range(n)}
