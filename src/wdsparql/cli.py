@@ -161,6 +161,8 @@ def _tap(results) -> int:
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     trials = args.trials
+    if trials < 1:  # with no trial, every property would print ok unchecked
+        raise UsageError(f"selftest: --trials must be at least 1, got {trials}")
     results = []
 
     def check(name, fn):

@@ -237,9 +237,10 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     subtree that fails the graph introduces a variable its parent lacks
     (NR normal form), every node holding that variable lies below it
     (connectedness), so the walk misses that variable and finds none.
-    The tree must be in NR normal form: `eval_forest` and `eval_pebble`
-    check that once per call, before their scan makes this same test per
-    tree."""
+    A tree not in NR normal form is refused with NotNRNormalForm;
+    `eval_forest` and `eval_pebble` check the forest once per call, before
+    their scan makes this same test per tree."""
+    tree.ensure_nr()
     hit = tree.subtree_of(mu.domain)
     if hit is None or not mu.images_in(hit.triples, graph):
         return None

@@ -279,19 +279,13 @@ class GadgetPlan:
         """The kept triples and templates with every core variable made its
         frozen IRI, the frozen IRI -> variable map, and the mapping of the
         distinguished variables to their frozen IRIs."""
-        _check_prefix(self.cored.tgraph)
-        # `frz:` and a variable name: valid by construction
-        frozen = {
-            v: _interned("iri", FROZEN_PREFIX + v.name)
-            for v in self.cored.tgraph.vars() | self.cored.dist
-        }
+        frozen, mapping = _freezing(self.cored)
         get = frozen.get
         kept = tuple(_triple(map(get, t, t)) for t in self.kept)
         templates = tuple(
             (tuple((x, n) if n is not None else (get(x, x), n) for x, n in layout), shape)
             for layout, shape in self.templates
         )
-        mapping = Mapping._valid({x: frozen[x] for x in self.cored.dist})
         return kept, templates, {a: v for v, a in frozen.items()}, mapping
 
     def gadget(self, h: UndirectedGraph) -> GeneralizedTGraph:
@@ -403,8 +397,6 @@ def build_clique_gadget(
     g: GeneralizedTGraph,
     inst: CliqueInstance,
     mm: MinorMap,
-    *,
-    cored: GeneralizedTGraph | None = None,
 ) -> GeneralizedTGraph:
     """The t-graph (B, X) whose homomorphism test encodes k-clique search:
     a `GadgetPlan` of the inputs, instantiated for H.
@@ -415,12 +407,8 @@ def build_clique_gadget(
     re-instantiated over every combination of those that keeps the two
     consistency rules (same row forces the same vertex, same column the
     same edge).  Triples leaning on other components are kept verbatim.
-    `cored` is the core of g when the caller has it already (an analysis
-    does); it must be a subgraph of g with g's distinguished set.
     """
-    if cored is None:
-        cored = core(g)
-    return GadgetPlan(g, cored, mm, inst.k).gadget(inst.graph)
+    return GadgetPlan(g, core(g), mm, inst.k).gadget(inst.graph)
 
 
 def _check_gadget(
@@ -447,12 +435,18 @@ def _check_gadget(
         raise AssertionError("gadget does not project into the core")
 
 
-def _check_prefix(tgraph: TGraph) -> None:
-    for x in tgraph.iris():
+def _freezing(b: GeneralizedTGraph) -> tuple[dict[Term, Term], Mapping]:
+    """Each variable of B to the IRI `frz:` + its name, and the mapping of
+    the distinguished variables to theirs.  An IRI of B already under the
+    reserved prefix is refused with ReservedPrefixCollision."""
+    for x in b.tgraph.iris():
         if x.name.startswith(FROZEN_PREFIX):
             raise ReservedPrefixCollision(
                 f"IRI {x} already uses the reserved prefix {FROZEN_PREFIX!r}"
             )
+    # `frz:` and a variable name: valid by construction
+    frozen = {v: _interned("iri", FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
+    return frozen, Mapping._valid({x: frozen[x] for x in b.dist})
 
 
 @dataclass(frozen=True)
@@ -477,12 +471,9 @@ class FrozenInstance:
 def freeze(b: GeneralizedTGraph) -> FrozenInstance:
     """B with each variable made the IRI `frz:` + its name, and the mapping
     of the distinguished variables to theirs."""
-    _check_prefix(b.tgraph)
-    # `frz:` and a variable name: valid by construction
-    frozen = {v: _interned("iri", FROZEN_PREFIX + v.name) for v in b.tgraph.vars() | b.dist}
+    frozen, mapping = _freezing(b)
     get = frozen.get
-    graph = TGraph._ground(_triple(map(get, t, t)) for t in b.tgraph)
-    return FrozenInstance(graph, Mapping._valid({x: frozen[x] for x in b.dist}))
+    return FrozenInstance(TGraph._ground(_triple(map(get, t, t)) for t in b.tgraph), mapping)
 
 
 @dataclass(frozen=True)

@@ -197,12 +197,11 @@ def iri(name: str) -> Term:
 
 def parse_term(token: str, *, line: int | None = None) -> Term:
     """Parse a single term token as found in graph and mapping files."""
-    is_var = token.startswith("?")
-    try:
-        return Term("var", token[1:]) if is_var else Term("iri", token)
-    except ValueError:
-        kind = "variable" if is_var else "IRI"
-        raise ParseError(f"bad {kind} token {token!r}", line=line) from None
+    term = _token_term(token)
+    if term is None:
+        kind = "variable" if token.startswith("?") else "IRI"
+        raise ParseError(f"bad {kind} token {token!r}", line=line)
+    return term
 
 
 def _triple_text(t: tuple[Term, Term, Term]) -> str:
@@ -511,8 +510,8 @@ def _row(tokens: list[str]) -> tuple[str, ...] | None:
 
 
 def _token_term(token: str) -> Term | None:
-    """The term a graph-file token names, or None for a bad token."""
-    if token[0] == "?":
+    """The term a token names, or None for a bad token (the empty one too)."""
+    if token[:1] == "?":
         return _interned("var", token[1:]) if _VAR_NAME.match(token[1:]) else None
     return _interned("iri", token) if _IRI_NAME.match(token) else None
 
@@ -563,8 +562,7 @@ def _raise_first_bad_row(rows, known: dict, ground: bool) -> None:
             raise ParseError(f"expected three terms, got {len(row)}", line=no)
         for token in row:
             if known[token] is None:
-                kind = "variable" if token[0] == "?" else "IRI"
-                raise ParseError(f"bad {kind} token {token!r}", line=no)
+                parse_term(token, line=no)
         found = [known[token] for token in row if known[token].is_var]
         if ground and found:
             worst = min(found, key=str)

@@ -11,8 +11,8 @@ machinery and established by `nr_normalize`, in one pre-order pass: a
 merge leaves the variables of the node merged into as they were.  In it
 a variable set names at most one root subtree, so a tree keeps, per
 variable set, the one `SubtreeRecord` that evaluation and the width
-analysis both work on; a `Subtree` is its printed handle, resolved in one
-place (`_record`).
+analysis both work on; a `Subtree` is its printed handle, and a node set
+is resolved to its record in one place (`WdPT.record`).
 
 `to_forest` takes each component's AND-blocks with their triples from
 the pattern layer's one pass (`patterns.and_blocks`), NR-normalizes them
@@ -97,10 +97,6 @@ class SubtreeRecord:
     def pat(self) -> TGraph:
         return TGraph(self.triples)
 
-    @property
-    def cores(self) -> list[GeneralizedTGraph]:
-        return [g for g, _ in self.tests]
-
 
 class WdPT:
     """Rooted labeled tree; immutable once constructed."""
@@ -109,7 +105,6 @@ class WdPT:
         self.root = root
         self.parents = dict(parents)
         self.labels = dict(labels)
-        self._children: dict[int, tuple[int, ...]] = {n: () for n in self.labels}
         self._subtrees: dict[frozenset[Term], SubtreeRecord] = {}  # by variable set
         self._validate()
         self._nr = all(
@@ -211,6 +206,16 @@ class WdPT:
                 hit = self._subtrees[variables] = SubtreeRecord(frozenset(keep), variables, triples)
         return hit
 
+    def record(self, nodes) -> SubtreeRecord:
+        """The record of the root subtree `nodes`.  A tree not in NR normal
+        form is refused with NotNRNormalForm, and a node set that is not a
+        root subtree of it, a node it lacks included, with ValueError."""
+        self.ensure_nr()
+        found = self.subtree_of(self.vars(nodes)) if self.labels.keys() >= nodes else None
+        if found is None or found.nodes != nodes:
+            raise ValueError(f"nodes {sorted(nodes)} are not a root subtree")
+        return found
+
     def child_tests(self, variables: frozenset[Term]) -> Iterable[ChildTest]:
         """The compiled tests of the children of the root subtree whose
         variables are `variables`, in frontier order: per child t-graph its
@@ -220,8 +225,10 @@ class WdPT:
         compiled when first asked for, so a scan that stops early leaves the
         rest uncored; the subtree's record keeps the child t-graphs and the
         tests.  A child of more than MAX_VARS_PER_MEMBER variables is kept
-        uncored.  A variable set that names no root subtree is refused with
+        uncored.  A tree not in NR normal form is refused with
+        NotNRNormalForm, and a variable set that names no root subtree with
         ValueError."""
+        self.ensure_nr()
         found = self.subtree_of(variables)
         if found is None:
             names = ", ".join(sorted(map(str, variables)))
@@ -242,10 +249,6 @@ class WdPT:
             yield tests[i]
         found.complete = True
 
-    def cored_children(self, variables: frozenset[Term]) -> Iterator[GeneralizedTGraph]:
-        """The cores of `child_tests`, compiled and refused alike."""
-        return (g for g, _ in self.child_tests(variables))
-
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
         return tuple(sorted(c for n in nodes for c in self.children(n) if c not in nodes))
@@ -253,10 +256,8 @@ class WdPT:
     def child_tgraphs(self, nodes) -> tuple[GeneralizedTGraph, ...]:
         """Per child of the root subtree `nodes`, in frontier order: the
         subtree's pattern (its record's) plus the child's label, with the
-        subtree's variables distinguished."""
-        found = self.subtree_of(self.vars(nodes))
-        if found is None or found.nodes != nodes:
-            raise ValueError(f"nodes {sorted(nodes)} are not a root subtree")
+        subtree's variables distinguished; refused as `record` refuses."""
+        found = self.record(nodes)
         pat, dist = found.pat, found.variables
         return tuple(GeneralizedTGraph(pat | self.label(c), dist) for c in self.frontier(nodes))
 
@@ -322,18 +323,15 @@ class Subtree:
 
 
 def _record(forest: WdPF, sub: Subtree | SubtreeRecord) -> SubtreeRecord:
-    """The record a handle names (a record names itself).  An unknown tree
-    index, or a node set that is not a root subtree of its tree, is refused
-    with ValueError."""
+    """The record a handle names (a record names itself).  A forest not in
+    NR normal form is refused with NotNRNormalForm, and an unknown tree
+    index with ValueError; its tree's `WdPT.record` refuses the node set."""
     if isinstance(sub, SubtreeRecord):
         return sub
+    forest.ensure_nr()
     if not 0 <= sub.tree_index < len(forest):
         raise ValueError(f"no tree {sub.tree_index} in a forest of {len(forest)}")
-    tree = forest.trees[sub.tree_index]
-    found = tree.subtree_of(tree.vars(sub.nodes)) if tree.labels.keys() >= sub.nodes else None
-    if found is None or found.nodes != sub.nodes:
-        raise ValueError(f"{sub} is not a root subtree of its tree")
-    return found
+    return forest.trees[sub.tree_index].record(sub.nodes)
 
 
 def subtree_vars(forest: WdPF, sub: Subtree) -> frozenset[Term]:
@@ -341,6 +339,7 @@ def subtree_vars(forest: WdPF, sub: Subtree) -> frozenset[Term]:
 
 
 def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
+    forest.ensure_nr()
     return tuple(Subtree(i, ns) for i, t in enumerate(forest.trees) for ns in t.subtree_nodesets())
 
 

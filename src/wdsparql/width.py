@@ -159,7 +159,7 @@ class Analysis:
                     f"tree {i} has {len(tree)} nodes, cap is {MAX_NODES_PER_TREE}"
                 )
         return tuple(
-            (i, tree.subtree_of(tree.vars(nodes)))
+            (i, tree.record(nodes))
             for i, tree in enumerate(self.forest)
             for nodes in tree.subtree_nodesets()
         )

@@ -447,6 +447,8 @@ def test_bad_eval_modes_are_one_typed_error_line():
         (("pebble", "--tgraph", tg, "--graph", graph, "--k", "2", "--dist", "?x",
           "--dist-file", sol), "ERROR UsageError:"),
         (("check-wd", "--pattern", pattern, "a\nb"), "ERROR UsageError:"),
+        (("selftest", "--trials", "0"), "ERROR UsageError:"),
+        (("selftest", "--trials", "-3"), "ERROR UsageError:"),
     )
     for argv, kind in cases:
         code, out, err = run(*argv)

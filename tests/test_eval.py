@@ -482,7 +482,7 @@ def test_cored_children_decide_as_the_children():
                 if nodes is None:
                     continue
                 kids = tree.child_tgraphs(nodes)
-                for child, cored in zip(kids, tree.cored_children(mu.domain)):
+                for child, (cored, _) in zip(kids, tree.child_tests(mu.domain)):
                     reached += 1
                     proper += len(cored.tgraph) < len(child.tgraph)
                     # a retract with X fixed: equivalent to the child
@@ -667,7 +667,7 @@ def test_the_cores_and_their_plans_go_with_the_tree():
     records = [
         tree.subtree_of(tree.vars(nodes)) for tree in forest for nodes in tree.subtree_nodesets()
     ]
-    cores = [g for record in records for g in record.cores]
+    cores = [g for record in records for g, _ in record.tests]
     assert cores and any(g.tgraph.plans() for g in cores)  # cores and plans are kept
     refs = [weakref.ref(g) for g in cores] + [weakref.ref(tree) for tree in forest]
     del records, cores, forest

@@ -123,7 +123,10 @@ def family_gadget_inputs(clique_size, k):
 
 
 def assert_gadget_is_reference(g, h, k, mm, cored=None):
-    gadget = build_clique_gadget(g, CliqueInstance(h, k), mm, cored=cored)
+    if cored is None:
+        gadget = build_clique_gadget(g, CliqueInstance(h, k), mm)
+    else:
+        gadget = GadgetPlan(g, cored, mm, k).gadget(h)
     reference = clique_gadget_by_product(g, h, k, dict(mm.cells))
     assert gadget.tgraph == reference.tgraph and gadget.dist == reference.dist
     return gadget
@@ -160,7 +163,7 @@ def test_gadget_bytes_are_pinned():
         for _ in range(4):
             n = rng.randint(3, 5)
             h = ug(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
-            gadget = build_clique_gadget(g, CliqueInstance(h, k), mm, cored=cored)
+            gadget = GadgetPlan(g, cored, mm, k).gadget(h)
             digest.update(serialize_graph(gadget.tgraph).encode())
         assert digest.hexdigest() == expected[k], k
 
@@ -169,7 +172,7 @@ def test_gadget_rejects_a_core_that_is_not_a_subgraph():
     g, _, mm = family_gadget_inputs(3, 2)
     other = GeneralizedTGraph(parse_graph("?y p ?x"), g.dist, declared=True)
     with pytest.raises(ValueError):
-        build_clique_gadget(g, CliqueInstance(ug(2, [(0, 1)]), 2), mm, cored=other)
+        GadgetPlan(g, other, mm, 2).gadget(ug(2, [(0, 1)]))
 
 
 def test_gadget_keeps_distinguished_triples_and_projects_back():
@@ -195,7 +198,7 @@ def test_gadget_check_catches_a_dropped_and_a_stray_triple(monkeypatch):
     check = hardness._check_gadget
     calls = []
     monkeypatch.setattr(hardness, "_check_gadget", lambda *args: calls.append(args))
-    build_clique_gadget(g, CliqueInstance(ug(2, [(0, 1)]), 2), mm, cored=cored)
+    GadgetPlan(g, cored, mm, 2).gadget(ug(2, [(0, 1)]))
     ((original, cored, gadget, projection),) = calls
     check(original, cored, gadget, projection)  # the built gadget passes
     kept = gadget.tgraph.triples

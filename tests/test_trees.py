@@ -11,12 +11,12 @@ from oracles import (
     root_subtrees_by_enumeration,
     support_by_enumeration,
 )
-from wdsparql.errors import NotWellDesigned
-from wdsparql.evaluator import eval_naive
+from wdsparql.errors import NotNRNormalForm, NotWellDesigned
+from wdsparql.evaluator import eval_naive, matched_subtree
 from wdsparql.hom import GeneralizedTGraph, find_homomorphism
 from wdsparql.patterns import parse_pattern
 from wdsparql.randgen import random_forest, random_rdf_graph, random_tree
-from wdsparql.terms import TGraph, Triple, iri, parse_graph, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, var
 from wdsparql.trees import (
     ChildrenAssignment,
     Subtree,
@@ -233,25 +233,56 @@ def test_invalid_subtree_handles_are_refused():
         for call in calls:
             with pytest.raises(ValueError):
                 call(sub)
-    with pytest.raises(ValueError):
-        family.trees[0].child_tgraphs(frozenset({1}))
+    for nodes in ({1}, {99}):
+        with pytest.raises(ValueError):
+            family.trees[0].child_tgraphs(frozenset(nodes))
     assert sorted(support(family, Subtree(0, frozenset({0})))) == [0, 1]  # a valid handle
 
 
+def test_every_entry_naming_a_root_subtree_refuses_a_forest_not_in_nr_form():
+    """A tree whose child adds no variable is refused with NotNRNormalForm
+    by every entry that names a root subtree, not answered: on it mu below
+    is an answer of the pattern, yet no subtree's children decide it.  A
+    handle on an NR tree of a forest holding such a tree is refused too."""
+    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?x q ?y")})
+    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
+    graph, mu = parse_graph("a p b"), Mapping.of({var("x"): iri("a"), var("y"): iri("b")})
+    assert mu in eval_naive(tree_pattern(sloppy), graph)
+    root, both, ca = frozenset({0}), frozenset({0, 1}), ChildrenAssignment(((0, 1),))
+    calls = [
+        lambda: matched_subtree(sloppy, graph, mu),
+        lambda: sloppy.child_tgraphs(root),
+        lambda: sloppy.child_tests(frozenset({var("x"), var("y")})),
+    ]
+    for forest in (WdPF((sloppy,)), WdPF((accepting, sloppy))):
+        calls.append(lambda f=forest: subtrees(f))
+        for sub in (Subtree(0, root), Subtree(0, both)):
+            calls += [
+                lambda f=forest, s=sub: support(f, s),
+                lambda f=forest, s=sub: subtree_vars(f, s),
+                lambda f=forest, s=sub: children_assignments(f, s),
+                lambda f=forest, s=sub: assignment_tgraph(f, s, ca),
+                lambda f=forest, s=sub: is_valid_assignment(f, s, ca),
+                lambda f=forest, s=sub: associated_tgraphs(f, s),
+                lambda f=forest, s=sub: associated_with_provenance(f, s),
+            ]
+    for call in calls:
+        with pytest.raises(NotNRNormalForm):
+            call()
+
+
 def test_child_tests_refuse_a_variable_set_naming_no_subtree():
-    """`child_tests` and `cored_children` take a variable set, and one that
-    names no root subtree of the tree is refused with ValueError, before
-    anything is cored."""
+    """`child_tests` takes a variable set, and one that names no root
+    subtree of the tree is refused with ValueError, before anything is
+    cored."""
     tree = forest_family(2).trees[0]
     x, y, z = var("x"), var("y"), var("z")
     for variables in (frozenset(), frozenset({x}), frozenset({x, y, var("w")})):
         with pytest.raises(ValueError):
             tree.child_tests(variables)
-        with pytest.raises(ValueError):
-            list(tree.cored_children(variables))
     assert tree.subtree_of(frozenset({x, y})).tests == []  # nothing compiled
     tests = list(tree.child_tests(frozenset({x, y, z})))
-    assert [g for g, _ in tests] == list(tree.cored_children(frozenset({x, y, z})))
+    assert [g for g, _ in tests] == [g for g, _ in tree.child_tests(frozenset({x, y, z}))]
     assert all(len(plan.order) == len(g.free_vars()) for g, plan in tests)
 
 
