@@ -5,9 +5,12 @@ Treewidth is computed exactly: simplicial vertices are eliminated first
 a dynamic program over vertex subsets in the elimination-order formulation
 (the treewidth of a graph is the minimum over elimination orders of the
 maximum degree at elimination time).  A decomposition is reconstructed from
-the optimal order and validated before any width is reported.
+the optimal order and validated before any width is reported, except that
+`treewidth` answers a forest without one.  MAX_TW_VERTICES guards that
+exact solver only, so a forest of any size has a treewidth.
 
-By convention a graph with no vertices or no edges has treewidth 1.
+By convention every forest has treewidth 1, whatever its size, those with
+no vertices or no edges included.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ class UndirectedGraph:
     def subgraph(self, keep) -> "UndirectedGraph":
         keep = frozenset(keep)
         return UndirectedGraph(keep, frozenset(e for e in self.edges if e <= keep))
+
+    def is_forest(self) -> bool:
+        """No cycle: as many edges as vertices less components."""
+        return len(self.edges) == len(self.vertices) - len(self.components())
 
     def components(self) -> tuple[frozenset, ...]:
         adj = self.adjacency()
@@ -246,8 +253,9 @@ def tree_decomposition(graph: UndirectedGraph) -> TreeDecomposition:
 
 
 def treewidth(graph: UndirectedGraph) -> int:
-    """Exact treewidth; 1 for graphs with no vertices or no edges."""
-    if not graph.edges and len(graph.vertices) <= MAX_TW_VERTICES:
+    """Exact treewidth; 1 for every forest, of any size, edgeless and empty
+    graphs included.  Any other graph past MAX_TW_VERTICES raises."""
+    if graph.is_forest():
         return 1
     td = tree_decomposition(graph)  # raises GraphTooLarge past the cap
     td.validate(graph)

@@ -388,5 +388,12 @@ def gaifman(g: GeneralizedTGraph) -> UndirectedGraph:
 
 
 def ctw(g: GeneralizedTGraph) -> int:
-    """Treewidth of the core of (S, X)."""
+    """Treewidth of the core of (S, X).
+
+    When the Gaifman graph of (S, X) itself is a forest the answer is 1 and
+    no core is computed: the core keeps a subset of S's triples, so its
+    Gaifman graph is a subgraph of a forest, and 1 is the treewidth floor.
+    """
+    if gaifman(g).is_forest():
+        return 1
     return treewidth(gaifman(core(g)))

@@ -97,6 +97,19 @@ def treewidth_by_elimination_orders(graph: UndirectedGraph) -> int:
     return max(best, 1)
 
 
+def ctw_by_enumeration(g: GeneralizedTGraph) -> int:
+    """The treewidth, by every elimination order, of the Gaifman graph of
+    the fewest-triple image among all endomorphisms of (S, X) fixing X."""
+    fixed = {x: x for x in g.dist if x in g.tgraph.vars()}
+    image = min(
+        ({substitute(t, h) for t in g.tgraph} for h in all_assignment_homs(g.tgraph, g.tgraph, fixed)),
+        key=len,
+    )
+    free = {v for t in image for v in t.vars()} - g.dist
+    edges = [(a, b) for t in image for a, b in combinations(sorted(t.vars() & free, key=str), 2)]
+    return treewidth_by_elimination_orders(UndirectedGraph.of(free, edges))
+
+
 def duplicator_wins_game(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
 ) -> bool:

@@ -145,6 +145,21 @@ def test_width_command():
     assert any(line.startswith("  tree 0") for line in out.splitlines()[1:])
 
 
+def test_width_of_a_long_child_path(tmp_path):
+    # the child is a 25-triple q-path below ?x: its 25 free variables form
+    # a path, past the treewidth solver's cap of 20 vertices, whose width
+    # is 1 without it; dw merges 27 variables, past the member cap of 14
+    path = "(?x, q, ?a0)"
+    for i in range(24):
+        path = f"({path} AND (?a{i}, q, ?a{i + 1}))"
+    pattern = write(tmp_path, "qpath.sparql", f"((?x, p, ?r) OPT {path})")
+    for measure in ("local", "bw"):
+        assert run("width", "--pattern", pattern, "--measure", measure) == (0, "1\n", "")
+    code, out, err = run("width", "--pattern", pattern, "--measure", "dw")
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR InstanceTooLarge: 27 variables")
+
+
 def test_parser_built_once_and_each_call_parses_afresh(monkeypatch):
     built = []
     build = cli.build_parser

@@ -4,9 +4,20 @@ import time
 
 import pytest
 
-from fixtures import XYZ, clique_pattern_tgraph, collapsing_tgraph
+from fixtures import (
+    P1_TEXT,
+    P_UNION_TEXT,
+    TRIANGLE_TAIL_TEXT,
+    XYZ,
+    clique_pattern_tgraph,
+    collapsing_tgraph,
+    forest_family,
+    opt_star,
+    two_node_clique_tree,
+)
 from oracles import (
     all_assignment_homs,
+    ctw_by_enumeration,
     hom_exists,
     is_core_by_enumeration,
     treewidth_by_elimination_orders,
@@ -23,8 +34,11 @@ from wdsparql.hom import (
     is_homomorphism,
     maps_into_graph,
 )
+from wdsparql.patterns import parse_pattern
 from wdsparql.randgen import random_game_instance, random_generalized_tgraph, random_rdf_graph
 from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, var
+from wdsparql.trees import WdPF, to_forest
+from wdsparql.width import domination_width
 
 
 def gt(text, dist=()):
@@ -206,11 +220,114 @@ def test_a_triple_left_without_a_match_fails_at_once():
 def test_graph_too_large(monkeypatch):
     import wdsparql.graphs as graphs
 
-    big = UndirectedGraph.of(range(25), [(i, i + 1) for i in range(24)])
+    # a 25-vertex path whose far end closes a triangle: not a forest, and
+    # simplicial peeling removes it, so under a raised cap the DP never runs
+    big = UndirectedGraph.of(range(25), [(i, i + 1) for i in range(24)] + [(22, 24)])
     with pytest.raises(GraphTooLarge):
         treewidth(big)
     monkeypatch.setattr(graphs, "MAX_TW_VERTICES", 30)
-    assert treewidth(big) == 1
+    assert treewidth(big) == 2
+
+
+def test_forests_past_the_cap_have_treewidth_one():
+    import wdsparql.graphs as graphs
+
+    rng = random.Random(53)
+    for g in (
+        UndirectedGraph.of(range(21), ()),
+        UndirectedGraph.of(range(40), [(i, rng.randrange(i)) for i in range(1, 40)]),
+        UndirectedGraph.of(range(100), [(i, i + 1) for i in range(99)]),
+    ):
+        assert len(g.vertices) > graphs.MAX_TW_VERTICES
+        start = time.perf_counter()
+        assert treewidth(g) == 1
+        assert time.perf_counter() - start < 0.05
+
+
+def test_treewidth_of_forests_and_unicyclic_graphs_matches_the_oracle():
+    # a unicyclic graph has as many edges as vertices, so a forest test
+    # that compared those two counts alone would answer 1 for it
+    rng = random.Random(59)
+    for n in [*range(1, 9), *range(1, 9), 9]:
+        edges = [(i, rng.randrange(i)) for i in range(1, n) if rng.random() < 0.8]
+        g = UndirectedGraph.of(range(n), edges)
+        assert treewidth(g) == treewidth_by_elimination_orders(g) == 1
+    for n in range(3, 8):
+        cycle = rng.randint(3, n)
+        edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+        g = UndirectedGraph.of(range(n), edges + [(i, rng.randrange(i)) for i in range(cycle, n)])
+        assert treewidth(g) == treewidth_by_elimination_orders(g) == 2
+
+
+def shape_tgraph(
+    rng: random.Random, edges, n: int, isolated: bool = False, free_share: float = 0.6
+) -> GeneralizedTGraph:
+    """One triple per edge (a, b) over nodes 0..n-1, under p or q and in
+    either direction.  Each node is a free variable (with probability
+    `free_share`), a distinguished one or an IRI, with at most five free
+    ones, `isolated` counted: with it, one more free variable meets only a
+    distinguished variable or an IRI."""
+    terms, dist, free = [], set(), 0
+    for i in range(n):
+        kind = rng.choices("fdi", (free_share, 0.6 * (1 - free_share), 0.4 * (1 - free_share)))[0]
+        if kind == "f":
+            kind, free = ("f", free + 1) if free + isolated < 5 else ("d", free)
+        terms.append(iri(f"c{i}") if kind == "i" else var(f"n{i}"))
+        if kind == "d":
+            dist.add(terms[i])
+    triples = []
+    for a, b in edges:
+        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+        triples.append(Triple(terms[a], iri(rng.choice("pq")), terms[b]))
+    if isolated:
+        triples.append(Triple(var("iso"), iri("p"), min(dist, key=str, default=iri("c"))))
+    return GeneralizedTGraph(TGraph(tuple(triples)), frozenset(dist))
+
+
+def test_ctw_matches_the_core_oracle():
+    rng = random.Random(61)
+    cases = [gt("?a p ?b\n?b p ?c\n?c p ?a")]  # a directed triangle, nothing distinguished: ctw 2
+    cases += [random_generalized_tgraph(rng, max_vars=4, max_triples=8) for _ in range(60)]
+    for n in range(2, 8):
+        for _ in range(4):
+            cases.append(shape_tgraph(rng, [(i, i - 1) for i in range(1, n)], n))  # path
+            cases.append(shape_tgraph(rng, [(i, 0) for i in range(1, n)], n))  # star
+            cases.append(shape_tgraph(rng, [(i, rng.randrange(i)) for i in range(1, n)], n))
+    for n in range(3, 6):
+        for isolated in (False, True):
+            for _ in range(8):
+                cases.append(shape_tgraph(rng, [(i, (i + 1) % n) for i in range(n)], n, isolated, 0.85))
+    widths = [ctw(g) for g in cases]
+    assert widths == [ctw_by_enumeration(g) for g in cases]
+    assert widths[0] == 2 and widths.count(2) > 1
+
+
+def test_the_width_layer_cores_only_cyclic_members(monkeypatch):
+    import wdsparql.hom as hom
+
+    def has_cycle(graph: UndirectedGraph) -> bool:
+        root = {v: v for v in graph.vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in map(tuple, graph.edges):
+            if find(a) == find(b):
+                return True
+            root[find(a)] = find(b)
+        return False
+
+    cored = []
+    real_core = hom.core
+    monkeypatch.setattr(hom, "core", lambda g: cored.append(g) or real_core(g))
+    forests = [forest_family(k, third) for k in range(2, 6) for third in (False, True)]
+    forests += [WdPF((two_node_clique_tree(k),)) for k in range(2, 6)] + [WdPF((opt_star(3),))]
+    forests += [to_forest(parse_pattern(text)) for text in (P1_TEXT, P_UNION_TEXT, TRIANGLE_TAIL_TEXT)]
+    widths = [domination_width(f) for f in forests]
+    assert cored and all(has_cycle(gaifman(g)) for g in cored)
+    assert max(widths) == 4  # forest_family(5)'s K_5 member, cored, keeps its width
 
 
 def test_ctw_examples():
