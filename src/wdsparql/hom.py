@@ -14,12 +14,14 @@ soon after it is tried.
 It is planned once and run many times.  A `Plan` of a source t-graph and
 the set of its variables that each run pins depends on nothing else, so
 it holds the order and every lookup the search makes, compiled: a lookup
-is an access path (a mask of bound positions, a key read from a list of
-slot values, the position it outputs), answered by one read of the
-target's `TGraph.by_mask` index for that mask, and no `Triple` is built
-while searching.  `_solve` runs a plan on a target with values for the
-pinned variables.  A triple is checked at the level of its last variable,
-and the first triple checked there is the level's driver.  The level's
+is an access path (a mask of bound positions and, when the triple's
+predicate is an IRI, that predicate; a key read from a list of slot
+values; the position it outputs), answered by one read of the target's
+`TGraph.by_mask` index for that mask and predicate, which holds that
+predicate's triples alone, and no `Triple` is built while searching.
+`_solve` runs a plan on a target with values for the pinned variables.
+A triple is checked at the level of its last variable, and the first
+triple checked there is the level's driver.  The level's
 candidates are the terms at its variable's position over the target's
 matches of the driver, with the values of the driver's other variables in
 place, never a scan of the whole target: a variable next to an assigned
@@ -129,18 +131,22 @@ class Plan:
     pinned values (blanks to assign, then the IRIs), which a run copies.
     So `len(order)` is the number of free variables of a search.
     Every lookup is an access path: a mask of bound positions with the
-    pairs of free positions that a repeated variable ties, a key getter
-    over the slots, the position it outputs and the level whose
-    candidates it gives, if any.  A triple with no unpinned variable is a lookup at the
-    start with every position bound (a membership test); so is every other
-    triple at the level of its last variable but the level's driver, whose
-    look-ahead gave the level's candidates.  A triple's look-ahead, with
+    pairs of free positions that a repeated variable ties and, when the
+    triple's predicate is an IRI, that predicate (the mask then leaves
+    position 1 out, unless every position is bound and the key is the
+    triple itself), a key getter over the slots, the position it outputs
+    and the level whose candidates it gives, if any.  A triple with no
+    unpinned variable is a lookup at the start with every position bound
+    (a membership test); so is every other triple at the level of its
+    last variable but the level's driver, whose look-ahead gave the
+    level's candidates.  A triple's look-ahead, with
     one variable free, runs at the start when it has only one unpinned
     variable, and otherwise at the level of its last variable but one.  A
     level with no driver keeps the lookups of every triple holding its
     variable, read at the start by `_domain`.  No `Triple` is built: each
     key is read from the slots, and each lookup is one read of the target's
-    `TGraph.by_mask` index of its mask.
+    `TGraph.by_mask` index for its mask and predicate, all of them
+    fetched once at the start of a run (`TGraph.indexes`).
     """
 
     __slots__ = ("pinned", "order", "names", "tail", "masks", "first", "levels", "domains")
@@ -164,11 +170,14 @@ class Plan:
         masks: dict[tuple, int] = {}
 
         def path(t: Triple, known, free: Term | None = None, j: int | None = None) -> tuple:
-            # the access path of t with the variables of `known` bound
+            # the access path of t with the variables of `known` bound,
+            # into the index of t's predicate when that is an IRI
             bound = tuple(i for i, x in enumerate(t) if x.is_iri or x in known)
-            get = key_getter(tuple(slots[t[i]] for i in bound))
+            p = t[1] if t[1].is_iri else None
+            mask = bound if p is None or len(bound) == 3 else tuple(i for i in bound if i != 1)
+            get = key_getter(tuple(slots[t[i]] for i in mask))
             pos = None if free is None else t.index(free)
-            return masks.setdefault((bound, ties_of(t, bound)), len(masks)), get, pos, j
+            return masks.setdefault((mask, ties_of(t, bound), p), len(masks)), get, pos, j
 
         rank = {v: i for i, v in enumerate(order)}
         self.first: list[tuple] = []
@@ -240,7 +249,7 @@ def _solve(
     names = plan.names
     vals = [fixed[v] for v in plan.pinned]
     vals += plan.tail
-    indexes = [target.by_mask(*m) for m in plan.masks]
+    indexes = target.indexes(plan.masks)
     order = plan.order
     cands: list[list[Term] | None] = [None] * len(order)
     for m, get, pos, j in plan.first:

@@ -16,19 +16,25 @@ holds `kind`, `is_var` and `is_iri` as class attributes, so making a term
 writes only its name and its text.  A triple is the tuple of its three terms, so it is
 built, hashed and compared as a tuple, in C, and equals the plain tuple
 of the same terms.  A t-graph keeps its triples three ways: the canonical
-sorted tuple, a frozenset for membership (`triple_set`), and indexes keyed
-per mask: for a set of bound positions (and the pairs of other positions
-a repeated variable ties), the triples under their terms at those
-positions, IRIs and variables alike, each index built on first use of its
-mask (`TGraph.by_mask`).  Every other look into a graph is one read of
-such an index: the homomorphism search's compiled lookups read it
-directly, with keys of terms and no `Triple` built, and
-`TGraph.matching` answers "which triples can this pattern triple map
-onto, with these values for some of its variables" from it, for the
-evaluator and the pebble game; `TGraph.values_at` reads one position of
-those matches.  A mapping keeps a dict beside its sorted bindings;
-`Mapping.images_in` puts a triple under it as a plain tuple of terms,
-which a membership test looks up in `triple_set` as it is.
+sorted tuple, a frozenset for membership (`triple_set`), and indexes, each
+built on first use (`TGraph.by_mask`): for a set of bound positions, the
+pairs of other positions a repeated variable ties and, when the lookup
+names one, a predicate, the triples (with that predicate) under their
+terms at those positions, IRIs and variables alike.  A lookup whose
+triple has an IRI predicate reads that predicate's index, so it meets no
+triple of another predicate, and a graph parsed from a file makes a
+predicate's `Triple`s only when a query first reads that predicate: it
+keeps its distinct rows grouped by predicate, and assembles the sorted
+tuple and the frozenset from the triples so made only when either is
+first read.  Every other look into a graph is one read of such an index:
+the homomorphism search's compiled lookups read it directly, with keys of
+terms and no `Triple` built, and `TGraph.matching` answers "which triples
+can this pattern triple map onto, with these values for some of its
+variables" from it, for the evaluator and the pebble game;
+`TGraph.values_at` reads one position of those matches.  A mapping keeps
+a dict beside its sorted bindings; `Mapping.images_in` puts a triple
+under it as a plain tuple of terms, which a membership test looks up in
+`triple_set` as it is.
 
 File formats
 ------------
@@ -68,7 +74,6 @@ _set = object.__setattr__
 _name = attrgetter("name")
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
-_ALL_BOUND = (0, 1, 2)
 
 
 def _no_key(_items) -> tuple:
@@ -254,16 +259,63 @@ def substitute(triple: Triple, sub: dict[Term, Term]) -> Triple:
     ))
 
 
+def _keyed(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) -> dict:
+    """`triples` under their terms at the positions of `mask` (the key
+    `key_getter(mask)` reads), only those holding equal terms at each pair
+    of `ties`, each list in the order of `triples`."""
+    if len(mask) == 3:  # each triple is its own key, once
+        return dict(zip(triples, map(list, zip(triples))))
+    if ties:
+        triples = [u for u in triples if all(u[i] == u[j] for i, j in ties)]
+    found: dict = {}
+    for key, u in zip(map(key_getter(mask), triples), triples):
+        hits = found.get(key)
+        if hits is None:
+            found[key] = [u]
+        else:
+            hits.append(u)
+    return found
+
+
+def _keyed_by_predicate(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) -> dict:
+    """`_keyed` of the triples of each predicate, under the predicate, all
+    filled in this one pass over `triples`."""
+    if ties:
+        triples = [u for u in triples if all(u[i] == u[j] for i, j in ties)]
+    found: dict = {}
+    if len(mask) == 3:  # each triple is its own key, once
+        for u in triples:
+            into = found.get(u[1])
+            if into is None:
+                into = found[u[1]] = {}
+            into[u] = [u]
+        return found
+    for key, u in zip(map(key_getter(mask), triples), triples):
+        into = found.get(u[1])
+        if into is None:
+            into = found[u[1]] = {}
+        hits = into.get(key)
+        if hits is None:
+            into[key] = [u]
+        else:
+            hits.append(u)
+    return found
+
+
 class TGraph(_Value):
     """A finite set of triple patterns in canonical (serialized) order.
 
-    Besides the sorted tuple it holds the same triples as a frozenset
-    (`triple_set`); its variables, IRIs and per-mask indexes
-    (`by_mask`) are computed on first use and kept, and so are the search
-    plans from it (`plans`).
+    It holds the triples as a sorted tuple (`triples`) and as a frozenset
+    (`triple_set`); its variables, IRIs and indexes (`by_mask`) are
+    computed on first use and kept, and so are the search plans from it
+    (`plans`).  A graph from `parse_graph` starts instead from its
+    distinct rows of tokens grouped by predicate (see `_LazyTGraph`), so
+    a query that names a few predicates makes their triples alone.
+    Length, iteration, equality, hash, pickling and `serialize_graph`
+    all read `triples`.
     """
 
-    __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index", "_plans")
+    __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index", "_plans", "_parts", "_rows")
 
     def __init__(self, triples: tuple[Triple, ...] = ()):
         members = frozenset(triples)
@@ -271,8 +323,10 @@ class TGraph(_Value):
         _set(self, "triple_set", members)
         _set(self, "_vars", None)
         _set(self, "_iris", None)
-        _set(self, "_index", None)
+        _set(self, "_index", {})
         _set(self, "_plans", None)
+        _set(self, "_parts", None)
+        _set(self, "_rows", None)
 
     @classmethod
     def _ground(cls, triples) -> "TGraph":
@@ -282,6 +336,25 @@ class TGraph(_Value):
         g = cls(triples)
         _set(g, "_vars", frozenset())
         return g
+
+    def _predicate(self, p: Term) -> list[Triple]:
+        """The triples of a parsed graph with predicate p, in canonical
+        order, made from its rows on the first call for p, which drops
+        those rows, and the whole row table once every predicate is made."""
+        parts = self._parts
+        found = parts.get(p)
+        if found is not None:
+            return found
+        rows = self._rows
+        raw = None if rows is None else rows[1].pop(p, None)
+        if raw is None:  # no triple holds p
+            return []
+        if not rows[1]:
+            _set(self, "_rows", None)
+        get = rows[0].__getitem__
+        # " ".join of a row is its triple's text, the canonical order's key
+        found = parts[p] = [_triple((get(s), p, get(o))) for s, _, o in sorted(raw, key=" ".join)]
+        return found
 
     def vars(self) -> frozenset[Term]:
         found = self._vars
@@ -300,39 +373,43 @@ class TGraph(_Value):
     def is_ground(self) -> bool:
         return not self.vars()
 
-    def by_mask(self, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...] = ()) -> dict:
+    def by_mask(
+        self, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...] = (), p: Term | None = None
+    ) -> dict:
         """The triples keyed by their terms at the positions of `mask`, a
         sorted tuple of positions: the bare term for one position, a tuple
         of terms for more, () for none.  With `ties`, pairs of positions
         outside the mask, only the triples holding equal terms at each pair
-        are kept, as a repeated variable needs.  Each list keeps the order
-        of `triples`.  Built on first use of the (mask, ties) pair and kept,
-        so a lookup with some positions bound reads one list, whatever the
-        bound terms are (IRIs, or variables of this t-graph, constants
-        here)."""
+        are kept, as a repeated variable needs.  With a predicate `p`, only
+        the triples holding p at position 1, which `mask` then leaves out
+        unless it holds every position: the key is then the triple itself.
+        Each list keeps the order of `triples`.  Built on first use of the
+        (mask, ties, p) key and kept, so a lookup with some positions bound
+        reads one list, whatever the bound terms are (IRIs, or variables of
+        this t-graph, constants here).  A parsed graph builds a
+        predicate's index from that predicate's triples alone
+        (`_predicate`); a graph built from triples fills the (mask, ties)
+        index of every predicate in one pass over them."""
         index = self._index
-        if index is None:
-            index = {}
-            _set(self, "_index", index)
-        found = index.get((mask, ties))
-        if found is not None:
-            return found
-        triples = self.triples
-        if mask == _ALL_BOUND:
-            # each triple is its own key, once (no position is left to tie)
-            found = index[mask, ties] = dict(zip(triples, map(list, zip(triples))))
-            return found
-        found = index[mask, ties] = {}
-        get = key_getter(mask)
-        for u in triples:
-            if ties and not all(u[i] == u[j] for i, j in ties):
-                continue
-            key = get(u)
-            hits = found.get(key)
-            if hits is None:
-                found[key] = [u]
-            else:
-                hits.append(u)
+        found = index.get((mask, ties, p))
+        if found is None:
+            if p is None or self._parts is not None:
+                found = _keyed(self.triples if p is None else self._predicate(p), mask, ties)
+            else:  # every predicate's index, kept under (mask, ties) as one
+                split = index.get((mask, ties))
+                if split is None:
+                    split = index[mask, ties] = _keyed_by_predicate(self.triples, mask, ties)
+                found = split.get(p, {})
+            index[mask, ties, p] = found
+        return found
+
+    def indexes(self, keys) -> list[dict]:
+        """`by_mask(*key)` for each (mask, ties, p) key of `keys`, in
+        order: one read of the kept index per key once all are built."""
+        # a miss is the rule on a fresh graph, so no exception signals it
+        found = list(map(self._index.get, keys))
+        if None in found:
+            return [self.by_mask(*key) for key in keys]
         return found
 
     def plans(self) -> dict:
@@ -349,24 +426,32 @@ class TGraph(_Value):
         bound when it holds an IRI or a variable with a value, and u holds
         that term there; a variable of t without a value matches anything,
         whatever the variables of this t-graph are called, and a repeated
-        one meets equal terms in u.  One lookup in `by_mask`."""
-        mask = []
+        one meets equal terms in u.  One lookup in `by_mask`, in the index
+        of t's predicate when position 1 is bound."""
+        bound = []
         key = []
         for i, x in enumerate(t):
             if x.is_var:
                 x = values.get(x) if values else None
                 if x is None:
                     continue
-            mask.append(i)
+            bound.append(i)
             key.append(x)
-        index = self.by_mask(tuple(mask), ties_of(t, mask))
+        ties = ties_of(t, bound)
+        p = None
+        if len(bound) == 3:
+            p = key[1]
+        elif 1 in bound:
+            p = key.pop(bound.index(1))
+            bound.remove(1)
+        index = self.by_mask(tuple(bound), ties, p)
         return tuple(index.get(key[0] if len(key) == 1 else tuple(key), ()))
 
     def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
         """The terms at position `pos` over `matching(t, values)`.  With no
         other variable of t left free, they come each once and in `str`
-        order, as the triples are sorted by their text and no term's text
-        holds a space."""
+        order: every index list keeps the canonical order, the triples
+        sorted by their text, and no term's text holds a space."""
         return [u[pos] for u in self.matching(t, values)]
 
     def __iter__(self):
@@ -379,7 +464,7 @@ class TGraph(_Value):
         return t in self.triple_set
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is not TGraph:
+        if not isinstance(other, TGraph):
             return NotImplemented
         return self.triples == other.triples
 
@@ -397,6 +482,43 @@ class TGraph(_Value):
 
     def __repr__(self) -> str:
         return f"TGraph(triples={self.triples!r})"
+
+
+class _LazyTGraph(TGraph):
+    """A t-graph parsed from a file, until its `triples` or `triple_set`
+    is first read.  It starts from its distinct rows of tokens grouped by
+    predicate (`_rows`) and makes a predicate's `Triple`s, in canonical
+    order, when an index of that predicate is first built
+    (`TGraph._predicate`).  The first read of either attribute makes the
+    rest, assembles both from those same objects, and turns the graph
+    into a plain `TGraph`: only this class defines `__getattr__`, which
+    would slow every attribute read of a t-graph."""
+
+    __slots__ = ()
+
+    def __init__(self, known: dict[str, Term], table: dict[Term, list], variables: frozenset):
+        # `known` maps each token to its term, and `table` each predicate
+        # to the distinct rows of tokens that hold it
+        _set(self, "_vars", variables)
+        _set(self, "_iris", frozenset(known.values()) - variables)
+        _set(self, "_index", {})
+        _set(self, "_plans", None)
+        _set(self, "_parts", {})
+        _set(self, "_rows", (known, table) if table else None)
+
+    def __getattr__(self, name: str):
+        # called only for an attribute not set, of which these two are
+        # the ones this class leaves for later
+        if name not in ("triples", "triple_set"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if self._rows is not None:
+            for p in list(self._rows[1]):
+                self._predicate(p)
+        triples = tuple(sorted(chain.from_iterable(self._parts.values()), key=_triple_text))
+        _set(self, "triples", triples)
+        _set(self, "triple_set", frozenset(triples))
+        _set(self, "__class__", TGraph)
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -523,9 +645,10 @@ def parse_graph(text: str, *, ground: bool = False) -> TGraph:
     token is checked, and made a term, once.  A bad line (not three terms,
     a bad token, or a variable in a ground graph) raises for the first one
     in file order, each line checked in that order.  The distinct rows are
-    sorted by their text, so the t-graph takes its triples in canonical
-    order without sorting them again, and with its variables and IRIs
-    already known: `is_ground` then reads no triple."""
+    kept grouped by predicate, and no `Triple` is made here: the t-graph
+    makes a predicate's triples when a query first reads that predicate
+    (see `TGraph`), and knows its variables and IRIs already, so
+    `is_ground` reads no triple."""
     rows = [
         (t[0], t[1], t[2]) if len(t) == 4 and t[3] == "." and t[0][0] != "#" else _row(t)
         for t in map(str.split, text.splitlines())
@@ -540,18 +663,14 @@ def parse_graph(text: str, *, ground: bool = False) -> TGraph:
         or (ground and variables)
     ):
         _raise_first_bad_row(rows, known, ground)
-    get = known.__getitem__
-    # " ".join of a row is its triple's text, the canonical order's key
-    unique = sorted(set(data), key=" ".join)
-    triples = [_triple((get(s), get(p), get(o))) for s, p, o in unique]
-    g = object.__new__(TGraph)
-    _set(g, "triples", tuple(triples))
-    _set(g, "triple_set", frozenset(triples))
-    _set(g, "_vars", variables)
-    _set(g, "_iris", frozenset(known.values()) - variables)
-    _set(g, "_index", None)
-    _set(g, "_plans", None)
-    return g
+    table: dict[str, list] = {}
+    for row in set(data):
+        found = table.get(row[1])
+        if found is None:
+            table[row[1]] = [row]
+        else:
+            found.append(row)
+    return _LazyTGraph(known, {known[p]: rows for p, rows in table.items()}, variables)
 
 
 def _raise_first_bad_row(rows, known: dict, ground: bool) -> None:

@@ -16,9 +16,13 @@ against the assignment oracle, with the share of levels it decides from
 a driver triple counted.  `TGraph.by_mask` is checked against the same
 scan for every mask of bound positions, and a compiled `hom.Plan` against
 the oracles, and against a fresh plan per call when one plan serves
-several targets and pin values.
+several targets and pin values.  Each predicate's index (`by_mask` with a
+predicate) is checked against the same scan filtered by the predicate, on
+graphs built from triples and on the same graphs parsed from their files,
+and so are `matching` and the searches over parsed targets.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -32,7 +36,7 @@ from oracles import (
 from wdsparql import hom
 from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
 from wdsparql.pebble import consistency_family, pebble_wins
-from wdsparql.terms import Mapping, TGraph, Triple, iri, substitute, var
+from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, serialize_graph, substitute, var
 
 PREDICATES = tuple(iri(p) for p in ("p", "q", "r", "s", "t"))
 NODES = tuple(iri(n) for n in ("a", "b", "c", "d")) + PREDICATES[:1]
@@ -446,3 +450,112 @@ def test_one_plan_serves_many_targets_and_pin_values():
                     results.add(tuple(tuple(sorted_items(h)) for h in got))
         differ += len(results) > 1
     assert differ > 80
+
+
+def predicate_scan(graph, mask, ties, p):
+    """The (mask, ties, p) index by a full scan: the triples holding p at
+    position 1 and equal terms at each pair of `ties`, under their terms
+    at `mask`, in graph order."""
+    out = {}
+    for u in graph:
+        if u[1] == p and all(u[i] == u[j] for i, j in ties):
+            terms = tuple(u[i] for i in mask)
+            out.setdefault(terms[0] if len(terms) == 1 else terms, []).append(u)
+    return out
+
+
+PREDICATE_MASKS = (((), ()), ((), ((0, 2),)), ((0,), ()), ((2,), ()), ((0, 2), ()), ((0, 1, 2), ()))
+
+
+def test_predicate_index_equals_a_full_scan_of_the_predicate():
+    """Every (mask, ties, p) index of a graph built from triples and of the
+    same graph parsed from its file equals a full scan of the built graph
+    filtered by p, for every predicate it holds (IRIs and variables) and
+    one it does not; the parsed graph is read before anything assembles
+    its triples, so each index comes from its predicate's own rows."""
+    rng = random.Random(131)
+    tied = var_predicates = 0
+    for _ in range(150):
+        pool = TARGET_VARS if rng.random() < 0.5 else ()
+        built = random_target(rng, rng.randint(0, 30), pool)
+        parsed = parse_graph(serialize_graph(built))
+        predicates = sorted({u[1] for u in built}, key=str) + [iri("absent")]
+        rng.shuffle(predicates)
+        for graph in (parsed, built):
+            for p in predicates:
+                for mask, ties in PREDICATE_MASKS:
+                    expected = predicate_scan(built, mask, ties, p)
+                    assert graph.by_mask(mask, ties, p) == expected, (mask, ties, p)
+                    tied += bool(ties) and expected != predicate_scan(built, mask, (), p)
+                var_predicates += p.is_var
+        assert parsed == built
+    # the ties filter some predicates' rows, and variables are predicates too
+    assert tied > 20 and var_predicates > 20
+
+
+def test_matching_on_a_parsed_graph_equals_full_scan():
+    rng = random.Random(141)
+    hits = var_predicate_hits = 0
+    for _ in range(200):
+        pool = TARGET_VARS if rng.random() < 0.4 else ()
+        built = random_target(rng, rng.randint(0, 30), pool)
+        parsed = parse_graph(serialize_graph(built))
+        for _ in range(8):
+            t = random_pattern_triple(rng, [VARS[0], rng.choice(VARS[1:2] + TARGET_VARS)])
+            values = {x: rng.choice(NODES + PREDICATES + TARGET_VARS) for x in t.vars() if rng.random() < 0.4}
+            expected = [
+                u for u in full_scan(built, t)
+                if all(u[i] == values[x] for i, x in enumerate(t) if x in values)
+            ]
+            assert list(parsed.matching(t, values)) == expected, (t, values)
+            hits += bool(expected)
+            var_predicate_hits += bool(expected) and t.p.is_var
+    assert hits > 300 and var_predicate_hits > 50
+
+
+def mixed_predicate_instances(rng, n):
+    """Seeded (source, target, pins) triples whose sources mix IRI and
+    variable predicates, with targets built from triples or parsed from
+    their files, ground or not: the larger-instance and small-source
+    generators above, with a parsed copy of the target half the time."""
+    for i in range(n):
+        source, target, pins = (small_planned_instance if i % 2 else larger_instance)(rng)
+        if rng.random() < 0.5:
+            target = parse_graph(serialize_graph(target))
+        yield source, target, pins
+
+
+# sha256 of every search result below, in order, as the search before
+# predicate-keyed indexes returned them
+MIXED_SEARCH_DIGEST = "3be177f7b2ff576563f4f705c7ff99a8c791df2faec043daf3e9d64fb3fedfa3"
+
+
+def test_searches_with_predicate_keys_agree_with_the_oracles():
+    rng = random.Random(151)
+    digest = hashlib.sha256()
+    seen = set()
+    for source, target, pins in mixed_predicate_instances(rng, 400):
+        found = all_homomorphisms(source, target, pins)
+        first = hom.search(hom.Plan(source, pins), target, pins)
+        expected = all_assignment_homs(source, target, pins)
+        assert sorted(map(sorted_items, found)) == sorted(map(sorted_items, expected))
+        assert first == (found[0] if found else None)
+        digest.update(repr([sorted_items(h) for h in found]).encode())
+        kinds = {x.is_var for t in source for x in t[1:2]}
+        seen.add((bool(found), frozenset(kinds), target.is_ground()))
+    outcomes = set()
+    for _ in range(200):
+        g = random_source(rng)
+        graph = random_target(rng, rng.randint(1, 12))
+        image = {v: rng.choice(NODES + PREDICATES) for v in sorted(g.tgraph.vars(), key=str)}
+        if rng.random() < 0.5:
+            graph = graph | TGraph(tuple(substitute(t, image) for t in g.tgraph))
+        graph = parse_graph(serialize_graph(graph), ground=True)
+        mu = Mapping.of({x: image[x] for x in g.dist})
+        h = maps_into_graph(g, graph, mu)
+        assert (h is not None) == hom_into_graph_exists(g, graph, mu)
+        digest.update(repr(h and sorted_items(h)).encode())
+        outcomes.add((h is not None, any(t.p.is_var for t in g.tgraph)))
+    assert digest.hexdigest() == MIXED_SEARCH_DIGEST
+    assert {(True, frozenset({True, False})), (False, frozenset({True, False}))} <= {s[:2] for s in seen}
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

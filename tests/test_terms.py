@@ -15,7 +15,9 @@ from wdsparql.errors import (
     UnboundVariable,
 )
 from wdsparql import terms
+from wdsparql.evaluator import enumerate_solutions, eval_naive
 from wdsparql.patterns import parse_pattern
+from wdsparql.trees import to_forest
 from wdsparql.terms import (
     Mapping,
     Term,
@@ -417,3 +419,93 @@ def test_parse_graph_equals_the_line_by_line_parser():
         (True, ParseError),
         (True, NonGroundGraph),
     }
+
+
+def random_graph_file(rng, predicates=("p", "q", "s")):
+    """A good graph file: triples over a few IRIs, variables and
+    predicates, some repeated, between blank and comment lines, with and
+    without a final `.`."""
+    nodes = ["a", "b", "c.d", "x#y", "?u", "?v"]
+    lines = []
+    for _ in range(rng.randint(0, 25)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(("", "# note", "  ")))
+            continue
+        p = rng.choice(list(predicates) + ["?w"] if rng.random() < 0.1 else predicates)
+        line = f"{rng.choice(nodes)} {p} {rng.choice(nodes)}"
+        lines.append(line + rng.choice(("", " .", ".")))
+        if rng.random() < 0.1:
+            lines.append(line)  # a repeated triple
+    return "\n".join(lines)
+
+
+def test_a_parsed_graph_reads_as_the_line_by_line_one_whatever_is_read_first():
+    """The triples a parsed graph makes per predicate, and the tuple and
+    set it assembles from them when first read, agree with the plain
+    parser's eager graph through every way of reading a graph, each tried
+    first on a fresh parse."""
+    readers = {
+        "triples": lambda g: g.triples,
+        "triple_set": lambda g: g.triple_set,
+        "vars": lambda g: g.vars(),
+        "iris": lambda g: g.iris(),
+        "len": len,
+        "iter": list,
+        "eq": lambda g: g,
+        "hash": hash,
+        "pickle": lambda g: pickle.loads(pickle.dumps(g)).triples,
+        "serialize": lambda g: serialize_graph(g).encode(),
+        "contains": lambda g: [u in g for u in parse_graph_by_lines("a p b\n?u q c.d\nb s ?v")],
+        "str": str,
+    }
+    rng = random.Random(61)
+    sizes = set()
+    for _ in range(150):
+        text = random_graph_file(rng)
+        eager = parse_graph_by_lines(text)
+        for name, read in readers.items():
+            assert read(parse_graph(text)) == read(eager), (name, text)
+        # an index read first: the tuple assembled later holds its very objects
+        lazy = parse_graph(text)
+        made = [u for p in sorted(eager.iris() | eager.vars(), key=str) for u in lazy.by_mask((), (), p).get((), ())]
+        assert sorted(made, key=str) == list(eager.triples)
+        assert all(u is v for u, v in zip(sorted(made, key=str), lazy.triples))
+        sizes.add(min(len(eager), 3))
+    assert sizes == {0, 1, 2, 3}
+
+
+def test_a_query_makes_the_triples_of_the_predicates_it_reads_only():
+    """eval_naive and enumerate_solutions of a pattern that names p, over a
+    graph that also holds s, make no triple of s and never assemble the
+    graph's tuple of triples; each predicate's rows go once its triples
+    are made, and the whole row table once every predicate's are."""
+    nodes = [iri(f"lazy{i}") for i in range(6)]
+    rng = random.Random(71)
+    lines = [f"{rng.choice(nodes)} {p} {rng.choice(nodes)} ." for p in ("p", "s") * 20]
+    text = "\n".join(lines)
+    p, s = iri("p"), iri("s")
+    pattern = parse_pattern("((?x, p, ?y) OPT ((?y, p, ?z) AND (?z, p, ?x)))")
+
+    def made_of_s():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is Triple and o[1] is s and o[0] in nodes]
+
+    graph = parse_graph(text, ground=True)
+    naive = eval_naive(pattern, graph)
+    enumerated = enumerate_solutions(to_forest(pattern), graph)
+    assert made_of_s() == []
+    for name in ("triples", "triple_set"):
+        with pytest.raises(AttributeError):
+            getattr(TGraph, name).__get__(graph, TGraph)  # the slot itself, unset
+    rows = graph._rows[1]
+    assert s in rows and p not in rows
+    eager = parse_graph_by_lines(text, ground=True)
+    assert naive == eval_naive(pattern, eager) and len(naive) > 0
+    assert enumerated == enumerate_solutions(to_forest(pattern), eager) == naive
+    # reading the tuple makes the rest, from the rows, and drops the table
+    assert graph.triples == eager.triples
+    assert graph._rows is None
+    # and the scan above does see triples of s once they are made
+    made = {id(u) for u in graph if u[1] is s}
+    assert made and made <= {id(u) for u in made_of_s()}
