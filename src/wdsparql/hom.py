@@ -18,7 +18,9 @@ is an access path (a mask of bound positions and, when the triple's
 predicate is an IRI, that predicate; a key read from a list of slot
 values; the position it outputs), answered by one read of the target's
 `TGraph.by_mask` index for that mask and predicate, which holds that
-predicate's triples alone, and no `Triple` is built while searching.
+predicate's triples alone, or, with every position bound, a membership
+test in its set of that predicate's triples (`TGraph.members`), and no
+`Triple` is built while searching.
 `_solve` runs a plan on a target with values for the pinned variables.
 A triple is checked at the level of its last variable, and the first
 triple checked there is the level's driver.  The level's
@@ -36,7 +38,7 @@ one.  A run that tries more than MAX_SEARCH_NODES values raises
 `SearchTooLarge`.
 
 A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
-a target keeps its `by_mask` indexes: `_plan` builds one on the first
+a target keeps its indexes: `_plan` builds one on the first
 search of its shape.  Only a tree's subtree record holds one beside it,
 the plan of each child test (`trees.WdPT.child_tests`), which `search`
 runs.  A plan holds no reference to its t-graph, which would put every
@@ -145,8 +147,9 @@ class Plan:
     level with no driver keeps the lookups of every triple holding its
     variable, read at the start by `_domain`.  No `Triple` is built: each
     key is read from the slots, and each lookup is one read of the target's
-    `TGraph.by_mask` index for its mask and predicate, all of them
-    fetched once at the start of a run (`TGraph.indexes`).
+    `TGraph.by_mask` index for its mask and predicate, or, with every
+    position bound, one membership test in `TGraph.members` of its
+    predicate; each index and set is fetched once at the start of a run.
     """
 
     __slots__ = ("pinned", "order", "names", "tail", "masks", "first", "levels", "domains")
@@ -216,12 +219,12 @@ def _plan(source: TGraph, pinned: frozenset[Term]) -> Plan:
     return plan
 
 
-def _domain(paths: list[tuple], indexes: list[dict], vals: list) -> list[Term]:
+def _domain(paths: list[tuple], indexes: list, vals: list) -> list[Term]:
     """The terms a variable meets in the target's matches of every source
     triple holding it, with the pins in place, in `str` order."""
     here: set[Term] | None = None
     for m, get, pos, _ in paths:
-        found = {u[pos] for u in indexes[m].get(get(vals), ())}
+        found = {u[pos] for u in indexes[m](get(vals), ())}
         here = found if here is None else here & found
     return sorted(here, key=str)
 
@@ -249,11 +252,16 @@ def _solve(
     names = plan.names
     vals = [fixed[v] for v in plan.pinned]
     vals += plan.tail
-    indexes = target.indexes(plan.masks)
+    # a lookup with every position bound tests membership; the others
+    # read their index
+    indexes = [
+        target.members(p).__contains__ if len(mask) == 3 else target.by_mask(mask, ties, p).get
+        for mask, ties, p in plan.masks
+    ]
     order = plan.order
     cands: list[list[Term] | None] = [None] * len(order)
     for m, get, pos, j in plan.first:
-        hits = indexes[m].get(get(vals))
+        hits = indexes[m](get(vals))
         if not hits:
             return []
         if j is not None:
@@ -281,8 +289,8 @@ def _solve(
                 raise SearchTooLarge(f"the homomorphism search tried over {cap} values")
             vals[slot] = c
             for m, get, pos, j in levels[i]:
-                hits = indexes[m].get(get(vals))
-                if hits is None:
+                hits = indexes[m](get(vals))
+                if not hits:
                     break
                 if j is not None:
                     cands[j] = [u[pos] for u in hits]

@@ -26,11 +26,15 @@ triple of another predicate, and a graph parsed from a file makes a
 predicate's `Triple`s only when a query first reads that predicate: it
 keeps its distinct rows grouped by predicate, and assembles the sorted
 tuple and the frozenset from the triples so made only when either is
-first read.  Every other look into a graph is one read of such an index:
-the homomorphism search's compiled lookups read it directly, with keys of
-terms and no `Triple` built, and `TGraph.matching` answers "which triples
-can this pattern triple map onto, with these values for some of its
-variables" from it, for the evaluator and the pebble game;
+first read.  A graph whose triples all exist groups them by predicate in
+one pass when an index of a predicate is first built.  Every other look
+into a graph is one read of such an index or a membership test: the
+homomorphism search's compiled lookups read an index directly, with keys
+of terms and no `Triple` built, and test a triple with every position
+bound in `TGraph.members` (`triple_set` once every triple exists, else
+the set of the predicate's triples); `TGraph.matching` answers "which
+triples can this pattern triple map onto, with these values for some of
+its variables" from an index, for the evaluator and the pebble game;
 `TGraph.values_at` reads one position of those matches.  A mapping keeps
 a dict beside its sorted bindings; `Mapping.images_in` puts a triple
 under it as a plain tuple of terms, which a membership test looks up in
@@ -72,6 +76,8 @@ _NAME = {"var": _VAR_NAME, "iri": _IRI_NAME}
 
 _set = object.__setattr__
 _name = attrgetter("name")
+_text = attrgetter("_text")
+_first = itemgetter(0)
 # position pairs of a triple that a repeated variable can occupy
 _TIES = ((0, 1), (0, 2), (1, 2))
 
@@ -277,42 +283,17 @@ def _keyed(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) ->
     return found
 
 
-def _keyed_by_predicate(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) -> dict:
-    """`_keyed` of the triples of each predicate, under the predicate, all
-    filled in this one pass over `triples`."""
-    if ties:
-        triples = [u for u in triples if all(u[i] == u[j] for i, j in ties)]
-    found: dict = {}
-    if len(mask) == 3:  # each triple is its own key, once
-        for u in triples:
-            into = found.get(u[1])
-            if into is None:
-                into = found[u[1]] = {}
-            into[u] = [u]
-        return found
-    for key, u in zip(map(key_getter(mask), triples), triples):
-        into = found.get(u[1])
-        if into is None:
-            into = found[u[1]] = {}
-        hits = into.get(key)
-        if hits is None:
-            into[key] = [u]
-        else:
-            hits.append(u)
-    return found
-
-
 class TGraph(_Value):
     """A finite set of triple patterns in canonical (serialized) order.
 
     It holds the triples as a sorted tuple (`triples`) and as a frozenset
-    (`triple_set`); its variables, IRIs and indexes (`by_mask`) are
-    computed on first use and kept, and so are the search plans from it
-    (`plans`).  A graph from `parse_graph` starts instead from its
-    distinct rows of tokens grouped by predicate (see `_LazyTGraph`), so
-    a query that names a few predicates makes their triples alone.
-    Length, iteration, equality, hash, pickling and `serialize_graph`
-    all read `triples`.
+    (`triple_set`); its variables, IRIs, indexes (`by_mask`) and
+    per-predicate member sets (`members`) are computed on first use and
+    kept, and so are the search plans from it (`plans`).  A graph from
+    `parse_graph` starts instead from its distinct rows of tokens grouped
+    by predicate (see `_LazyTGraph`), so a query that names a few
+    predicates makes their triples alone.  Length, iteration, equality,
+    hash, pickling and `serialize_graph` all read `triples`.
     """
 
     __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index", "_plans", "_parts", "_rows")
@@ -338,10 +319,15 @@ class TGraph(_Value):
         return g
 
     def _predicate(self, p: Term) -> list[Triple]:
-        """The triples of a parsed graph with predicate p, in canonical
-        order, made from its rows on the first call for p, which drops
-        those rows, and the whole row table once every predicate is made."""
+        """The triples with predicate p, in canonical order.  Once every
+        triple is made they are p's list in the index by predicate
+        (`by_mask((1,))`, one pass over `triples`); a parsed graph not yet
+        assembled makes p's triples from its rows on the first call for p,
+        which drops those rows, and the whole row table once every
+        predicate is made."""
         parts = self._parts
+        if parts is None:
+            return self.by_mask((1,)).get(p, [])
         found = parts.get(p)
         if found is not None:
             return found
@@ -386,30 +372,24 @@ class TGraph(_Value):
         Each list keeps the order of `triples`.  Built on first use of the
         (mask, ties, p) key and kept, so a lookup with some positions bound
         reads one list, whatever the bound terms are (IRIs, or variables of
-        this t-graph, constants here).  A parsed graph builds a
-        predicate's index from that predicate's triples alone
-        (`_predicate`); a graph built from triples fills the (mask, ties)
-        index of every predicate in one pass over them."""
-        index = self._index
-        found = index.get((mask, ties, p))
+        this t-graph, constants here).  A predicate's index is built from
+        that predicate's triples alone (`_predicate`)."""
+        found = self._index.get((mask, ties, p))
         if found is None:
-            if p is None or self._parts is not None:
-                found = _keyed(self.triples if p is None else self._predicate(p), mask, ties)
-            else:  # every predicate's index, kept under (mask, ties) as one
-                split = index.get((mask, ties))
-                if split is None:
-                    split = index[mask, ties] = _keyed_by_predicate(self.triples, mask, ties)
-                found = split.get(p, {})
-            index[mask, ties, p] = found
+            found = _keyed(self.triples if p is None else self._predicate(p), mask, ties)
+            self._index[mask, ties, p] = found
         return found
 
-    def indexes(self, keys) -> list[dict]:
-        """`by_mask(*key)` for each (mask, ties, p) key of `keys`, in
-        order: one read of the kept index per key once all are built."""
-        # a miss is the rule on a fresh graph, so no exception signals it
-        found = list(map(self._index.get, keys))
-        if None in found:
-            return [self.by_mask(*key) for key in keys]
+    def members(self, p: Term | None = None) -> frozenset:
+        """A set for membership tests of triples with predicate p (any
+        triple when p is None): `triple_set` once every triple is made,
+        else the set of p's triples (`_predicate`), kept, so a parsed graph
+        answers them without making its other predicates' triples."""
+        if p is None or self._parts is None:
+            return self.triple_set
+        found = self._index.get(p)  # a bare predicate keys its member set
+        if found is None:
+            found = self._index[p] = frozenset(self._predicate(p))
         return found
 
     def plans(self) -> dict:
@@ -514,7 +494,14 @@ class _LazyTGraph(TGraph):
         if self._rows is not None:
             for p in list(self._rows[1]):
                 self._predicate(p)
-        triples = tuple(sorted(chain.from_iterable(self._parts.values()), key=_triple_text))
+        # each part is sorted by its triples' text, so with the parts in
+        # the order of their predicates a stable sort by subject alone
+        # gives the canonical order
+        parts = self._parts
+        made = list(chain.from_iterable(map(parts.__getitem__, sorted(parts, key=_text))))
+        subjects = list(map(_text, map(_first, made)))
+        triples = tuple(map(made.__getitem__, sorted(range(len(made)), key=subjects.__getitem__)))
+        _set(self, "_parts", None)
         _set(self, "triples", triples)
         _set(self, "triple_set", frozenset(triples))
         _set(self, "__class__", TGraph)

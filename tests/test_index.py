@@ -17,9 +17,10 @@ a driver triple counted.  `TGraph.by_mask` is checked against the same
 scan for every mask of bound positions, and a compiled `hom.Plan` against
 the oracles, and against a fresh plan per call when one plan serves
 several targets and pin values.  Each predicate's index (`by_mask` with a
-predicate) is checked against the same scan filtered by the predicate, on
-graphs built from triples and on the same graphs parsed from their files,
-and so are `matching` and the searches over parsed targets.
+predicate) and member set (`members`) are checked against the same scan
+filtered by the predicate, on graphs built from triples and on the same
+graphs parsed from their files, and so are `matching` and the searches
+over parsed targets.
 """
 
 import hashlib
@@ -471,8 +472,9 @@ def test_predicate_index_equals_a_full_scan_of_the_predicate():
     """Every (mask, ties, p) index of a graph built from triples and of the
     same graph parsed from its file equals a full scan of the built graph
     filtered by p, for every predicate it holds (IRIs and variables) and
-    one it does not; the parsed graph is read before anything assembles
-    its triples, so each index comes from its predicate's own rows."""
+    one it does not, and `members(p)` holds exactly the graph's triples
+    with p among those with p; the parsed graph is read before anything
+    assembles its triples, so each comes from its predicate's own rows."""
     rng = random.Random(131)
     tied = var_predicates = 0
     for _ in range(150):
@@ -487,6 +489,10 @@ def test_predicate_index_equals_a_full_scan_of_the_predicate():
                     expected = predicate_scan(built, mask, ties, p)
                     assert graph.by_mask(mask, ties, p) == expected, (mask, ties, p)
                     tied += bool(ties) and expected != predicate_scan(built, mask, (), p)
+                # the set a membership test of a triple with p reads
+                members = graph.members(p)
+                assert {u for u in members if u[1] == p} == {u for u in built if u[1] == p}
+                assert members <= built.triple_set
                 var_predicates += p.is_var
         assert parsed == built
     # the ties filter some predicates' rows, and variables are predicates too

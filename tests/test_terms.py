@@ -421,11 +421,13 @@ def test_parse_graph_equals_the_line_by_line_parser():
     }
 
 
-def random_graph_file(rng, predicates=("p", "q", "s")):
+def random_graph_file(rng, predicates=("p", "pq", "q", "s")):
     """A good graph file: triples over a few IRIs, variables and
     predicates, some repeated, between blank and comment lines, with and
-    without a final `.`."""
-    nodes = ["a", "b", "c.d", "x#y", "?u", "?v"]
+    without a final `.`.  Some names are prefixes of others, and some sort
+    apart by case, so the canonical order is not the order of any one
+    position's text alone."""
+    nodes = ["a", "ab", "A", "b", "c.d", "x#y", "?u", "?v"]
     lines = []
     for _ in range(rng.randint(0, 25)):
         kind = rng.random()
