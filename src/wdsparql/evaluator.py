@@ -31,9 +31,12 @@ Three routes:
 
 The scan decides each child t-graph on its compiled test, which the tree
 keeps in the record of the matched subtree (`WdPT.child_tests`): the
-child's core and the plan of the search from it that pins the subtree's
+child's core and the plan of the search that pins the subtree's
 variables, built when the scan first reaches the child, so evaluation
-reads no width analysis.  Both tests read the same on a child and on its
+reads no width analysis.  The record's pattern triples are checked once
+per tree, by `Mapping.images_in`, before any test runs, so the plan is
+compiled from the core minus them: a search finds only the child's own
+triples.  Both tests read the same on a child and on its
 core: the two are homomorphically equivalent with the distinguished
 variables fixed, and a homomorphism extending mu exists
 from one iff it exists from the other (compose with the map between
@@ -262,8 +265,10 @@ def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
 
     Each child is decided by the compiled test the tree keeps for it
     (`WdPT.child_tests`), a core and its search plan, run on mu's own
-    binding dict.  The inputs are checked once per call (`_check`).  The
-    one check of a single test left out is `hom.check_target`'s domain
+    binding dict.  The record's pattern triples, which every core keeps,
+    are checked here once, by `images_in`, and no plan holds them.  The
+    inputs are checked once per call (`_check`).  The one check of a
+    single test left out is `hom.check_target`'s domain
     check, which holds by construction: the matched subtree's record has
     exactly dom(mu) as its variables, and every child and its core take
     them as their distinguished variables."""

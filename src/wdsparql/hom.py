@@ -37,12 +37,26 @@ driver's matches are read then, at the level of its last variable but
 one.  A run that tries more than MAX_SEARCH_NODES values raises
 `SearchTooLarge`.
 
+A plan is compiled from the triples its search must still find, and
+no others.  A homomorphism that fixes the pinned variables maps a triple
+over them alone to one known image, so a caller that has already checked
+some of those images plans the rest of the source: each child test
+(`trees.WdPT.child_tests`) plans its core minus the subtree's pattern
+triples, whose images `evaluator._decide` has just found in the graph,
+and the forest's `trees.HomCache` tests a member's triples over X alone
+by membership and plans only its residual, the triples holding a
+variable outside X.  A triple over the pinned variables that is planned
+is a membership test at the start.
+
 A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
-a target keeps its indexes: `_plan` builds one on the first
-search of its shape.  Only a tree's subtree record holds one beside it,
-the plan of each child test (`trees.WdPT.child_tests`), which `search`
-runs.  A plan holds no reference to its t-graph, which would put every
-searched t-graph in a reference cycle.  `core` plans each intermediate t-graph once for all its tries.
+a target keeps its indexes: `_plan` builds one on the first search of its
+shape.  A subtree record holds one beside each child test, which `search`
+runs, and the `HomCache` interns each residual as a t-graph, so that
+members sharing it share its plans.  A plan holds no reference to its
+t-graph, which would put every searched t-graph in a reference cycle.
+`core` plans each intermediate t-graph once for all its tries, and tries
+to drop only triples that hold a variable outside X, so a t-graph with
+nothing to try is not planned.
 """
 
 from __future__ import annotations
@@ -375,16 +389,21 @@ def core(g: GeneralizedTGraph) -> GeneralizedTGraph:
 
     Repeatedly looks for an endomorphism avoiding one triple (its image is a
     proper subset) and replaces S by the image; the fixpoint admits no
-    homomorphism to a proper subgraph.  Deterministic via canonical triple
-    order, so the representative is stable (uniqueness is up to renaming).
+    homomorphism to a proper subgraph.  Only a triple holding a variable
+    outside X is tried: a retraction fixing X maps a triple over X alone
+    (or a ground one) to itself, so no image avoids it.  Deterministic via
+    canonical triple order, so the representative is stable (uniqueness is
+    up to renaming).
     """
     current = g.tgraph
     # a retraction fixes X, so the variables of X in S stay in every image
     fixed = {x: x for x in g.dist if x in current.vars()}
     while True:
-        # the same plan as pinning `fixed`, kept under the core's dist
-        plan = _plan(current, g.dist)
         for skip in current:
+            if skip.vars() <= g.dist:  # a retraction maps it to itself
+                continue
+            # the same plan as pinning `fixed`, kept under the core's dist
+            plan = _plan(current, g.dist)
             found = _solve(plan, TGraph(tuple(t for t in current if t != skip)), fixed)
             if found:
                 current = TGraph(tuple(substitute(t, found[0]) for t in current))

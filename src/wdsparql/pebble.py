@@ -231,7 +231,11 @@ def consistency_family(
 def duplicator_wins(g: GeneralizedTGraph, plan: Plan, graph: TGraph, mu: Mapping, k: int) -> bool:
     """The game's outcome in its regime, on checked inputs: `plan` is the
     search from g's t-graph pinning g's distinguished variables, and
-    len(plan.order) its number of free variables."""
+    len(plan.order) its number of free variables.  The plan may leave out
+    triples over the distinguished variables alone whose images under mu
+    the caller has found in the graph (a child test leaves out its
+    subtree's pattern, `trees.WdPT.child_tests`); it keeps every free
+    variable, and the fixpoint still reads all of g."""
     if len(plan.order) <= k:  # the Spoiler can pebble every free variable
         return search(plan, graph, mu._map) is not None
     return frozenset() in _fixpoint(g, graph, mu, k)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 from . import hom
 from .errors import InstanceTooLarge, NotNRNormalForm
-from .hom import GeneralizedTGraph, ctw, find_homomorphism
+from .hom import GeneralizedTGraph, ctw
 from .patterns import AND, OPT, UNION, Block, GraphPattern, Leaf, Node, and_blocks
 from .terms import TGraph, Term, Triple, _interned, substitute
 
@@ -47,19 +47,46 @@ MAX_VARS_PER_MEMBER = 14
 class HomCache:
     """Memo of directed homomorphism tests between generalized t-graphs, and
     of their ctw values; each forest keeps one (`WdPF.homs`), and every
-    homomorphism test of its width analysis goes through it."""
+    homomorphism test of its width analysis goes through it.
+
+    A test (S, X) -> (S', X) fixes X, so it maps each triple of S over X
+    alone to itself: those are looked up in S' by membership, and only
+    the rest of S, its residual, is searched.  Members of an associated
+    set differ mostly in their part over X, so the cache interns each
+    residual by its triples as a `TGraph`, whose plans (pinning the
+    variables of X it holds) then serve every member that shares it for
+    as long as the forest lives."""
 
     def __init__(self):
         self._seen: dict[tuple, bool] = {}
         self._ctws: dict[GeneralizedTGraph, int] = {}
+        self._residuals: dict[tuple[Triple, ...], TGraph] = {}
 
     def maps(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
         # keyed by the triples, not the t-graphs: a merged t-graph tested
-        # once then dies, with the indexes and plans its searches built
+        # once then dies, with the indexes its searches built in it
         key = (a.tgraph.triples, a.dist, b.tgraph.triples, b.dist)
         if key not in self._seen:
-            self._seen[key] = find_homomorphism(a, b) is not None
+            self._seen[key] = self._search(a, b)
         return self._seen[key]
+
+    def _search(self, a: GeneralizedTGraph, b: GeneralizedTGraph) -> bool:
+        """Whether a homomorphism a -> b fixing X, the distinguished set of
+        both, exists: a's triples over X alone lie in b's t-graph, and the
+        plan of a's residual finds a solution there."""
+        dist, target = a.dist, b.tgraph
+        rest = []
+        for t in a.tgraph:
+            if not t.vars() <= dist:
+                rest.append(t)
+            elif t not in target:
+                return False
+        rest = tuple(rest)
+        residual = self._residuals.get(rest)
+        if residual is None:
+            residual = self._residuals[rest] = TGraph(rest)
+        pins = dist & residual.vars()
+        return hom.search(hom._plan(residual, pins), target, dict(zip(pins, pins))) is not None
 
     def ctw(self, g: GeneralizedTGraph) -> int:
         """ctw of a member of an associated set, within the instance caps."""
@@ -73,7 +100,8 @@ class HomCache:
 
 
 # a child's compiled test: its core (the child itself past the cap) and the
-# plan of the search from that core pinning the subtree's variables
+# plan of the search from that core minus the subtree's pattern triples,
+# pinning the subtree's variables
 ChildTest = tuple[GeneralizedTGraph, hom.Plan]
 
 
@@ -81,10 +109,9 @@ ChildTest = tuple[GeneralizedTGraph, hom.Plan]
 class SubtreeRecord:
     """What a tree keeps of one root subtree, under its variable set: its
     nodes, variables and pattern triples, and, each once first asked for,
-    its pattern as a t-graph (which keeps the plans of searches from it),
-    its child t-graphs and the prefix of them compiled so far into child
-    tests (`WdPT.child_tests`), `complete` once that prefix is all of
-    them."""
+    its pattern as a t-graph, its child t-graphs and the prefix of them
+    compiled so far into child tests (`WdPT.child_tests`), `complete` once
+    that prefix is all of them."""
 
     nodes: frozenset[int]
     variables: frozenset[Term]
@@ -107,6 +134,7 @@ class WdPT:
         self.labels = dict(labels)
         self._subtrees: dict[frozenset[Term], SubtreeRecord] = {}  # by variable set
         self._validate()
+        self._vars = frozenset().union(*(g.vars() for g in self.labels.values()))
         self._nr = all(
             self.node_vars(n) - self.node_vars(p) for n, p in self.parents.items()
         )
@@ -159,8 +187,9 @@ class WdPT:
         return TGraph(tuple(t for n in picked for t in self.labels[n]))
 
     def vars(self, nodes=None) -> frozenset[Term]:
-        picked = self.labels if nodes is None else nodes
-        return frozenset().union(*(self.labels[n].vars() for n in picked))
+        if nodes is None:
+            return self._vars
+        return frozenset().union(*(self.labels[n].vars() for n in nodes))
 
     def depth(self, n: int) -> int:
         d = 0
@@ -193,11 +222,12 @@ class WdPT:
         """The record of the root subtree whose variables are exactly
         `variables`, or None: the nodes whose variables lie inside
         `variables`, grown from the root, if they cover them all (in NR
-        normal form it is the only such subtree).  A find is kept under its
+        normal form it is the only such subtree).  A set holding a variable
+        the tree lacks misses without a walk.  A find is kept under its
         variable set and a miss is not, so the table never holds more
         entries than the tree has root subtrees."""
         hit = self._subtrees.get(variables)
-        if hit is None and self.node_vars(self.root) <= variables:
+        if hit is None and self.node_vars(self.root) <= variables <= self._vars:
             keep = [self.root]
             for n in keep:  # breadth first: `keep` grows as it is read
                 keep.extend(c for c in self.children(n) if self.node_vars(c) <= variables)
@@ -219,8 +249,13 @@ class WdPT:
     def child_tests(self, variables: frozenset[Term]) -> Iterable[ChildTest]:
         """The compiled tests of the children of the root subtree whose
         variables are `variables`, in frontier order: per child t-graph its
-        core and the `hom.Plan` of searches from that core pinning
-        `variables`, which are the core's distinguished variables, so
+        core and the `hom.Plan` of searches pinning `variables`, the core's
+        distinguished variables, from the core minus the subtree's pattern
+        triples.  Those are over `variables` alone, and a scan tests their
+        images before it runs a test (`evaluator._decide`), so the plan
+        leaves them out; a triple over `variables` alone from the child's
+        own label stays in it, as a lookup at the start.  Every free
+        variable of the core lies in a triple the plan keeps, so
         `len(plan.order)` is the core's number of free variables.  Each is
         compiled when first asked for, so a scan that stops early leaves the
         rest uncored; the subtree's record keeps the child t-graphs and the
@@ -245,7 +280,10 @@ class WdPT:
                 small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
                 # hom.core is looked up per call, so rebinding it reaches here
                 kept = hom.core(g) if small else g
-                tests.append((kept, hom._plan(kept.tgraph, found.variables)))
+                # the record's triples are mu's images, which the scan finds
+                # in the graph before any child test runs
+                own = TGraph(tuple(t for t in kept.tgraph if t not in found.pat))
+                tests.append((kept, hom.Plan(own, found.variables)))
             yield tests[i]
         found.complete = True
 

@@ -23,7 +23,7 @@ from wdsparql.evaluator import (
     eval_tree,
     matched_subtree,
 )
-from wdsparql.hom import core, find_homomorphism
+from wdsparql.hom import GeneralizedTGraph, core, find_homomorphism
 from wdsparql.patterns import AND, OPT, UNION, Leaf, Node, is_well_designed, parse_pattern
 from wdsparql.pebble import pebble_wins
 from wdsparql.randgen import (
@@ -606,8 +606,9 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
     rng = random.Random(103)
     forest = with_planted_loops(rng, forest_family(2))
     dw = domination_width(forest)
-    cores = {
-        core(g).tgraph
+    # what a child test plans: its core minus the subtree's pattern triples
+    residuals = {
+        TGraph(tuple(t for t in core(g).tgraph if t not in tree.record(nodes).triples))
         for tree in forest
         for nodes in tree.subtree_nodesets()
         for g in tree.child_tgraphs(nodes)
@@ -636,12 +637,12 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
         assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)
         assert eval_pebble(forest, graph, mu, dw) == eval_forest(forest, graph, mu)
     # one plan per kept core: each search ran a plan built here from a kept
-    # core, pinning its distinguished variables (mu's domain), and one plan
-    # pinning them was built from that core
+    # core's residual, pinning its distinguished variables (mu's domain),
+    # and one plan pinning them was built from that residual
     built_from = {id(b): (source, pins) for source, pins, b in planned}
     kept = {id(p): built_from[id(p)] for p, _ in searched}
     assert len(kept) >= 3
-    assert {source for source, _ in kept.values()} <= cores
+    assert {source for source, _ in kept.values()} <= residuals
     for p, domain in searched:
         assert kept[id(p)][1] == domain
     for source, pins in kept.values():
@@ -654,6 +655,177 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
     # the pebble game's homomorphism test ran on the kept cores and plans
     assert len(pebble_searched) >= 50
     assert {id(p) for p in pebble_searched} <= kept.keys()
+
+
+S = iri("s")
+
+
+def x_only_forest(rng):
+    """One or two trees with root (?x, p, ?y) and up to three more nodes.
+    Each child hangs a path of one to three fresh variables off its parent,
+    and at random either adds a triple over its parent's variables alone
+    (predicate s, so that a graph lacks it unless it is planted), or starts
+    its path with a copy of a parent triple holding the first fresh variable
+    in place of one of the parent's, so that the copy folds onto the
+    original, or both.  A lone copy folds entirely into the subtree."""
+    count = 0
+    trees = []
+    for _ in range(rng.randint(1, 2)):
+        labels = {0: parse_graph("?x p ?y")}
+        parents = {}
+        for n in range(1, rng.randint(2, 4)):
+            up = parents[n] = rng.randrange(n)
+            above = sorted(labels[up].vars(), key=str)
+            fresh = [var(f"v{i}") for i in range(count, count + rng.choice((1, 1, 2, 3)))]
+            count += len(fresh)
+            kind = rng.choice(("extra", "fold", "both"))
+            if kind == "extra":
+                triples = [Triple(rng.choice(above), rng.choice(PREDICATES), fresh[0])]
+            else:
+                t = rng.choice(labels[up].triples)
+                i = rng.choice([i for i in (0, 2) if t[i].is_var])
+                triples = [Triple(*(fresh[0] if j == i else u for j, u in enumerate(t)))]
+            triples += [Triple(a, rng.choice(PREDICATES), b) for a, b in zip(fresh, fresh[1:])]
+            if kind != "fold":
+                triples.append(Triple(rng.choice(above), S, rng.choice(above)))
+            labels[n] = TGraph(tuple(triples))
+        trees.append(WdPT(0, parents, labels))
+    return WdPF(tuple(trees))
+
+
+def lacking_call(rng, forest):
+    """A graph over two IRIs holding the images of a random subtree and of
+    one of its children, and mu, that image on the subtree's variables; in
+    half the cases the graph then lacks the image of one triple of that
+    child over the subtree's variables alone, which the subtree's own
+    pattern does not hold."""
+    tree = rng.choice(forest.trees)
+    nodes = rng.choice(tree.subtree_nodesets())
+    image = {v: rng.choice(IRIS[:2]) for v in sorted(forest.vars(), key=str)}
+    pattern = {substitute(t, image) for t in tree.pat(nodes)}
+    graph = random_rdf_graph(rng, max_iris=2, max_triples=4) | TGraph(tuple(pattern))
+    lacks = None
+    kids = [c for n in sorted(nodes) for c in tree.children(n) if c not in nodes]
+    if kids:
+        label = tree.label(rng.choice(kids))
+        graph = graph | TGraph(tuple(substitute(t, image) for t in label))
+        own = [
+            u
+            for t in label
+            if t.vars() <= tree.vars(nodes) and (u := substitute(t, image)) not in pattern
+        ]
+        if own and rng.random() < 0.5:
+            lacks = rng.choice(own)
+            graph = TGraph(tuple(u for u in graph if u != lacks))
+    return graph, Mapping.of({v: image[v] for v in sorted(tree.vars(nodes), key=str)}), lacks
+
+
+def eval_pebble_by_game(forest, graph, mu, k):
+    """The relaxation from its definition: some tree's matched subtree (by
+    enumeration) has no child t-graph on which the Duplicator wins the
+    existential (k + 1)-pebble game: the literal game, or, on a child with
+    at most k + 1 free variables, where the game is the homomorphism test
+    (Kolaitis and Vardi 2000), the brute-force homomorphism oracle."""
+    for tree in forest:
+        nodes = matched_subtree_by_enumeration(tree, graph, mu)
+        if nodes is None:
+            continue
+        pat, dist = tree.pat(nodes), tree.vars(nodes)
+        kids = [c for n in sorted(nodes) for c in tree.children(n) if c not in nodes]
+        children = [GeneralizedTGraph(pat | tree.label(c), dist) for c in kids]
+        if not any(
+            hom_into_graph_exists(g, graph, mu)
+            if len(g.free_vars()) <= k + 1
+            else duplicator_wins_game(g, graph, mu, k + 1)
+            for g in children
+        ):
+            return True
+    return False
+
+
+def test_child_tests_check_the_childs_own_triples_over_the_subtree(monkeypatch):
+    """A child test plans its core minus the subtree's pattern triples; a
+    triple of the child's own label over the subtree's variables alone
+    stays in its search.  On forests whose children hold such triples, or
+    fold entirely into the subtree, and on graphs that lack one such
+    triple, eval_forest equals the enumeration oracle, eval_pebble at
+    k = 1..3 and at k = dw equals the literal game, and every child
+    decision of the scan equals the homomorphism or the game oracle."""
+    import wdsparql.evaluator as evaluator
+
+    decided = []
+    wins = evaluator.duplicator_wins
+
+    def spied(g, plan, graph, mu, pebbles):
+        won = wins(g, plan, graph, mu, pebbles)
+        decided.append((g, graph, mu, pebbles, won))
+        return won
+
+    monkeypatch.setattr(evaluator, "duplicator_wins", spied)
+    rng = random.Random(131)
+    flipped = 0
+    forests = [x_only_forest(rng) for _ in range(60)]
+    for forest in forests:
+        dw = domination_width(forest)
+        for _ in range(4):
+            graph, mu, lacks = lacking_call(rng, forest)
+            exact = eval_forest(forest, graph, mu)
+            assert exact == eval_forest_by_enumeration(forest, graph, mu)
+            for k in sorted({1, 2, 3, dw}):
+                assert eval_pebble(forest, graph, mu, k) == eval_pebble_by_game(forest, graph, mu, k)
+            flipped += lacks is not None and exact
+    searched = played = 0
+    for g, graph, mu, pebbles, won in decided:
+        if len(g.free_vars()) <= pebbles:
+            searched += 1
+            assert won == hom_into_graph_exists(g, graph, mu)
+        else:
+            played += 1
+            assert won == duplicator_wins_game(g, graph, mu, pebbles)
+    # what the scans compiled: children whose plan holds a triple over the
+    # subtree's variables alone, and children that fold entirely into it
+    own = folded = 0
+    for tree in (tree for forest in forests for tree in forest):
+        for record in tree._subtrees.values():
+            for g, plan in record.tests:
+                rest = [t for t in g.tgraph if t not in record.triples]
+                own += any(t.vars() <= record.variables for t in rest)
+                folded += not rest and not plan.order and not plan.first
+    assert flipped >= 20 and played >= 20 and searched >= 200, (flipped, played, searched)
+    assert own >= 20 and folded >= 10, (own, folded)
+
+
+def test_no_child_test_plans_a_triple_of_its_record(monkeypatch):
+    """Scans of the forest_family fixtures compile each child test from its
+    core minus the record's pattern triples: `_decide` has found their
+    images before any test runs, so no plan looks one up again."""
+    import wdsparql.hom as hom
+
+    built = {}
+    plan = hom.Plan
+
+    def counted(source, pinned=()):
+        found = plan(source, pinned)
+        built[id(found)] = source
+        return found
+
+    monkeypatch.setattr(hom, "Plan", counted)
+    rng = random.Random(137)
+    tests = 0
+    for k in (2, 3):
+        for third in (False, True):
+            forest = forest_family(k, with_third_tree=third)
+            for _ in range(40):
+                graph, mu = planted_call(rng, forest)
+                eval_forest(forest, graph, mu)
+                eval_pebble(forest, graph, mu, 1)
+            for tree in forest:
+                for record in tree._subtrees.values():
+                    for g, p in record.tests:
+                        source = built[id(p)]
+                        assert set(source) == set(g.tgraph) - set(record.triples)
+                        tests += 1
+    assert tests >= 12, tests
 
 
 def test_the_cores_and_their_plans_go_with_the_tree():

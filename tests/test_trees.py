@@ -286,6 +286,29 @@ def test_child_tests_refuse_a_variable_set_naming_no_subtree():
     assert all(len(plan.order) == len(g.free_vars()) for g, plan in tests)
 
 
+def test_a_variable_set_with_a_foreign_variable_misses_without_a_walk(monkeypatch):
+    """`subtree_of` refuses a set holding a variable the tree lacks before
+    it walks a node; a set of the tree's own variables is walked, and a
+    miss of either kind is not kept."""
+    tree = forest_family(2).trees[0]
+    walked = []
+    children = tree.children
+
+    def counted(n):
+        walked.append(n)
+        return children(n)
+
+    monkeypatch.setattr(tree, "children", counted)
+    x, y, z = var("x"), var("y"), var("z")
+    assert tree.subtree_of(frozenset({x, y, var("w")})) is None
+    assert tree.subtree_of(frozenset({x, y, z, var("o1"), var("zz")})) is None
+    assert walked == []
+    assert tree.subtree_of(frozenset({x, y, var("o1")})) is None  # o1 needs o2
+    assert walked
+    assert tree.subtree_of(frozenset({x, y, z})).nodes == {0, 1}
+    assert set(tree._subtrees) == {frozenset({x, y, z})}
+
+
 def chain(n):
     """An n-node path: node i holds (?xi-1, p, ?xi) under node i-1."""
     labels = {i: TGraph((Triple(var(f"x{i}"), iri("p"), var(f"x{i + 1}")),)) for i in range(n)}

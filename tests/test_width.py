@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from fixtures import clique_block, forest_family, two_node_clique_tree
+from fixtures import clique_block, forest_family, opt_star, two_node_clique_tree
+from oracles import hom_exists
 from wdsparql.errors import InstanceTooLarge
 from wdsparql.hom import GeneralizedTGraph, ctw, find_homomorphism
 from wdsparql.randgen import random_forest, random_tree
 from wdsparql.terms import TGraph, Triple, iri, parse_graph, substitute, var
 from wdsparql.trees import (
+    HomCache,
     Subtree,
     WdPF,
     WdPT,
@@ -195,27 +197,27 @@ def test_find_hard_witness_on_family():
 
 def test_the_analysis_plans_each_probe_once_and_tests_each_pair_once(monkeypatch):
     """On the four forest_family fixtures, the width and the witness plan
-    each record's pattern, the omitted-tree probe, at most once, and every
-    homomorphism test of the width layer is a miss of the forest's one
-    HomCache: find_homomorphism runs once per pair the cache keeps."""
+    each residual the forest's one HomCache interns at most once per pinned
+    set, and never a record's pattern, the omitted-tree probe: it is over
+    the distinguished variables alone, so its residual is empty.  Every
+    homomorphism test of the width layer is a miss of that cache: one
+    search (`HomCache._search`) runs per pair the cache keeps."""
     import wdsparql.hom as hom
     import wdsparql.trees as trees
-    import wdsparql.width as width
 
     planned, searched = [], []
-    plan, find = hom.Plan, trees.find_homomorphism
+    plan, run = hom.Plan, trees.HomCache._search
 
     def counted_plan(source, pinned=()):
-        planned.append(source)
+        planned.append((source, frozenset(pinned)))
         return plan(source, pinned)
 
-    def counted_find(a, b):
+    def counted_run(self, a, b):
         searched.append((a, b))
-        return find(a, b)
+        return run(self, a, b)
 
     monkeypatch.setattr(hom, "Plan", counted_plan)
-    monkeypatch.setattr(trees, "find_homomorphism", counted_find)
-    monkeypatch.setattr(width, "find_homomorphism", counted_find, raising=False)
+    monkeypatch.setattr(trees.HomCache, "_search", counted_run)
     probed = 0
     for k in (2, 3):
         for third in (False, True):
@@ -224,11 +226,112 @@ def test_the_analysis_plans_each_probe_once_and_tests_each_pair_once(monkeypatch
             assert find_hard_witness(forest, domination_width(forest)) is not None
             for tree in forest:
                 for rec in tree._subtrees.values():
-                    uses = sum(source is rec.pat for source in planned)
-                    assert uses <= 1
-                    probed += uses
+                    assert not any(source is rec.pat for source, _ in planned)
+            residuals = forest.homs._residuals.values()
+            assert TGraph(()) in residuals  # the probes'
+            for residual in residuals:
+                uses = [pins for source, pins in planned if source is residual]
+                assert len(uses) == len(set(uses))
+                probed += len(uses)
             assert searched and len(searched) == len(forest.homs._seen)
     assert probed >= 4, probed
+
+
+def test_residual_search_matches_the_oracle(monkeypatch):
+    """`HomCache.maps` looks up a source's triples over X alone in the
+    target and searches its residual only.  On members that share a
+    residual but differ in their part over X, into each other, into targets
+    that lack one triple of that part and into random targets, it equals
+    the brute-force oracle; the cache interns the shared residual once and
+    compiles one plan for it."""
+    import wdsparql.hom as hom
+
+    planned = []
+    plan = hom.Plan
+
+    def counted(source, pinned=()):
+        planned.append(source)
+        return plan(source, pinned)
+
+    monkeypatch.setattr(hom, "Plan", counted)
+    rng = random.Random(139)
+    xs = (var("x"), var("y"), var("z"))
+    dist = frozenset(xs)
+    preds = (iri("p"), iri("q"))
+    base = [Triple(xs[0], preds[0], xs[1]), Triple(xs[1], preds[0], xs[2])]
+
+    def x_part():
+        # at least one triple over X besides `base`, which all members share
+        return base + [
+            Triple(rng.choice(xs + (iri("a"),)), preds[1], rng.choice(xs))
+            for _ in range(rng.randint(1, 3))
+        ]
+
+    def triples_over(pool, n):
+        return [Triple(rng.choice(pool), rng.choice(preds), rng.choice(pool)) for _ in range(n)]
+
+    lacking = found = 0
+    for _ in range(60):
+        cache = HomCache()
+        del planned[:]
+        free = (var("u0"), var("u1"), var("u2"))
+        residual = [
+            Triple(rng.choice(xs + free), rng.choice(preds), rng.choice(free))
+            for _ in range(rng.randint(1, 3))
+        ]
+        members = [GeneralizedTGraph(TGraph(tuple(x_part() + residual)), dist) for _ in range(3)]
+        targets = list(members)
+        for a in members:
+            extra = [t for t in a.tgraph if t.vars() <= dist and t not in base]
+            t = rng.choice(extra)
+            targets.append(GeneralizedTGraph(TGraph(tuple(u for u in a.tgraph if u != t)), dist))
+        pool = xs + (var("w0"), var("w1"))
+        targets.append(GeneralizedTGraph(TGraph(tuple(x_part() + triples_over(pool, 4))), dist))
+        for a in members:
+            for b in targets:
+                mapped = cache.maps(a, b)
+                assert mapped == hom_exists(a, b)
+                found += mapped
+        lacking += sum(not cache.maps(a, b) for a, b in zip(members, targets[3:6]))
+        assert len(cache._residuals) == 1 and len(planned) == 1
+    assert lacking == 180 and found >= 150, (lacking, found)
+
+
+def test_the_two_tree_star_shares_its_residual_plans(monkeypatch):
+    """A star (root (?x, p, ?r), eleven children (?x, q, ?ai), (?ai, q, ?bi))
+    beside a tree whose one child hangs a loop off ?x, with the variable
+    cap lifted: 2,048 subtrees, whose merged t-graphs differ in their part
+    over the subtree's variables and share a few residuals.  The analysis
+    compiles at most 50 plans (one per merged t-graph searched, 11,255,
+    when each was planned whole), reads dw 1, and finds the same witness."""
+    import wdsparql.hom as hom
+    import wdsparql.trees as trees
+
+    planned = []
+    plan = hom.Plan
+
+    def counted(source, pinned=()):
+        planned.append(source)
+        return plan(source, pinned)
+
+    monkeypatch.setattr(hom, "Plan", counted)
+    monkeypatch.setattr(trees, "MAX_VARS_PER_MEMBER", 40)
+    loop = WdPT(0, {1: 0}, {0: parse_graph("?x p ?r"), 1: parse_graph("?x q ?c\n?c q ?c")})
+    forest = WdPF((opt_star(11), loop))
+    assert domination_width(forest) == 1
+    witness = find_hard_witness(forest, 1)
+    assert witness.subtree == Subtree(0, frozenset({0}))
+    assert witness.assignment.choices == ((0, 1), (1, 1))
+    assert witness.tgraph.dist == {var("x"), var("r")}
+    assert [str(t) for t in witness.tgraph.tgraph] == [
+        "?a1#0#1 q ?b1#0#1",
+        "?c#1#1 q ?c#1#1",
+        "?x p ?r",
+        "?x q ?a1#0#1",
+        "?x q ?c#1#1",
+    ]
+    assert find_hard_witness(forest, 2) is None
+    assert len(planned) <= 50, len(planned)
 
 
 def test_find_hard_witness_iff_width_reaches_k():
