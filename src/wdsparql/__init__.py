@@ -39,7 +39,6 @@ from .patterns import (
     is_well_designed,
     parse_pattern,
     serialize_pattern,
-    union_normalize,
     well_designed_violation,
 )
 from .pebble import ConsistencyFamily, consistency_family, pebble_wins

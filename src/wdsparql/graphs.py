@@ -43,14 +43,27 @@ class UndirectedGraph:
 
     @classmethod
     def of(cls, vertices, edge_pairs=()) -> "UndirectedGraph":
+        """The graph on `vertices` and every endpoint of `edge_pairs`, a
+        self-loop refused.  Each edge is made and checked here once, and
+        not again by the constructor."""
         vs = set(vertices)
         es = set()
         for a, b in edge_pairs:
             if a == b:
                 raise ValueError(f"self-loop at {a!r}")
-            vs.update((a, b))
+            vs.add(a)
+            vs.add(b)
             es.add(frozenset((a, b)))
-        return cls(frozenset(vs), frozenset(es))
+        return cls._built(frozenset(vs), frozenset(es))
+
+    @classmethod
+    def _built(cls, vertices: frozenset, edges: frozenset) -> "UndirectedGraph":
+        """The graph whose edges, 2-element frozensets of `vertices`, the
+        caller has made and checked: `__post_init__` does not run."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.vertices}
@@ -73,7 +86,7 @@ class UndirectedGraph:
 
     def subgraph(self, keep) -> "UndirectedGraph":
         keep = frozenset(keep)
-        return UndirectedGraph(keep, frozenset(e for e in self.edges if e <= keep))
+        return UndirectedGraph._built(keep, frozenset(e for e in self.edges if e <= keep))
 
     def is_forest(self) -> bool:
         """No cycle: as many edges as vertices less components."""

@@ -562,28 +562,52 @@ def has_clique(h: UndirectedGraph, k: int) -> bool:
 
 
 def parse_undirected_graph(text: str) -> UndirectedGraph:
-    """Lines `vertex a` and `edge a b`; endpoints are added implicitly.
+    """Lines `vertex a` and `edge a b`; an edge's endpoints become vertices,
+    and a self-loop is refused.  Blank lines and lines whose first non-blank
+    character is `#` are skipped.
 
     Names are restricted to [A-Za-z0-9_] because they end up embedded in
     generated variable names.
+
+    One pass splits every line into its tokens and reads each row's keyword
+    and arity; each distinct name is then checked once, and the graph is
+    built once, each edge made once.  Only when that pass finds a fault are
+    the lines walked again, in order, to raise the first bad line's error.
     """
     vertices: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    pairs: set[tuple[str, str]] = set()
+    for t in map(str.split, text.splitlines()):
+        if not t or t[0][0] == "#":
+            continue
+        n = len(t)
+        if n == 3 and t[0] == "edge" and t[1] != t[2]:
+            pairs.add((t[1], t[2]))
+        elif n == 2 and t[0] == "vertex":
+            vertices.add(t[1])
+        else:
+            _raise_first_bad_line(text)
+    vertices.update(chain.from_iterable(pairs))
+    if not all(map(_H_NAME.match, vertices)):
+        _raise_first_bad_line(text)
+    return UndirectedGraph._built(frozenset(vertices), frozenset(map(frozenset, pairs)))
+
+
+def _raise_first_bad_line(text: str) -> None:
+    """Raise the error of the first bad line of a `.ug` file: in each line,
+    a bad name first (in token order), then the keyword and arity, then a
+    self-loop."""
     for no, line in _data_lines(text):
         tokens = line.split()
         for tok in tokens[1:]:
             if not _H_NAME.match(tok):
                 raise ParseError(f"bad vertex name {tok!r}", line=no)
         if tokens[0] == "vertex" and len(tokens) == 2:
-            vertices.add(tokens[1])
-        elif tokens[0] == "edge" and len(tokens) == 3:
-            if tokens[1] == tokens[2]:
-                raise ParseError(f"self-loop at {tokens[1]!r}", line=no)
-            vertices.update(tokens[1:])
-            edges.append((tokens[1], tokens[2]))
-        else:
+            continue
+        if tokens[0] != "edge" or len(tokens) != 3:
             raise ParseError("expected 'vertex a' or 'edge a b'", line=no)
-    return UndirectedGraph.of(vertices, edges)
+        if tokens[1] == tokens[2]:
+            raise ParseError(f"self-loop at {tokens[1]!r}", line=no)
+    raise AssertionError("the one-pass .ug reader refused a good file")
 
 
 def parse_minor_map(text: str) -> MinorMap:

@@ -18,10 +18,10 @@ No walk here recurses, so nesting depth is bounded by memory alone, and
 each is linear in the pattern (up to a log factor).  The parser reads one
 regex tokenisation with an explicit stack of open nodes, and checks each
 distinct term token once.  One pass (`_scan`) over each top-level UNION
-component serves the well-designedness check, `union_normalize` and the
-forest translation: a pre-order walk lists the component's nodes, finds a
-UNION below AND/OPT, and counts per variable the leaves that mention it;
-a post-order sweep (that list reversed) then gives each node its variable
+component serves the well-designedness check and the forest translation:
+a pre-order walk lists the component's nodes, finds a UNION below
+AND/OPT, and counts per variable the leaves that mention it; a
+post-order sweep (that list reversed) then gives each node its variable
 counts, merging its operands' counts the smaller into the larger.  A
 variable is outside an OPT exactly when its count in the component
 exceeds its count under the OPT, so each OPT is checked against its
@@ -327,34 +327,24 @@ def _scan_component(comp: GraphPattern) -> Violation | Block:
     return Block(triples, blocks)
 
 
-def _scan(p: GraphPattern) -> tuple[list[GraphPattern], Violation | None, list[Block]]:
-    """The top-level UNION components of `p`, its first violation (in
-    component order, then pre-order) and, when there is none, each
-    component's root block."""
-    comps = _union_components(p)
+def _scan(p: GraphPattern) -> tuple[Violation | None, list[Block]]:
+    """The first violation of `p` (in top-level UNION component order, then
+    pre-order) and, when there is none, each component's root block."""
     blocks = []
-    for comp in comps:
+    for comp in _union_components(p):
         found = _scan_component(comp)
         if found.__class__ is Violation:
-            return comps, found, []
+            return found, []
         blocks.append(found)
-    return comps, None, blocks
+    return None, blocks
 
 
 def well_designed_violation(p: GraphPattern) -> Violation | None:
-    return _scan(p)[1]
+    return _scan(p)[0]
 
 
 def is_well_designed(p: GraphPattern) -> bool:
     return well_designed_violation(p) is None
-
-
-def union_normalize(p: GraphPattern) -> tuple[GraphPattern, ...]:
-    """Flatten the top-level UNIONs of a well-designed pattern, left to right."""
-    comps, bad, _ = _scan(p)
-    if bad is not None:
-        raise NotWellDesigned(str(bad))
-    return tuple(comps)
 
 
 def and_blocks(p: GraphPattern) -> tuple[Block, ...]:
@@ -362,7 +352,7 @@ def and_blocks(p: GraphPattern) -> tuple[Block, ...]:
     well-designed pattern, left to right: AND joins its operands' blocks
     (triples and hung blocks alike), OPT hangs its right operand's block
     below its left one's."""
-    _, bad, blocks = _scan(p)
+    bad, blocks = _scan(p)
     if bad is not None:
         raise NotWellDesigned(str(bad))
     return tuple(blocks)

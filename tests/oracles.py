@@ -8,10 +8,11 @@ subtrees of a tree by taking or leaving each node in turn, tree
 evaluation by enumerating those subtrees instead of the greedy scan, pattern
 evaluation by joining every pair of mappings in nested loops, the clique
 gadget by filtering the full product of gadget variables per triple,
-graph files by the plain line-by-line parser the fast one replaced, and
-patterns by the recursive-descent parser, the recursive well-designedness
-check and the merge-and-restart forest translation the one-pass pattern
-layer replaced.
+graph and `.ug` files by the plain line-by-line parsers the one-pass ones
+replaced, a pattern's top-level UNION components by splitting it
+recursively, and patterns by the recursive-descent parser, the recursive
+well-designedness check and the merge-and-restart forest translation the
+one-pass pattern layer replaced.
 """
 
 from __future__ import annotations
@@ -384,6 +385,36 @@ def parse_graph_by_lines(text: str, *, ground: bool = False) -> TGraph:
     return TGraph(tuple(triples))
 
 
+_UG_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def parse_undirected_graph_by_lines(text: str) -> UndirectedGraph:
+    """A `.ug` file read one stripped line at a time: blank and ``#`` lines
+    skipped, every name of a line checked before its keyword and arity,
+    then a self-loop refused; the graph is made by the checking
+    constructor, an edge's endpoints added to the vertices."""
+    vertices: set[str] = set()
+    edges: set[frozenset] = set()
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        for tok in tokens[1:]:
+            if not _UG_NAME.fullmatch(tok):
+                raise ParseError(f"bad vertex name {tok!r}", line=no)
+        if tokens[0] == "vertex" and len(tokens) == 2:
+            vertices.add(tokens[1])
+        elif tokens[0] == "edge" and len(tokens) == 3:
+            if tokens[1] == tokens[2]:
+                raise ParseError(f"self-loop at {tokens[1]!r}", line=no)
+            vertices.update(tokens[1:])
+            edges.add(frozenset(tokens[1:]))
+        else:
+            raise ParseError("expected 'vertex a' or 'edge a b'", line=no)
+    return UndirectedGraph(frozenset(vertices), frozenset(edges))
+
+
 # ---------------------------------------------------------------------------
 # the pattern layer as it was before the one-pass rewrite: a recursive
 # descent parser, a recursive well-designedness check, and a forest
@@ -476,9 +507,9 @@ def parse_pattern_by_recursion(text: str) -> GraphPattern:
     return _Parser(text).parse()
 
 
-def _union_components(p: GraphPattern) -> list[GraphPattern]:
+def union_components_by_recursion(p: GraphPattern) -> list[GraphPattern]:
     if isinstance(p, Node) and p.op == UNION:
-        return _union_components(p.left) + _union_components(p.right)
+        return union_components_by_recursion(p.left) + union_components_by_recursion(p.right)
     return [p]
 
 
@@ -505,7 +536,7 @@ def _check_component(p: GraphPattern, outside: frozenset[Term]) -> Violation | N
 
 
 def well_designed_violation_by_recursion(p: GraphPattern) -> Violation | None:
-    for comp in _union_components(p):
+    for comp in union_components_by_recursion(p):
         nested = _find_union(comp)
         if nested is not None:
             return Violation("nested-union", nested)
@@ -594,7 +625,7 @@ def to_forest_by_recursion(p: GraphPattern) -> WdPF:
     if bad is not None:
         raise NotWellDesigned(str(bad))
     trees = []
-    for comp in _union_components(p):
+    for comp in union_components_by_recursion(p):
         tree = _materialize(_component_structure(comp))
         tree = _renumbered(_nr_normalize_by_restarts(tree))
         tree.ensure_nr()

@@ -242,6 +242,26 @@ def test_gen_hard_output_bytes_are_pinned(tmp_path):
     assert digest == "09d35b86aacd5d3e03bcc13e7ffbffddaba558d18479d377d23aaead7be2bcba"
 
 
+def test_a_bad_ug_file_is_reported_at_its_first_bad_line(tmp_path):
+    graph = write(tmp_path, "bad.ug", "vertex a\n# two faults\nedge a a\nedge a b\nvertex b-c\n")
+    code, out, err = run(
+        "gen-hard", "--pattern", str(DATA / "family3.sparql"), "--k", "2", "--graph", graph,
+        "--out-graph", str(tmp_path / "g.nt"), "--out-mapping", str(tmp_path / "m.map"),
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["ERROR ParseError: self-loop at 'a' (line 3)"]
+
+
+def test_a_duplicate_binding_is_reported_at_its_line(tmp_path):
+    mapping = write(tmp_path, "dup.map", "?x = a\n?x = b\n?x = c\n")
+    code, out, err = run(
+        "eval", "--pattern", str(DATA / "clique3.sparql"), "--graph", str(DATA / "selfloop.nt"),
+        "--mapping", mapping,
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["ERROR DuplicateBinding: duplicate binding for ?x (line 2)"]
+
+
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     family3 = str(DATA / "family3.sparql")
     # both trees of family3 answer, with and without their optional parts

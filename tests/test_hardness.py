@@ -5,7 +5,12 @@ from itertools import combinations
 import pytest
 
 from fixtures import forest_family
-from oracles import clique_gadget_by_product, has_clique_by_edge_count, hom_exists
+from oracles import (
+    clique_gadget_by_product,
+    has_clique_by_edge_count,
+    hom_exists,
+    parse_undirected_graph_by_lines,
+)
 from wdsparql import hardness, width
 from wdsparql.errors import (
     ComponentMismatch,
@@ -333,6 +338,86 @@ def test_ug_and_mm_files():
     assert mm.branch(2, 1) == {var("w"), var("v")}
     with pytest.raises(ParseError):
         parse_minor_map("cell 1 1 :\n")
+
+
+def test_the_graph_constructor_keeps_its_checks():
+    """`UndirectedGraph.of` and the `.ug` reader build each edge once and
+    skip the constructor's checks; a direct construction still runs them."""
+    for edge in ({"a"}, {"a", "b", "c"}):
+        with pytest.raises(ValueError, match="bad edge"):
+            UndirectedGraph(frozenset("abc"), frozenset({frozenset(edge)}))
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        UndirectedGraph(frozenset("ab"), frozenset({frozenset("bc")}))
+    with pytest.raises(ValueError, match="self-loop"):
+        UndirectedGraph.of("ab", [("a", "b"), ("b", "b")])
+    g = UndirectedGraph(["a", "b", "c"], [("a", "b"), ("c", "b")])
+    assert g == UndirectedGraph.of("a", [("b", "a"), ("b", "c"), ("a", "b")])
+    assert g.subgraph("ab") == UndirectedGraph.of("ab", [("a", "b")])
+
+
+_UG_NAMES = ("a", "b", "h1", "h10", "X_2", "_")
+# each makes one line bad: a bad name in a vertex line or an edge
+# endpoint, `#` inside a name, a self-loop, the wrong arity, an unknown
+# keyword
+_UG_FAULTS = (
+    lambda rng, a, b: f"vertex {rng.choice(('a-b', 'h.1', 'é', '?x'))}",
+    lambda rng, a, b: f"edge {a} {rng.choice(('b-c', 'h:1', 'ü'))}",
+    lambda rng, a, b: f"edge {rng.choice(('x!', 'a,b'))} {b}",
+    lambda rng, a, b: rng.choice((f"edge {a}#b {b}", f"vertex {a}#", f"edge {a} #{b}")),
+    lambda rng, a, b: f"edge {a} {a}",
+    lambda rng, a, b: rng.choice(("vertex", f"vertex {a} {b}", f"edge {a}", f"edge {a} {b} {a}")),
+    lambda rng, a, b: rng.choice((f"node {a}", f"Edge {a} {b}", f"vertices {a}", a)),
+)
+
+
+def random_ug_text(rng, faults):
+    """A `.ug` file: vertex and edge lines (both orientations, repeats,
+    isolated vertices) between blank and comment lines, tokens apart by
+    spaces or tabs, lines ending in LF or CRLF, with `faults` bad lines
+    injected."""
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        a, b = rng.sample(_UG_NAMES, 2)
+        kind = rng.random()
+        if kind < 0.1:
+            tokens = [""]
+        elif kind < 0.2:
+            tokens = [rng.choice(("#", "# edge a a", "#vertex a-b", "#x"))]
+        elif kind < 0.45:
+            tokens = ["vertex", a]
+        else:
+            tokens = ["edge", a, b]
+        lines.append(tokens)
+    for _ in range(faults):
+        a, b = rng.sample(_UG_NAMES, 2)
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_UG_FAULTS)(rng, a, b).split(" "))
+    pad = lambda: rng.choice(("", "", " ", "\t", " \t"))
+    rows = [pad() + rng.choice((" ", "\t", "  ")).join(tokens) + pad() for tokens in lines]
+    text = "".join(row + rng.choice(("\n", "\r\n")) for row in rows)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def test_ug_reader_equals_the_line_by_line_reader():
+    rng = random.Random(2828)
+
+    def outcome(text):
+        try:
+            return parse_undirected_graph(text)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.line
+
+    seen = set()
+    for _ in range(3000):
+        faults = rng.choice((0, 0, 1, 2))
+        text = random_ug_text(rng, faults)
+        try:
+            expected = parse_undirected_graph_by_lines(text)
+            seen.add("graph")
+        except ParseError as exc:
+            expected = type(exc), str(exc), exc.line
+            seen.add(str(exc).split(" ")[0])
+        assert outcome(text) == expected, text
+    assert seen == {"graph", "bad", "expected", "self-loop"}
 
 
 def test_generate_errors():

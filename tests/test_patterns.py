@@ -11,6 +11,7 @@ from fixtures import P1_TEXT, P2_TEXT, P_UNION_TEXT
 from oracles import (
     parse_pattern_by_recursion,
     to_forest_by_recursion,
+    union_components_by_recursion,
     well_designed_violation_by_recursion,
 )
 from wdsparql.errors import NotWellDesigned, ParseError
@@ -25,7 +26,6 @@ from wdsparql.patterns import (
     parse_pattern,
     pattern_vars,
     serialize_pattern,
-    union_normalize,
     well_designed_violation,
 )
 from wdsparql.randgen import random_wd_pattern
@@ -83,22 +83,25 @@ def test_union_below_and_is_rejected():
     bad = well_designed_violation(p)
     assert bad is not None and bad.kind == "nested-union"
     with pytest.raises(NotWellDesigned):
-        union_normalize(p)
+        to_forest(p)
 
 
-def test_union_normalize_flattens_any_association():
+def test_to_forest_flattens_any_union_association():
     a, b, c = "(?x,p,?y)", "(?x,q,?y)", "(?x,r,?y)"
-    left = parse_pattern(f"(({a} UNION {b}) UNION {c})")
-    right = parse_pattern(f"({a} UNION ({b} UNION {c}))")
-    assert len(union_normalize(left)) == 3
-    assert union_normalize(left) == union_normalize(right)
-    single = parse_pattern(a)
-    assert union_normalize(single) == (single,)
+    left = to_forest(parse_pattern(f"(({a} UNION {b}) UNION {c})"))
+    right = to_forest(parse_pattern(f"({a} UNION ({b} UNION {c}))"))
+    assert len(left.trees) == 3
+    assert left == right
+    assert len(to_forest(parse_pattern(a)).trees) == 1
 
 
 def test_union_components_stay_well_designed():
-    for comp in union_normalize(parse_pattern(P_UNION_TEXT)):
+    p = parse_pattern(P_UNION_TEXT)
+    comps = union_components_by_recursion(p)
+    for comp in comps:
         assert is_well_designed(comp)
+    # one tree per component, left to right
+    assert [to_forest(comp).trees[0] for comp in comps] == list(to_forest(p).trees)
 
 
 def test_random_constructed_patterns_are_well_designed():
