@@ -8,7 +8,6 @@ from .evaluator import (
     eval_forest,
     eval_naive,
     eval_pebble,
-    eval_tree,
 )
 from .graphs import TreeDecomposition, UndirectedGraph, grid_graph, tree_decomposition, treewidth
 from .hardness import (
@@ -41,7 +40,7 @@ from .patterns import (
     serialize_pattern,
     well_designed_violation,
 )
-from .pebble import ConsistencyFamily, consistency_family, pebble_wins
+from .pebble import consistency_family, pebble_wins
 from .terms import (
     Mapping,
     TGraph,
@@ -63,7 +62,6 @@ from .trees import (
     associated_tgraphs,
     children_assignments,
     is_valid_assignment,
-    nr_normalize,
     render_forest,
     subtrees,
     support,

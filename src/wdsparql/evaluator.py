@@ -14,13 +14,12 @@ Three routes:
   lookup of the record the tree keeps for dom(mu), and the graph is
   asked only for its image) and accepts when no child of it "extends",
   each child decided by the compiled test its record keeps; here the
-  test is exact, the test's homomorphism search.  `eval_tree` is
-  `eval_forest` on a one-tree forest.  `enumerate_solutions` turns the
-  same characterization into a solution enumerator: it grows each tree's
-  subtrees top down from the root's homomorphisms, deciding one frontier
-  node at a time, so the search that tells whether a child extends a
-  binding is also the one that extends it.  Its pending states and found
-  solutions share the MAX_MAPPINGS cap.
+  test is exact, the test's homomorphism search.  `enumerate_solutions`
+  turns the same characterization into a solution enumerator: it grows
+  each tree's subtrees top down from the root's homomorphisms, deciding
+  one frontier node at a time, so the search that tells whether a child
+  extends a binding is also the one that extends it.  Its pending states
+  and found solutions share the MAX_MAPPINGS cap.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test, decided by
   `pebble.duplicator_wins`, the one rule of the game's regimes: the
@@ -48,10 +47,9 @@ variable under a pebble and runs a homomorphism search instead of the
 consistency fixpoint.
 
 The forest evaluators check their inputs once per call, in one order:
-`eval_pebble` first its k, then each of `eval_forest`, `eval_pebble` and
-`enumerate_solutions` the forest's NR normal form (`NotNRNormalForm`),
-then the graph's groundness (`NonGroundGraph`).  A forest reads its
-trees' NR form once, when built, and refuses on every call; a graph from
+`eval_pebble` first its k, then each evaluator the graph's groundness
+(`NonGroundGraph`, `_check`).  A forest needs no check: every tree is in
+NR normal form from its construction (`trees.WdPT`).  A graph from
 `terms.parse_graph` knows its variables, so the groundness check reads no
 triple.  No child test checks anything again (see `_decide`).
 """
@@ -204,8 +202,7 @@ def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
     operand first), over plain dict rows grouped by domain (`Rows`); only
     the final rows become `Mapping`s.  An intermediate result of more than
     MAX_MAPPINGS rows raises `InstanceTooLarge`."""
-    if not graph.is_ground():
-        raise NonGroundGraph("evaluation target must be a ground RDF graph")
+    _check(graph)
     done: list[tuple[Rows, int]] = []  # each result with its number of rows
     for q in _postorder(p):
         if q.__class__ is Leaf:
@@ -239,21 +236,15 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     lie in dom(mu) and whose image lies in the graph: a node of the
     subtree that fails the graph introduces a variable its parent lacks
     (NR normal form), every node holding that variable lies below it
-    (connectedness), so the walk misses that variable and finds none.
-    A tree not in NR normal form is refused with NotNRNormalForm;
-    `eval_forest` and `eval_pebble` check the forest once per call, before
-    their scan makes this same test per tree."""
-    tree.ensure_nr()
+    (connectedness), so the walk misses that variable and finds none."""
     hit = tree.subtree_of(mu.domain)
     if hit is None or not mu.images_in(hit.triples, graph):
         return None
     return hit.nodes
 
 
-def _check(forest: WdPF, graph: TGraph) -> None:
-    """The input checks of every forest evaluator, once per call and in
-    this order: the forest's NR normal form, then the graph's groundness."""
-    forest.ensure_nr()
+def _check(graph: TGraph) -> None:
+    """The one groundness check of every evaluator, once per call."""
     if not graph.is_ground():
         raise NonGroundGraph("evaluation target must be a ground RDF graph")
 
@@ -267,12 +258,12 @@ def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
     (`WdPT.child_tests`), a core and its search plan, run on mu's own
     binding dict.  The record's pattern triples, which every core keeps,
     are checked here once, by `images_in`, and no plan holds them.  The
-    inputs are checked once per call (`_check`).  The one check of a
+    graph is checked once per call (`_check`).  The one check of a
     single test left out is `hom.check_target`'s domain
     check, which holds by construction: the matched subtree's record has
     exactly dom(mu) as its variables, and every child and its core take
     them as their distinguished variables."""
-    _check(forest, graph)
+    _check(graph)
     variables, binding = mu.domain, mu._map
     for tree in forest.trees:
         record = tree.subtree_of(variables)
@@ -289,15 +280,10 @@ def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
     return False
 
 
-def eval_tree(tree: WdPT, graph: TGraph, mu: Mapping) -> bool:
-    """mu is a solution iff its matched subtree exists and no child of it
-    admits a homomorphism into the graph compatible with mu."""
-    return eval_forest(WdPF((tree,)), graph, mu)
-
-
 def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
-    """Whether some tree of the forest accepts mu, as `eval_tree` decides
-    it, each child tested on its kept core."""
+    """Whether some tree of the forest accepts mu: mu's matched subtree
+    exists in it and no child of that subtree admits a homomorphism into
+    the graph compatible with mu, each child tested on its kept core."""
     return _decide(forest, graph, mu, None)
 
 
@@ -353,7 +339,7 @@ def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
     answers can be; more than MAX_MAPPINGS pending states and solutions
     raise `InstanceTooLarge`, as in `eval_naive`.
     """
-    _check(forest, graph)
+    _check(graph)
     found: list[Mapping] = []
     for tree in forest:
         _tree_solutions(tree, graph, found)

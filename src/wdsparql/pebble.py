@@ -57,8 +57,6 @@ t-graphs, whose free variables fit under the pebbles more often.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidK, SearchTooLarge
 from .hom import GeneralizedTGraph, Plan, _plan, check_target, search
 from .terms import Mapping, TGraph, Term, substitute
@@ -75,17 +73,6 @@ _Member = frozenset  # of (variable, iri) pairs
 # `pebble_wins` or for a child test of `evaluator.eval_pebble`, ran the
 # homomorphism test.
 MAX_FAMILY_MEMBERS = 100_000
-
-
-@dataclass(frozen=True)
-class ConsistencyFamily:
-    """The fixpoint family; the game is won iff the empty map is a member."""
-
-    k: int
-    members: frozenset[Mapping]
-
-    def wins(self) -> bool:
-        return Mapping() in self.members
 
 
 def _check_k(k: int) -> None:
@@ -221,11 +208,12 @@ def _fixpoint(
 
 def consistency_family(
     g: GeneralizedTGraph, graph: TGraph, mu: Mapping, k: int
-) -> ConsistencyFamily:
+) -> frozenset[Mapping]:
+    """The fixpoint family's members; the game is won iff the empty
+    mapping is one."""
     _check_k(k)
     check_target(g, graph, mu)
-    alive = _fixpoint(g, graph, mu, k)
-    return ConsistencyFamily(k, frozenset(Mapping(tuple(f)) for f in alive))
+    return frozenset(Mapping(tuple(f)) for f in _fixpoint(g, graph, mu, k))
 
 
 def duplicator_wins(g: GeneralizedTGraph, plan: Plan, graph: TGraph, mu: Mapping, k: int) -> bool:

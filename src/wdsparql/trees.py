@@ -2,22 +2,23 @@
 
 A wdPT is a rooted tree whose nodes carry t-graphs; the tree structure
 encodes OPT nesting, each node an AND-block.  Constructors validate the
-tree shape and the variable-connectivity condition (the nodes mentioning
-any one variable induce a connected subgraph), in time linear in the
-tree: every node is reached from the root, and each variable has one
-topmost holder.  NR normal form (every non-root node introduces a
-variable its parent lacks) is required by the evaluation and width
-machinery and established by `nr_normalize`, in one pre-order pass: a
-merge leaves the variables of the node merged into as they were.  In it
-a variable set names at most one root subtree, so a tree keeps, per
-variable set, the one `SubtreeRecord` that evaluation and the width
-analysis both work on; a `Subtree` is its printed handle, and a node set
-is resolved to its record in one place (`WdPT.record`).
+tree shape, the variable-connectivity condition (the nodes mentioning
+any one variable induce a connected subgraph) and NR normal form (every
+non-root node introduces a variable its parent lacks, `NotNRNormalForm`
+otherwise), in time linear in the tree: every node is reached from the
+root, and each variable has one topmost holder.  So every tree is in NR
+normal form, and no layer checks it again.  In it a variable set names
+at most one root subtree, so a tree keeps, per variable set, the one
+`SubtreeRecord` that evaluation and the width analysis both work on; a
+`Subtree` is its printed handle, and a node set is resolved to its
+record in one place (`WdPT.record`).
 
 `to_forest` takes each component's AND-blocks with their triples from
-the pattern layer's one pass (`patterns.and_blocks`), NR-normalizes them
-in that one pre-order pass, numbers the kept nodes breadth first and
-builds and validates each tree once.  No function here recurses.
+the pattern layer's one pass (`patterns.and_blocks`), drops each block
+whose variables its nearest kept ancestor covers in one pre-order pass,
+passing its triples to its children (`_drop_covered`), numbers the kept
+nodes breadth first and builds and validates each tree once.  No
+function here recurses.
 
 This module also hosts the combinatorics the width analysis is built on:
 support, children assignments, the merged-and-renamed t-graphs they
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import hom
@@ -135,9 +135,6 @@ class WdPT:
         self._subtrees: dict[frozenset[Term], SubtreeRecord] = {}  # by variable set
         self._validate()
         self._vars = frozenset().union(*(g.vars() for g in self.labels.values()))
-        self._nr = all(
-            self.node_vars(n) - self.node_vars(p) for n, p in self.parents.items()
-        )
 
     def _validate(self) -> None:
         nodes = set(self.labels)
@@ -156,11 +153,14 @@ class WdPT:
             reached.extend(self._children[n])
         if len(reached) != len(nodes):  # a node off the root's tree is on a cycle
             raise ValueError("parent links contain a cycle")
-        # connected: per variable, one holder whose parent lacks it (or the root)
+        # NR: every non-root node has a variable its parent lacks; connected:
+        # per variable, one holder whose parent lacks it (or the root)
         tops: set[Term] = set()
         for n in reached:
             up = self.parents.get(n)
             fresh = self.node_vars(n) - self.node_vars(up) if up is not None else self.node_vars(n)
+            if not fresh and up is not None:
+                raise NotNRNormalForm(f"node n{n} adds no variable to its parent n{up}")
             for x in fresh:
                 if x in tops:
                     raise ValueError(f"nodes mentioning {x} are not connected")
@@ -198,14 +198,6 @@ class WdPT:
             d += 1
         return d
 
-    def is_nr(self) -> bool:
-        """Does every non-root node introduce a variable its parent lacks?"""
-        return self._nr
-
-    def ensure_nr(self) -> None:
-        if not self.is_nr():
-            raise NotNRNormalForm("tree is not in NR normal form")
-
     def subtree_nodesets(self) -> tuple[frozenset[int], ...]:
         """Every root-containing connected node set, sorted canonically.
 
@@ -237,10 +229,9 @@ class WdPT:
         return hit
 
     def record(self, nodes) -> SubtreeRecord:
-        """The record of the root subtree `nodes`.  A tree not in NR normal
-        form is refused with NotNRNormalForm, and a node set that is not a
-        root subtree of it, a node it lacks included, with ValueError."""
-        self.ensure_nr()
+        """The record of the root subtree `nodes`; a node set that is not a
+        root subtree of the tree, a node it lacks included, is refused with
+        ValueError."""
         found = self.subtree_of(self.vars(nodes)) if self.labels.keys() >= nodes else None
         if found is None or found.nodes != nodes:
             raise ValueError(f"nodes {sorted(nodes)} are not a root subtree")
@@ -260,10 +251,8 @@ class WdPT:
         compiled when first asked for, so a scan that stops early leaves the
         rest uncored; the subtree's record keeps the child t-graphs and the
         tests.  A child of more than MAX_VARS_PER_MEMBER variables is kept
-        uncored.  A tree not in NR normal form is refused with
-        NotNRNormalForm, and a variable set that names no root subtree with
+        uncored.  A variable set that names no root subtree is refused with
         ValueError."""
-        self.ensure_nr()
         found = self.subtree_of(variables)
         if found is None:
             names = ", ".join(sorted(map(str, variables)))
@@ -324,18 +313,10 @@ class WdPF:
     # value, they live exactly as long as the forest
     analysis: object = field(default=None, init=False, repr=False, compare=False)
     homs: HomCache = field(default_factory=HomCache, init=False, repr=False, compare=False)
-    # whether every tree is in NR normal form: its trees are immutable, so
-    # it is read once, and `ensure_nr` checks the flag on every call
-    nr: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
             raise ValueError("a pattern forest holds at least one tree")
-        object.__setattr__(self, "nr", all(t.is_nr() for t in self.trees))
-
-    def ensure_nr(self) -> None:
-        if not self.nr:
-            raise NotNRNormalForm("tree is not in NR normal form")
 
     def vars(self) -> frozenset[Term]:
         return frozenset().union(*(t.vars() for t in self.trees))
@@ -361,12 +342,11 @@ class Subtree:
 
 
 def _record(forest: WdPF, sub: Subtree | SubtreeRecord) -> SubtreeRecord:
-    """The record a handle names (a record names itself).  A forest not in
-    NR normal form is refused with NotNRNormalForm, and an unknown tree
-    index with ValueError; its tree's `WdPT.record` refuses the node set."""
+    """The record a handle names (a record names itself).  An unknown tree
+    index is refused with ValueError; its tree's `WdPT.record` refuses the
+    node set."""
     if isinstance(sub, SubtreeRecord):
         return sub
-    forest.ensure_nr()
     if not 0 <= sub.tree_index < len(forest):
         raise ValueError(f"no tree {sub.tree_index} in a forest of {len(forest)}")
     return forest.trees[sub.tree_index].record(sub.nodes)
@@ -377,7 +357,6 @@ def subtree_vars(forest: WdPF, sub: Subtree) -> frozenset[Term]:
 
 
 def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
-    forest.ensure_nr()
     return tuple(Subtree(i, ns) for i, t in enumerate(forest.trees) for ns in t.subtree_nodesets())
 
 
@@ -385,46 +364,42 @@ def subtrees(forest: WdPF) -> tuple[Subtree, ...]:
 # translation from graph patterns
 
 
-def _merge_covered(root, label, children) -> tuple[dict, dict]:
-    """NR normal form in one pre-order pass over a tree given by its root
-    and two functions (a node's triples, its children in order).  A node
-    whose variables its nearest kept ancestor covers is merged into that
-    ancestor; merging leaves the ancestor's variables as they were, so one
-    pass settles every node.  Returns, per kept node in pre-order, its
-    triples with those of the nodes merged into it, and its kept children
-    in pre-order."""
-    triples = {root: list(label(root))}
+def _drop_covered(root: Block) -> tuple[dict, dict]:
+    """NR normal form in one pre-order pass over a component's blocks.  A
+    block D whose variables its nearest kept ancestor P covers adds no
+    binding, and P OPT (D OPT C) is P OPT (D AND C) (Letelier, Perez,
+    Pichler and Skritek, PODS 2012): D is dropped, and its triples go to
+    each of its children, which hang below P.  A drop leaves P's variables
+    as they were, and a block's children share a variable with triples
+    passed to it only if the block holds it too (the pattern is well
+    designed), so its own variables cover what its label covers and one
+    pass settles every block.  Returns, per kept block in pre-order, its
+    triples with those its dropped ancestors passed to it, and its kept
+    children in pre-order."""
+    triples = {root: list(root.triples)}
     kids: dict = {root: []}
     covers = {root: {x for t in triples[root] for x in t if x.is_var}}
-    todo = [(c, root) for c in reversed(children(root))]
+    todo = [(c, root, []) for c in reversed(root.children)]
     while todo:
-        n, above = todo.pop()
-        own = label(n)
+        n, above, passed = todo.pop()
+        own = n.triples
         variables = {x for t in own for x in t if x.is_var}
         if variables <= covers[above]:
-            triples[above] += own
-            kept = above
+            kept, passed = above, passed + own
         else:
-            triples[n] = list(own)
+            triples[n] = passed + own
             kids[n] = []
             covers[n] = variables
             kids[above].append(n)
-            kept = n
-        todo += ((c, kept) for c in reversed(children(n)))
+            kept, passed = n, []
+        todo += ((c, kept, passed) for c in reversed(n.children))
     return triples, kids
-
-
-def nr_normalize(tree: WdPT) -> WdPT:
-    """Merge every node whose variables are covered by its parent into it."""
-    triples, kids = _merge_covered(tree.root, tree.label, tree.children)
-    parents = {c: n for n, cs in kids.items() for c in cs}
-    return WdPT(tree.root, parents, {n: TGraph(tuple(ts)) for n, ts in triples.items()})
 
 
 def _block_tree(root: Block) -> WdPT:
     """The NR-normal tree of one component's root block, its nodes
     numbered breadth first."""
-    triples, kids = _merge_covered(root, attrgetter("triples"), attrgetter("children"))
+    triples, kids = _drop_covered(root)
     order = [root]
     for b in order:  # breadth first: `order` grows as it is read
         order += kids[b]
@@ -442,8 +417,8 @@ def to_forest(p: GraphPattern) -> WdPF:
     One tree per top-level UNION component; a triple becomes a single root
     node, AND merges root t-graphs and concatenates child lists, OPT hangs
     the right side under the left root (`patterns.and_blocks`).  Trees are
-    NR-normalized in one pass and numbered breadth-first, and each tree is
-    built and validated once.
+    brought to NR normal form in one pass (`_drop_covered`) and numbered
+    breadth-first, and each tree is built and validated once.
     """
     return WdPF(tuple(_block_tree(root) for root in and_blocks(p)))
 

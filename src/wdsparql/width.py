@@ -70,7 +70,6 @@ def branch_treewidth(tree: WdPT) -> int:
     """Max over non-root nodes of the ctw of the branch t-graph above them:
     the child t-graph of the node under the root subtree of its proper
     ancestors (in NR normal form the branch is that subtree exactly)."""
-    tree.ensure_nr()
     worst = 1
     branches = [(tree.root, tree.node_vars(tree.root))]
     for n, variables in branches:  # breadth first: `branches` grows as it is read
@@ -131,7 +130,6 @@ class Analysis:
     """
 
     def __init__(self, forest: WdPF):
-        forest.ensure_nr()
         self.forest = forest
         self._associated: dict[SubtreeRecord, tuple[tuple, list[int]]] = {}
         self._witnesses: dict[int, HardWitness | None] = {}
@@ -139,8 +137,7 @@ class Analysis:
 
     @classmethod
     def of(cls, forest: WdPF) -> "Analysis":
-        """The forest's analysis; a forest not in NR normal form gets none,
-        so every call raises again."""
+        """The forest's analysis, built on first use."""
         if forest.analysis is None:
             object.__setattr__(forest, "analysis", cls(forest))
         return forest.analysis
@@ -228,7 +225,6 @@ def width_report(forest: WdPF, measure: str) -> WidthReport:
     if measure == "bw":
         rows = [(f"tree {i}", branch_treewidth(tree)) for i, tree in enumerate(forest)]
     elif measure == "local":
-        forest.ensure_nr()
         for i, tree in enumerate(forest):
             for n, up in sorted(tree.parents.items()):
                 shared = tree.node_vars(n) & tree.node_vars(up)

@@ -560,7 +560,8 @@ def _component_structure(p: GraphPattern):
     raise ValueError("UNION below the top level")
 
 
-def _materialize(structure) -> WdPT:
+def _materialize(structure) -> tuple[dict[int, int], dict[int, TGraph]]:
+    """The (parents, labels) of a component's nesting, ids in pre-order."""
     labels: dict[int, TGraph] = {}
     parents: dict[int, int] = {}
     counter = 0
@@ -577,57 +578,56 @@ def _materialize(structure) -> WdPT:
             walk(kid, me)
 
     walk(structure, None)
-    return WdPT(0, parents, labels)
+    return parents, labels
 
 
-def _nr_normalize_by_restarts(tree: WdPT) -> WdPT:
-    """Merge every node whose variables are covered by its parent into it,
-    rescanning from the start after each merge."""
-    labels = dict(tree.labels)
-    parents = dict(tree.parents)
+def _nr_normalize_by_restarts(parents: dict[int, int], labels: dict[int, TGraph]) -> None:
+    """Drop, in place, every node whose variables are covered by its
+    parent, its label joining each of its children's, which move up to its
+    parent; rescan from the start after each drop."""
     while True:
-        merged = False
         for n in sorted(parents):
             p = parents[n]
             if labels[n].vars() <= labels[p].vars():
-                labels[p] = labels[p] | labels[n]
-                del labels[n]
-                del parents[n]
                 for child, q in list(parents.items()):
                     if q == n:
                         parents[child] = p
-                merged = True
+                        labels[child] = labels[n] | labels[child]
+                del labels[n]
+                del parents[n]
                 break
-        if not merged:
-            break
-    return WdPT(tree.root, parents, labels)
+        else:
+            return
 
 
-def _renumbered(tree: WdPT) -> WdPT:
-    order = []
-    queue = [tree.root]
+def _renumbered(parents: dict[int, int], labels: dict[int, TGraph]) -> WdPT:
+    """The tree rooted at 0, its nodes numbered breadth first, children in
+    id order."""
+    order = [0]
+    queue = [0]
     while queue:
         n = queue.pop(0)
-        order.append(n)
-        queue.extend(tree.children(n))
+        kids = sorted(c for c, q in parents.items() if q == n)
+        order += kids
+        queue += kids
     new_id = {n: i for i, n in enumerate(order)}
     return WdPT(
         0,
-        {new_id[n]: new_id[p] for n, p in tree.parents.items()},
-        {new_id[n]: g for n, g in tree.labels.items()},
+        {new_id[n]: new_id[p] for n, p in parents.items()},
+        {new_id[n]: g for n, g in labels.items()},
     )
 
 
 def to_forest_by_recursion(p: GraphPattern) -> WdPF:
-    """One tree per top-level UNION component, built, NR-normalized and
-    renumbered breadth first, each step a new tree."""
+    """One tree per top-level UNION component: its nesting as parent and
+    label dicts, NR-normalized on them by restarts, then renumbered breadth
+    first and built once."""
     bad = well_designed_violation_by_recursion(p)
     if bad is not None:
         raise NotWellDesigned(str(bad))
     trees = []
     for comp in union_components_by_recursion(p):
-        tree = _materialize(_component_structure(comp))
-        tree = _renumbered(_nr_normalize_by_restarts(tree))
-        tree.ensure_nr()
-        trees.append(tree)
+        parents, labels = _materialize(_component_structure(comp))
+        _nr_normalize_by_restarts(parents, labels)
+        trees.append(_renumbered(parents, labels))
     return WdPF(tuple(trees))

@@ -13,18 +13,26 @@ from oracles import (
     hom_into_graph_exists,
     matched_subtree_by_enumeration,
 )
-from wdsparql.errors import InstanceTooLarge, InvalidK, NotNRNormalForm
+from wdsparql.errors import InstanceTooLarge, InvalidK, NonGroundGraph
 from wdsparql.evaluator import (
     SolutionSet,
     enumerate_solutions,
     eval_forest,
     eval_naive,
     eval_pebble,
-    eval_tree,
     matched_subtree,
 )
 from wdsparql.hom import GeneralizedTGraph, core, find_homomorphism
-from wdsparql.patterns import AND, OPT, UNION, Leaf, Node, is_well_designed, parse_pattern
+from wdsparql.patterns import (
+    AND,
+    OPT,
+    UNION,
+    Leaf,
+    Node,
+    is_well_designed,
+    parse_pattern,
+    serialize_pattern,
+)
 from wdsparql.pebble import pebble_wins
 from wdsparql.randgen import (
     IRIS,
@@ -70,51 +78,21 @@ def test_naive_handles_non_wd_patterns():
     assert list(got) == [m(x="a", y="b")]
 
 
-def test_eval_tree_requires_nr():
-    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
-    with pytest.raises(NotNRNormalForm):
-        eval_tree(sloppy, parse_graph("a p b"), m(x="a", y="b"))
-
-
-def test_every_tree_is_checked_for_nr_past_an_accepting_one():
-    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
-    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
-    forest = WdPF((accepting, sloppy))
-    graph, mu = parse_graph("a p b"), m(x="a", y="b")
-    assert eval_tree(accepting, graph, mu)
-    with pytest.raises(NotNRNormalForm):
-        eval_forest(forest, graph, mu)
-    with pytest.raises(NotNRNormalForm):
-        eval_pebble(forest, graph, mu, 1)
-
-
-def test_a_forest_not_in_nr_form_is_refused_on_every_call():
-    """The forest's NR form is read once, and a forest holding a tree not
-    in NR normal form still raises on each repeated call, also past a tree
-    that accepts."""
-    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
-    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")})
-    graph, mu = parse_graph("a p b"), m(x="a", y="b")
-    for forest in (WdPF((sloppy,)), WdPF((accepting, sloppy)), WdPF((sloppy, accepting))):
-        assert not forest.nr
-        for _ in range(3):
-            with pytest.raises(NotNRNormalForm):
-                eval_forest(forest, graph, mu)
-            with pytest.raises(NotNRNormalForm):
-                eval_pebble(forest, graph, mu, 1)
-    assert WdPF((accepting,)).nr and eval_forest(WdPF((accepting,)), graph, mu)
-
-
 def test_forest_evaluators_check_their_inputs_in_one_order():
-    """NR normal form first, groundness second, in all three evaluators."""
-    sloppy = WdPF((WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?y q ?x")}),))
+    """eval_pebble's k first, then the graph's groundness, in every
+    evaluator: `eval_naive` and the three forest evaluators share the one
+    groundness check."""
+    forest = to_forest(parse_pattern("((?x,p,?y) OPT (?y,q,?z))"))
     graph, mu = parse_graph("a p ?v"), m(x="a", y="b")
+    with pytest.raises(InvalidK):
+        eval_pebble(forest, graph, mu, 0)
     for evaluate in (
-        lambda: eval_forest(sloppy, graph, mu),
-        lambda: eval_pebble(sloppy, graph, mu, 1),
-        lambda: enumerate_solutions(sloppy, graph),
+        lambda: eval_naive(forest_pattern(forest), graph),
+        lambda: eval_forest(forest, graph, mu),
+        lambda: eval_pebble(forest, graph, mu, 1),
+        lambda: enumerate_solutions(forest, graph),
     ):
-        with pytest.raises(NotNRNormalForm):
+        with pytest.raises(NonGroundGraph, match="evaluation target must be a ground RDF graph"):
             evaluate()
 
 
@@ -124,17 +102,16 @@ def test_clique_family_membership():
     graph = parse_graph("a r a")
     short = m(y="a")
     full = m(y="a", o1="a", o2="a", o3="a")
-    assert not eval_tree(tree, graph, short)  # the child still extends
-    assert eval_tree(tree, graph, full)
+    assert not eval_forest(forest, graph, short)  # the child still extends
     assert eval_forest(forest, graph, full)
     assert list(enumerate_solutions(forest, graph)) == [full]
 
 
 def test_single_node_tree_without_children():
-    tree = WdPT(0, {}, {0: parse_graph("?x p ?y")})
-    assert eval_tree(tree, parse_graph("a p b"), m(x="a", y="b"))
-    assert not eval_tree(tree, parse_graph("a p b"), m(x="a", y="c"))
-    assert not eval_tree(tree, parse_graph("a p b"), m(x="a"))
+    forest = WdPF((WdPT(0, {}, {0: parse_graph("?x p ?y")}),))
+    assert eval_forest(forest, parse_graph("a p b"), m(x="a", y="b"))
+    assert not eval_forest(forest, parse_graph("a p b"), m(x="a", y="c"))
+    assert not eval_forest(forest, parse_graph("a p b"), m(x="a"))
 
 
 def test_enumeration_cap(monkeypatch):
@@ -367,6 +344,37 @@ def test_hash_join_matches_nested_loops():
         not_wd += not is_well_designed(p)
         mixed += joins_over_a_union(p) and len({mu.domain for mu in got}) > 1
     assert answered >= 150 and not_wd >= 60 and mixed >= 30, (answered, not_wd, mixed)
+
+
+def opt_count(p) -> int:
+    return 0 if isinstance(p, Leaf) else (p.op == OPT) + opt_count(p.left) + opt_count(p.right)
+
+
+def test_forest_answers_equal_the_naive_ones_on_covered_blocks():
+    """On random well-designed patterns, many with an OPT block whose
+    variables its parent block covers (which `to_forest` drops): the
+    forest's solutions are the naive answers, and `eval_forest` accepts
+    each answer and decides each of its restrictions by one binding less
+    as the naive answers do."""
+    rng = random.Random(149)
+    dropped = checked = 0
+    for _ in range(600):
+        p = random_pattern(rng, rng.randint(1, 4))
+        if not is_well_designed(p):
+            continue
+        forest = to_forest(p)
+        dropped += opt_count(p) + len(forest) > sum(map(len, forest))
+        graph = random_rdf_graph(rng, max_iris=3, max_triples=8)
+        answers = eval_naive(p, graph)
+        assert enumerate_solutions(forest, graph) == answers, serialize_pattern(p)
+        for mu in answers:
+            assert eval_forest(forest, graph, mu)
+            bindings = mu.bindings
+            for cut in range(len(bindings)):
+                part = Mapping(bindings[:cut] + bindings[cut + 1 :])
+                assert eval_forest(forest, graph, part) is (part in answers)
+                checked += 1
+    assert dropped >= 30 and checked >= 300, (dropped, checked)
 
 
 def test_join_cap(monkeypatch):
@@ -848,8 +856,9 @@ def test_the_cores_and_their_plans_go_with_the_tree():
 
 
 def test_a_tree_builds_and_cores_its_children_once(monkeypatch):
-    """Repeated scans of one tree, by `eval_tree` or through a forest
-    holding it, build its child t-graphs once and core each child once."""
+    """Repeated scans of one tree, each through a new one-tree forest or
+    through one forest holding it, build its child t-graphs once and core
+    each child once."""
     import wdsparql.hom as hom
 
     tree = WdPT(
@@ -873,7 +882,7 @@ def test_a_tree_builds_and_cores_its_children_once(monkeypatch):
     mu = m(x="a", y="b")
     accepts = parse_graph("a p b")  # every child is scanned and fails
     for _ in range(2):
-        assert eval_tree(tree, accepts, mu)
+        assert eval_forest(WdPF((tree,)), accepts, mu)
     assert len(cored) == 2 and built == [frozenset({0})]
     forest = WdPF((tree,))
     for graph, expected in ((accepts, True), (accepts | parse_graph("b r c\nc r c"), False)):

@@ -318,7 +318,7 @@ def test_consistency_family_equals_iterated_oracle():
     for _ in range(80):
         g, graph, mu = random_game(rng)
         for k in (2, 3):
-            members = consistency_family(g, graph, mu, k).members
+            members = consistency_family(g, graph, mu, k)
             assert members == consistency_family_by_iteration(g, graph, mu, k)
             outcomes.add(bool(members))
     assert outcomes == {True, False}

@@ -40,3 +40,26 @@ def test_readme_library_block_prints_its_comments():
         exec(compile(block, "README.md", "exec"), {})
     assert expected and len(expected) == block.count("print(")
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_dotted_names_resolve_in_the_package():
+    """Every dotted name README puts in backticks, `module.name` or
+    `Class.attribute`, names something the package has: its first part is
+    a module of the package or a name it exports."""
+    import importlib
+
+    import wdsparql
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme))
+    assert len(names) >= 15
+    for name in sorted(names):
+        head, *rest = name.split(".")
+        if (ROOT / "src" / "wdsparql" / f"{head}.py").exists():
+            found = importlib.import_module(f"wdsparql.{head}")
+        else:
+            assert hasattr(wdsparql, head), name
+            found = getattr(wdsparql, head)
+        for part in rest:
+            assert hasattr(found, part), name
+            found = getattr(found, part)

@@ -12,7 +12,7 @@ from oracles import (
     support_by_enumeration,
 )
 from wdsparql.errors import NotNRNormalForm, NotWellDesigned
-from wdsparql.evaluator import eval_naive, matched_subtree
+from wdsparql.evaluator import enumerate_solutions, eval_naive, matched_subtree
 from wdsparql.hom import GeneralizedTGraph, find_homomorphism
 from wdsparql.patterns import parse_pattern
 from wdsparql.randgen import random_forest, random_rdf_graph, random_tree
@@ -27,7 +27,6 @@ from wdsparql.trees import (
     children_assignments,
     forest_pattern,
     is_valid_assignment,
-    nr_normalize,
     render_forest,
     associated_with_provenance,
     subtree_vars,
@@ -70,27 +69,37 @@ def test_to_forest_rejects_non_wd():
         to_forest(parse_pattern("((?x,p,?y) AND ((?x,q,?y) UNION (?x,r,?y)))"))
 
 
-def test_nr_normalize_merges_redundant_child():
-    tree = WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?x")})
-    out = nr_normalize(tree)
-    assert len(out) == 1
-    assert out.label(0) == tg("?x p ?y\n?y q ?x")
+def test_a_tree_not_in_nr_form_cannot_be_built():
+    """The constructor refuses a non-root node that adds no variable to its
+    parent, naming both: a covered child at depth 1 and a covered
+    grandchild, so no entry can answer on such a tree."""
+    with pytest.raises(NotNRNormalForm, match="node n1 adds no variable to its parent n0"):
+        WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?x q ?y")})
+    with pytest.raises(NotNRNormalForm, match="node n2 adds no variable to its parent n1"):
+        WdPT(0, {1: 0, 2: 1}, {0: tg("?x p ?y"), 1: tg("?y q ?z"), 2: tg("?z r ?y")})
+    WdPT(0, {1: 0, 2: 1}, {0: tg("?x p ?y"), 1: tg("?y q ?z"), 2: tg("?z r ?w")})
 
 
-def test_nr_normalize_fixed_point():
-    tree = WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?z")})
-    assert nr_normalize(tree) == tree
-
-
-def test_nr_normalize_preserves_semantics():
+def test_to_forest_drops_a_covered_optional_block():
+    """P OPT Q with vars(Q) inside vars(P) has P's answers, so the covered
+    block is dropped, and a covered block's triples go to its children; a
+    tree in NR normal form comes back as it was."""
+    texts = (
+        "((?x,p,?y) OPT (?y,q,?x))",
+        "((?x,p,?y) OPT ((?y,q,?x) OPT (?y,r,?z)))",
+        "((?x,p,?y) OPT (a,q,b))",
+    )
+    single, nested, ground = (to_forest(parse_pattern(t)).trees for t in texts)
+    assert single == ground == (WdPT(0, {}, {0: tg("?x p ?y")}),)
+    assert nested == (WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?x\n?y r ?z")}),)
+    for text in texts:
+        p = parse_pattern(text)
+        for graph in map(tg, ("a p b", "a p b\nb r c", "a p b\nb q a\nb r c\na q b")):
+            assert enumerate_solutions(to_forest(p), graph) == eval_naive(p, graph)
     rng = random.Random(5)
     for _ in range(60):
-        tree = random_tree(rng, max_nodes=4)
-        graph = random_rdf_graph(rng)
-        normalized = nr_normalize(tree)
-        before = eval_naive(tree_pattern(tree), graph)
-        after = eval_naive(tree_pattern(normalized), graph)
-        assert before == after
+        tree = random_tree(rng, max_nodes=5)
+        assert to_forest(tree_pattern(tree)).trees == (tree,)
 
 
 def test_subtree_counts():
@@ -237,38 +246,6 @@ def test_invalid_subtree_handles_are_refused():
         with pytest.raises(ValueError):
             family.trees[0].child_tgraphs(frozenset(nodes))
     assert sorted(support(family, Subtree(0, frozenset({0})))) == [0, 1]  # a valid handle
-
-
-def test_every_entry_naming_a_root_subtree_refuses_a_forest_not_in_nr_form():
-    """A tree whose child adds no variable is refused with NotNRNormalForm
-    by every entry that names a root subtree, not answered: on it mu below
-    is an answer of the pattern, yet no subtree's children decide it.  A
-    handle on an NR tree of a forest holding such a tree is refused too."""
-    sloppy = WdPT(0, {1: 0}, {0: parse_graph("?x p ?y"), 1: parse_graph("?x q ?y")})
-    accepting = WdPT(0, {}, {0: parse_graph("?x p ?y")})
-    graph, mu = parse_graph("a p b"), Mapping.of({var("x"): iri("a"), var("y"): iri("b")})
-    assert mu in eval_naive(tree_pattern(sloppy), graph)
-    root, both, ca = frozenset({0}), frozenset({0, 1}), ChildrenAssignment(((0, 1),))
-    calls = [
-        lambda: matched_subtree(sloppy, graph, mu),
-        lambda: sloppy.child_tgraphs(root),
-        lambda: sloppy.child_tests(frozenset({var("x"), var("y")})),
-    ]
-    for forest in (WdPF((sloppy,)), WdPF((accepting, sloppy))):
-        calls.append(lambda f=forest: subtrees(f))
-        for sub in (Subtree(0, root), Subtree(0, both)):
-            calls += [
-                lambda f=forest, s=sub: support(f, s),
-                lambda f=forest, s=sub: subtree_vars(f, s),
-                lambda f=forest, s=sub: children_assignments(f, s),
-                lambda f=forest, s=sub: assignment_tgraph(f, s, ca),
-                lambda f=forest, s=sub: is_valid_assignment(f, s, ca),
-                lambda f=forest, s=sub: associated_tgraphs(f, s),
-                lambda f=forest, s=sub: associated_with_provenance(f, s),
-            ]
-    for call in calls:
-        with pytest.raises(NotNRNormalForm):
-            call()
 
 
 def test_child_tests_refuse_a_variable_set_naming_no_subtree():
