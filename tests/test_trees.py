@@ -82,20 +82,40 @@ def test_a_tree_not_in_nr_form_cannot_be_built():
 
 def test_to_forest_drops_a_covered_optional_block():
     """P OPT Q with vars(Q) inside vars(P) has P's answers, so the covered
-    block is dropped, and a covered block's triples go to its children; a
-    tree in NR normal form comes back as it was."""
+    block is dropped and the forest answers as the pattern does."""
     texts = (
         "((?x,p,?y) OPT (?y,q,?x))",
         "((?x,p,?y) OPT ((?y,q,?x) OPT (?y,r,?z)))",
         "((?x,p,?y) OPT (a,q,b))",
     )
-    single, nested, ground = (to_forest(parse_pattern(t)).trees for t in texts)
+    single, _, ground = (to_forest(parse_pattern(t)).trees for t in texts)
     assert single == ground == (WdPT(0, {}, {0: tg("?x p ?y")}),)
-    assert nested == (WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?x\n?y r ?z")}),)
     for text in texts:
         p = parse_pattern(text)
         for graph in map(tg, ("a p b", "a p b\nb r c", "a p b\nb q a\nb r c\na q b")):
             assert enumerate_solutions(to_forest(p), graph) == eval_naive(p, graph)
+
+
+def test_nr_normalize_merges_redundant_child():
+    """The NR pass of `to_forest` merges a redundant (covered) block into
+    each of its children: P OPT (D OPT C) = P OPT (D AND C), and a covered
+    block with two children goes into both."""
+    nested = to_forest(parse_pattern("((?x,p,?y) OPT ((?y,q,?x) OPT (?y,r,?z)))"))
+    assert nested.trees == (WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?x\n?y r ?z")}),)
+    forked = to_forest(
+        parse_pattern("((?x,p,?y) OPT (((?y,q,?x) OPT (?y,r,?z)) OPT (?x,s,?w)))")
+    )
+    (tree,) = forked.trees
+    assert len(tree) == 3 and tree.label(tree.root) == tg("?x p ?y")
+    children = sorted((tree.label(c) for c in tree.children(tree.root)), key=str)
+    assert children == sorted([tg("?y q ?x\n?y r ?z"), tg("?y q ?x\n?x s ?w")], key=str)
+
+
+def test_nr_normalize_fixed_point():
+    """A tree in NR normal form comes back from the NR pass of `to_forest`
+    as it was."""
+    tree = WdPT(0, {1: 0}, {0: tg("?x p ?y"), 1: tg("?y q ?z")})
+    assert to_forest(tree_pattern(tree)).trees == (tree,)
     rng = random.Random(5)
     for _ in range(60):
         tree = random_tree(rng, max_nodes=5)
