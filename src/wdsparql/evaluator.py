@@ -31,12 +31,12 @@ Three routes:
 The scan decides each child t-graph on its compiled test, which the tree
 keeps in the record of the matched subtree (`WdPT.child_tests`): the
 child's core and the plan of the search that pins the subtree's
-variables, built when the scan first reaches the child, so evaluation
-reads no width analysis.  The record's pattern triples are checked once
-per tree, by `Mapping.images_in`, before any test runs, so the plan is
-compiled from the core minus them: a search finds only the child's own
-triples.  Both tests read the same on a child and on its
-core: the two are homomorphically equivalent with the distinguished
+variables, built for every child of the record when a scan first
+reaches it, so evaluation reads no width analysis.  The record's
+pattern triples are checked once per tree, by `Mapping.images_in`,
+before any test runs, so the plan is compiled from the core minus them:
+a search finds only the child's own triples.  Both tests read the same
+on a child and on its core: the two are homomorphically equivalent with the distinguished
 variables fixed, and a homomorphism extending mu exists
 from one iff it exists from the other (compose with the map between
 them), while the existential pebble game is preserved in the same way,
@@ -269,7 +269,8 @@ def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
         record = tree.subtree_of(variables)
         if record is None or not mu.images_in(record.triples, graph):
             continue
-        for g, plan in record.tests if record.complete else tree.child_tests(variables):
+        tests = record.tests
+        for g, plan in tree.child_tests(variables) if tests is None else tests:
             if k is None:
                 if search(plan, graph, binding) is not None:
                     break

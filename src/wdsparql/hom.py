@@ -14,13 +14,13 @@ soon after it is tried.
 It is planned once and run many times.  A `Plan` of a source t-graph and
 the set of its variables that each run pins depends on nothing else, so
 it holds the order and every lookup the search makes, compiled: a lookup
-is an access path (a mask of bound positions and, when the triple's
-predicate is an IRI, that predicate; a key read from a list of slot
+is an access path (the mask, ties and predicate that `terms.access_path`,
+the rule `TGraph.matching` follows too, gives the triple with the
+variables known at that point bound; a key read from a list of slot
 values; the position it outputs), answered by one read of the target's
-`TGraph.by_mask` index for that mask and predicate, which holds that
+`TGraph.by_mask` index, which for an IRI predicate holds that
 predicate's triples alone, or, with every position bound, a membership
-test in its set of that predicate's triples (`TGraph.members`), and no
-`Triple` is built while searching.
+test in `TGraph.members`, and no `Triple` is built while searching.
 `_solve` runs a plan on a target with values for the pinned variables.
 A triple is checked at the level of its last variable, and the first
 triple checked there is the level's driver.  The level's
@@ -68,7 +68,7 @@ from typing import Iterable
 
 from .errors import DomainMismatch, MismatchedDistinguishedSets, NonGroundGraph, SearchTooLarge
 from .graphs import UndirectedGraph, treewidth
-from .terms import Mapping, TGraph, Term, Triple, key_getter, substitute, ties_of
+from .terms import Mapping, TGraph, Term, Triple, access_path, key_getter, substitute
 
 # The most candidate values one search (one `_solve` call) tries before it
 # raises SearchTooLarge; without it a search that finds nothing may try
@@ -146,13 +146,10 @@ class Plan:
     `names` are the variables by slot, and `tail` is that list past the
     pinned values (blanks to assign, then the IRIs), which a run copies.
     So `len(order)` is the number of free variables of a search.
-    Every lookup is an access path: a mask of bound positions with the
-    pairs of free positions that a repeated variable ties and, when the
-    triple's predicate is an IRI, that predicate (the mask then leaves
-    position 1 out, unless every position is bound and the key is the
-    triple itself), a key getter over the slots, the position it outputs
-    and the level whose candidates it gives, if any.  A triple with no
-    unpinned variable is a lookup at the start with every position bound
+    Every lookup is an access path: the (mask, ties, predicate) of
+    `terms.access_path`, a key getter over the slots, the position it
+    outputs and the level whose candidates it gives, if any.  A triple
+    with no unpinned variable is a lookup at the start with every position bound
     (a membership test); so is every other triple at the level of its
     last variable but the level's driver, whose look-ahead gave the
     level's candidates.  A triple's look-ahead, with
@@ -187,14 +184,11 @@ class Plan:
         masks: dict[tuple, int] = {}
 
         def path(t: Triple, known, free: Term | None = None, j: int | None = None) -> tuple:
-            # the access path of t with the variables of `known` bound,
-            # into the index of t's predicate when that is an IRI
-            bound = tuple(i for i, x in enumerate(t) if x.is_iri or x in known)
-            p = t[1] if t[1].is_iri else None
-            mask = bound if p is None or len(bound) == 3 else tuple(i for i in bound if i != 1)
+            # the access path of t with the variables of `known` bound
+            mask, ties, p = access_path(t, known)
             get = key_getter(tuple(slots[t[i]] for i in mask))
             pos = None if free is None else t.index(free)
-            return masks.setdefault((mask, ties_of(t, bound), p), len(masks)), get, pos, j
+            return masks.setdefault((mask, ties, p), len(masks)), get, pos, j
 
         rank = {v: i for i, v in enumerate(order)}
         self.first: list[tuple] = []

@@ -36,7 +36,7 @@ empties the family.
 The family is generated level by level, as in arc consistency with support
 sets.  The values tried for a new variable x are those of its pruned domain
 that every template whose only unbound variable, once the member is
-substituted, is x admits (`TGraph.values_at` over `by_mask`).  Each member
+substituted, is x admits (read off `TGraph.matching`).  Each member
 then keeps, per variable it lacks, the set of values whose one-point
 extensions are alive; an empty set breaks the forth property, and a dead
 member's one-point extensions are found in its own sets.  The generation
@@ -102,7 +102,7 @@ def _fixpoint(
         pos = {v: t.index(v) for v in needs}
         if len(needs) == 1:
             (x,) = needs
-            domains[x] = domains[x].intersection(graph.values_at(t, pos[x]))
+            domains[x] = domains[x].intersection(u[pos[x]] for u in graph.matching(t))
             continue
         if len(needs) == 2:
             x, y = sorted(needs, key=pos.get)
@@ -140,7 +140,7 @@ def _fixpoint(
         found = domains[x]
         for needs, t, pos in by_var[x]:
             if needs <= bound:
-                found = found.intersection(graph.values_at(t, pos, member_sub))
+                found = found.intersection(u[pos] for u in graph.matching(t, member_sub))
                 if not found:
                     break
         return found

@@ -20,25 +20,26 @@ sorted tuple, a frozenset for membership (`triple_set`), and indexes, each
 built on first use (`TGraph.by_mask`): for a set of bound positions, the
 pairs of other positions a repeated variable ties and, when the lookup
 names one, a predicate, the triples (with that predicate) under their
-terms at those positions, IRIs and variables alike.  A lookup whose
-triple has an IRI predicate reads that predicate's index, so it meets no
-triple of another predicate, and a graph parsed from a file makes a
-predicate's `Triple`s only when a query first reads that predicate: it
-keeps its distinct rows grouped by predicate, and assembles the sorted
-tuple and the frozenset from the triples so made only when either is
-first read.  A graph whose triples all exist groups them by predicate in
-one pass when an index of a predicate is first built.  Every other look
-into a graph is one read of such an index or a membership test: the
-homomorphism search's compiled lookups read an index directly, with keys
-of terms and no `Triple` built, and test a triple with every position
-bound in `TGraph.members` (`triple_set` once every triple exists, else
-the set of the predicate's triples); `TGraph.matching` answers "which
-triples can this pattern triple map onto, with these values for some of
-its variables" from an index, for the evaluator and the pebble game;
-`TGraph.values_at` reads one position of those matches.  A mapping keeps
-a dict beside its sorted bindings; `Mapping.images_in` puts a triple
-under it as a plain tuple of terms, which a membership test looks up in
-`triple_set` as it is.
+terms at those positions, IRIs and variables alike.  One rule,
+`access_path`, turns a triple with some positions bound into the (mask,
+ties, predicate) of its lookup: a triple with an IRI predicate reads that
+predicate's index, so it meets no triple of another predicate, and a
+triple with every position bound is a membership test in
+`TGraph.members` (`triple_set` once every triple exists, else the set of
+the predicate's triples), so no index keys whole triples.  A graph
+parsed from a file makes a predicate's `Triple`s only when a query first
+reads that predicate: it keeps its distinct rows grouped by predicate,
+and assembles the sorted tuple and the frozenset from the triples so
+made only when either is first read.  A graph whose triples all exist
+groups them by predicate in one pass when an index of a predicate is
+first built.  Every look into a graph follows that rule: the
+homomorphism search compiles its lookups by it and reads an index
+directly, with keys of terms and no `Triple` built, and
+`TGraph.matching` answers "which triples can this pattern triple map
+onto, with these values for some of its variables", for the evaluator
+and the pebble game.  A mapping keeps a dict beside its sorted bindings;
+`Mapping.images_in` puts a triple under it as a plain tuple of terms,
+which a membership test looks up in `triple_set` as it is.
 
 File formats
 ------------
@@ -86,12 +87,18 @@ def _no_key(_items) -> tuple:
     return ()
 
 
-def ties_of(terms: tuple[Term, Term, Term], bound) -> tuple[tuple[int, int], ...]:
-    """The position pairs outside `bound` where `terms` repeats a variable:
-    the `ties` of a `TGraph.by_mask` lookup of these terms."""
-    return tuple(
-        (i, j) for i, j in _TIES if i not in bound and terms[i].is_var and terms[i] == terms[j]
-    )
+def access_path(t: tuple[Term, Term, Term], known) -> tuple[tuple[int, ...], tuple, Term | None]:
+    """The `TGraph.by_mask` lookup of the triple t with the variables in
+    `known` bound, as (mask, ties, p).  A position is bound when it holds
+    an IRI or a known variable.  When t's predicate is an IRI, p is that
+    predicate and the mask leaves position 1 out, unless every position is
+    bound: such a lookup is a membership test in `TGraph.members(p)`.  The
+    ties are the pairs of free positions where t repeats a variable."""
+    bound = tuple(i for i, x in enumerate(t) if x.is_iri or x in known)
+    p = t[1] if t[1].is_iri else None
+    mask = bound if p is None or len(bound) == 3 else tuple(i for i in bound if i != 1)
+    ties = tuple((i, j) for i, j in _TIES if i not in bound and t[i].is_var and t[i] == t[j])
+    return mask, ties, p
 
 
 def key_getter(positions: tuple[int, ...]):
@@ -269,8 +276,6 @@ def _keyed(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) ->
     """`triples` under their terms at the positions of `mask` (the key
     `key_getter(mask)` reads), only those holding equal terms at each pair
     of `ties`, each list in the order of `triples`."""
-    if len(mask) == 3:  # each triple is its own key, once
-        return dict(zip(triples, map(list, zip(triples))))
     if ties:
         triples = [u for u in triples if all(u[i] == u[j] for i, j in ties)]
     found: dict = {}
@@ -367,10 +372,9 @@ class TGraph(_Value):
         of terms for more, () for none.  With `ties`, pairs of positions
         outside the mask, only the triples holding equal terms at each pair
         are kept, as a repeated variable needs.  With a predicate `p`, only
-        the triples holding p at position 1, which `mask` then leaves out
-        unless it holds every position: the key is then the triple itself.
-        Each list keeps the order of `triples`.  Built on first use of the
-        (mask, ties, p) key and kept, so a lookup with some positions bound
+        the triples holding p at position 1, which a lookup's mask then
+        leaves out (`access_path`).  Each list keeps the order of
+        `triples`.  Built on first use of the (mask, ties, p) key and kept, so a lookup with some positions bound
         reads one list, whatever the bound terms are (IRIs, or variables of
         this t-graph, constants here).  A predicate's index is built from
         that predicate's triples alone (`_predicate`)."""
@@ -406,33 +410,18 @@ class TGraph(_Value):
         bound when it holds an IRI or a variable with a value, and u holds
         that term there; a variable of t without a value matches anything,
         whatever the variables of this t-graph are called, and a repeated
-        one meets equal terms in u.  One lookup in `by_mask`, in the index
-        of t's predicate when position 1 is bound."""
-        bound = []
-        key = []
-        for i, x in enumerate(t):
-            if x.is_var:
-                x = values.get(x) if values else None
-                if x is None:
-                    continue
-            bound.append(i)
-            key.append(x)
-        ties = ties_of(t, bound)
-        p = None
-        if len(bound) == 3:
-            p = key[1]
-        elif 1 in bound:
-            p = key.pop(bound.index(1))
-            bound.remove(1)
-        index = self.by_mask(tuple(bound), ties, p)
-        return tuple(index.get(key[0] if len(key) == 1 else tuple(key), ()))
-
-    def values_at(self, t: Triple, pos: int, values: dict | None = None) -> list[Term]:
-        """The terms at position `pos` over `matching(t, values)`.  With no
-        other variable of t left free, they come each once and in `str`
-        order: every index list keeps the canonical order, the triples
-        sorted by their text, and no term's text holds a space."""
-        return [u[pos] for u in self.matching(t, values)]
+        one meets equal terms in u.  One read of the index `access_path`
+        names, that of t's predicate when it is an IRI, or, with every
+        position bound, one membership test (`members`).  With no
+        variable of t but one left free, the terms at its position come
+        each once and in `str` order: every index list keeps the canonical
+        order, the triples sorted by their text, and no term's text holds
+        a space."""
+        mask, ties, p = access_path(t, values or ())
+        terms = tuple(map(values.get, t, t)) if values else t
+        if len(mask) == 3:
+            return (_triple(terms),) if terms in self.members(p) else ()
+        return tuple(self.by_mask(mask, ties, p).get(key_getter(mask)(terms), ()))
 
     def __iter__(self):
         return iter(self.triples)

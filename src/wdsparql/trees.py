@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator
 
 from . import hom
 from .errors import InstanceTooLarge, NotNRNormalForm
@@ -109,16 +108,13 @@ ChildTest = tuple[GeneralizedTGraph, hom.Plan]
 class SubtreeRecord:
     """What a tree keeps of one root subtree, under its variable set: its
     nodes, variables and pattern triples, and, each once first asked for,
-    its pattern as a t-graph, its child t-graphs and the prefix of them
-    compiled so far into child tests (`WdPT.child_tests`), `complete` once
-    that prefix is all of them."""
+    its pattern as a t-graph and the tests of all its children, compiled
+    together (`WdPT.child_tests`); `tests` is None until then."""
 
     nodes: frozenset[int]
     variables: frozenset[Term]
     triples: tuple[Triple, ...]
-    children: tuple[GeneralizedTGraph, ...] | None = None
-    tests: list[ChildTest] = field(default_factory=list)
-    complete: bool = False
+    tests: tuple[ChildTest, ...] | None = None
 
     @cached_property
     def pat(self) -> TGraph:
@@ -237,7 +233,7 @@ class WdPT:
             raise ValueError(f"nodes {sorted(nodes)} are not a root subtree")
         return found
 
-    def child_tests(self, variables: frozenset[Term]) -> Iterable[ChildTest]:
+    def child_tests(self, variables: frozenset[Term]) -> tuple[ChildTest, ...]:
         """The compiled tests of the children of the root subtree whose
         variables are `variables`, in frontier order: per child t-graph its
         core and the `hom.Plan` of searches pinning `variables`, the core's
@@ -247,34 +243,27 @@ class WdPT:
         leaves them out; a triple over `variables` alone from the child's
         own label stays in it, as a lookup at the start.  Every free
         variable of the core lies in a triple the plan keeps, so
-        `len(plan.order)` is the core's number of free variables.  Each is
-        compiled when first asked for, so a scan that stops early leaves the
-        rest uncored; the subtree's record keeps the child t-graphs and the
-        tests.  A child of more than MAX_VARS_PER_MEMBER variables is kept
-        uncored.  A variable set that names no root subtree is refused with
-        ValueError."""
+        `len(plan.order)` is the core's number of free variables.  The
+        first call for a subtree compiles every child at once, and its
+        record keeps the tests.  A child of more than MAX_VARS_PER_MEMBER
+        variables is kept uncored.  A variable set that names no root
+        subtree is refused with ValueError."""
         found = self.subtree_of(variables)
         if found is None:
             names = ", ".join(sorted(map(str, variables)))
             raise ValueError(f"no root subtree has the variables {{{names}}}")
-        return found.tests if found.complete else self._compile(found)
-
-    def _compile(self, found: SubtreeRecord) -> Iterator[ChildTest]:
-        """The record's tests, compiling each past its prefix when reached."""
-        if found.children is None:
-            found.children = self.child_tgraphs(found.nodes)
-        tests = found.tests
-        for i, g in enumerate(found.children):
-            if i == len(tests):
+        if found.tests is None:
+            tests = []
+            for g in self.child_tgraphs(found.nodes):
                 small = len(g.tgraph.vars()) <= MAX_VARS_PER_MEMBER
                 # hom.core is looked up per call, so rebinding it reaches here
                 kept = hom.core(g) if small else g
                 # the record's triples are mu's images, which the scan finds
                 # in the graph before any child test runs
                 own = TGraph(tuple(t for t in kept.tgraph if t not in found.pat))
-                tests.append((kept, hom.Plan(own, found.variables)))
-            yield tests[i]
-        found.complete = True
+                tests.append((kept, hom.Plan(own, variables)))
+            found.tests = tuple(tests)
+        return found.tests
 
     def frontier(self, nodes) -> tuple[int, ...]:
         """Nodes outside `nodes` whose parent lies inside it, sorted."""
@@ -298,6 +287,9 @@ class WdPT:
             and self.parents == other.parents
             and self.labels == other.labels
         )
+
+    def __hash__(self) -> int:
+        return hash((self.root, frozenset(self.parents.items()), frozenset(self.labels.items())))
 
     def __repr__(self) -> str:
         return f"WdPT(root={self.root}, nodes={len(self.labels)})"

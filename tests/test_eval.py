@@ -795,7 +795,7 @@ def test_child_tests_check_the_childs_own_triples_over_the_subtree(monkeypatch):
     own = folded = 0
     for tree in (tree for forest in forests for tree in forest):
         for record in tree._subtrees.values():
-            for g, plan in record.tests:
+            for g, plan in record.tests or ():
                 rest = [t for t in g.tgraph if t not in record.triples]
                 own += any(t.vars() <= record.variables for t in rest)
                 folded += not rest and not plan.order and not plan.first
@@ -829,7 +829,7 @@ def test_no_child_test_plans_a_triple_of_its_record(monkeypatch):
                 eval_pebble(forest, graph, mu, 1)
             for tree in forest:
                 for record in tree._subtrees.values():
-                    for g, p in record.tests:
+                    for g, p in record.tests or ():
                         source = built[id(p)]
                         assert set(source) == set(g.tgraph) - set(record.triples)
                         tests += 1
@@ -847,7 +847,7 @@ def test_the_cores_and_their_plans_go_with_the_tree():
     records = [
         tree.subtree_of(tree.vars(nodes)) for tree in forest for nodes in tree.subtree_nodesets()
     ]
-    cores = [g for record in records for g, _ in record.tests]
+    cores = [g for record in records for g, _ in record.tests or ()]
     assert cores and any(g.tgraph.plans() for g in cores)  # cores and plans are kept
     refs = [weakref.ref(g) for g in cores] + [weakref.ref(tree) for tree in forest]
     del records, cores, forest
@@ -890,6 +890,42 @@ def test_a_tree_builds_and_cores_its_children_once(monkeypatch):
             assert eval_forest(forest, graph, mu) is expected
             assert eval_pebble(forest, graph, mu, 1) is expected
     assert len(cored) == 2 and len(built) == 1
+
+
+def test_a_scan_that_stops_at_its_first_child_compiles_the_whole_record(monkeypatch):
+    """The first child extends mu, so the scan stops there, yet the record
+    then holds a test for every child; later scans, exact and relaxed,
+    core nothing more."""
+    import wdsparql.hom as hom
+
+    tree = WdPT(
+        0,
+        {1: 0, 2: 0, 3: 0},
+        {
+            0: parse_graph("?x p ?y"),
+            1: parse_graph("?y q ?z"),
+            2: parse_graph("?y r ?w\n?w r ?w"),
+            3: parse_graph("?y s ?v"),
+        },
+    )
+    cored = []
+
+    def counted_core(g):
+        cored.append(g)
+        return core(g)
+
+    monkeypatch.setattr(hom, "core", counted_core)
+    forest, graph, mu = WdPF((tree,)), parse_graph("a p b\nb q c"), m(x="a", y="b")
+    assert eval_forest(forest, graph, mu) is False
+    record = tree.subtree_of(mu.domain)
+    children = tree.child_tgraphs(record.nodes)
+    assert len(children) == 3
+    assert [g for g, _ in record.tests] == [core(g) for g in children]
+    assert len(cored) == 3
+    for _ in range(5):
+        assert eval_forest(forest, graph, mu) is False
+        assert eval_pebble(forest, graph, mu, 1) is False
+    assert len(cored) == 3
 
 
 def test_forest_past_the_caps_is_decided_on_its_children(monkeypatch):

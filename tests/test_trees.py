@@ -59,6 +59,18 @@ def test_to_forest_example_shape():
     assert t2.label(child) == tg("?z q ?x\n?w q ?z")
 
 
+def test_equal_forests_hash_equal():
+    """A forest hashes over its trees, so two translations of one text
+    hash equal and serve as one set member and one dict key; a different
+    pattern's forest is a different key."""
+    text = "((?x, p, ?y) OPT (?y, q, ?z))"
+    a, b = to_forest(parse_pattern(text)), to_forest(parse_pattern(text))
+    assert a == b and hash(a) == hash(b) and hash(a.trees[0]) == hash(b.trees[0])
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    other = to_forest(parse_pattern("((?x, p, ?y) OPT (?y, r, ?z))"))
+    assert other != a and other not in {a: 1}
+
+
 def test_to_forest_single_triple():
     forest = to_forest(parse_pattern("(?x,p,?y)"))
     assert len(forest) == 1 and len(forest.trees[0]) == 1
@@ -277,7 +289,7 @@ def test_child_tests_refuse_a_variable_set_naming_no_subtree():
     for variables in (frozenset(), frozenset({x}), frozenset({x, y, var("w")})):
         with pytest.raises(ValueError):
             tree.child_tests(variables)
-    assert tree.subtree_of(frozenset({x, y})).tests == []  # nothing compiled
+    assert tree.subtree_of(frozenset({x, y})).tests is None  # nothing compiled
     tests = list(tree.child_tests(frozenset({x, y, z})))
     assert [g for g, _ in tests] == [g for g, _ in tree.child_tests(frozenset({x, y, z}))]
     assert all(len(plan.order) == len(g.free_vars()) for g, plan in tests)
