@@ -7,7 +7,8 @@ Three routes:
   AND and OPT are one hash join per pair of operand domains, on the
   shared variables, and every intermediate result is capped at
   MAX_MAPPINGS mappings.  Intermediate results are plain dict rows,
-  grouped by domain, and only the final rows become `Mapping`s.
+  grouped by domain, and the final rows go to a `SolutionSet` as they
+  are.
 * `eval_forest` decides membership of a single mapping via the subtree
   characterization for NR-normal-form forests: one scan (`_decide`) finds
   mu's matched subtree in each tree (as `matched_subtree` does: one
@@ -19,7 +20,8 @@ Three routes:
   each tree's subtrees top down from the root's homomorphisms, deciding
   one frontier node at a time, so the search that tells whether a child
   extends a binding is also the one that extends it.  Its pending states
-  and found solutions share the MAX_MAPPINGS cap.
+  and found solutions share the MAX_MAPPINGS cap, and its solutions go to
+  a `SolutionSet` as binding rows too.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
   existential (k+1)-pebble game as the "child extends" test, decided by
   `pebble.duplicator_wins`, the one rule of the game's regimes: the
@@ -27,6 +29,10 @@ Three routes:
   under the pebbles, the consistency fixpoint otherwise.  Rejection is
   always correct; acceptance is guaranteed correct when the forest's
   domination width is at most k.
+
+A `SolutionSet` keeps each row as a tuple of values per domain, orders
+and prints the rows from the terms' names and texts, and makes a `Mapping`
+per answer only for a caller that iterates it, so `eval-all` makes none.
 
 The scan decides each child t-graph on its compiled test, which the tree
 keeps in the record of the matched subtree (`WdPT.child_tests`): the
@@ -56,47 +62,122 @@ triple.  No child test checks anything again (see `_decide`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Iterable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
-from .hom import all_homomorphisms, search
+from .hom import _plan, all_homomorphisms, search, search_all
 from .patterns import OPT, UNION, GraphPattern, Leaf, _postorder
 from .pebble import duplicator_wins
 from .terms import Mapping, TGraph, Term, Triple, key_getter
 from .trees import WdPF, WdPT
 
+_name = attrgetter("name")
+_first, _second = itemgetter(0), itemgetter(1)
+
 MAX_MAPPINGS = 1_000_000
 
 
-def _canonical(m: Mapping) -> tuple[list[str], list[str]]:
-    """A mapping's sort key: its domain's names, then its values' names.
-    Bindings are sorted by name, so the names come as the sorted domain."""
-    return [k.name for k, _ in m.bindings], [v.name for _, v in m.bindings]
+def _values_getter(domain: tuple[Term, ...]):
+    """A function from a row over `domain` to the tuple of its values there."""
+    if len(domain) > 1:
+        return itemgetter(*domain)
+    return lambda row: tuple(map(row.__getitem__, domain))
 
 
-@dataclass(frozen=True)
+def _by_names(tuples) -> list[tuple[tuple[str, ...], tuple[Term, ...]]]:
+    """Each tuple of terms with the tuple of its terms' names, in the order
+    of the names; no two tuples may have the same names."""
+    return sorted([(tuple(map(_name, t)), t) for t in tuples])
+
+
 class SolutionSet:
-    """A set of mappings in canonical order (sorted domain, then values)."""
+    """A set of mappings in canonical order: by the names of the domain's
+    variables, sorted, then by the names of their values in that order.
 
-    mappings: tuple[Mapping, ...] = ()
+    Both evaluators build it from their plain binding rows (`_of_rows`),
+    and `SolutionSet(mappings)` reads each mapping's dict the same way.  A
+    row is kept as its domain, the tuple of its variables sorted by name,
+    and the tuple of its values there: duplicates meet in a set, the order
+    sorts tuples of names, and `str` (one mapping per line) fills each
+    domain's line with the values' texts.  A `Mapping` per answer is made
+    only when the set is iterated or `mappings` is read, and kept.
+    Iteration, `len`, `in`, `==`, `hash` and `repr` are those of the set
+    of those mappings in that order."""
 
-    def __post_init__(self):
-        members = frozenset(self.mappings)
-        unique = sorted(members, key=_canonical)
-        object.__setattr__(self, "mappings", tuple(unique))
-        object.__setattr__(self, "_members", members)
+    __slots__ = ("_parts", "_mappings")
+
+    def __init__(self, mappings: Iterable[Mapping] = ()):
+        self._fill([m._map for m in mappings])
+
+    @classmethod
+    def _of_rows(cls, rows: Iterable[dict[Term, Term]]) -> "SolutionSet":
+        """The set of the rows, each a dict from variables to IRIs that
+        nothing changes any more."""
+        found = object.__new__(cls)
+        found._fill(rows)
+        return found
+
+    def _fill(self, rows) -> None:
+        members: dict[tuple[Term, ...], set[tuple[Term, ...]]] = {}
+        # a row's keys, in the row's own order -> (its values' getter, add)
+        seen: dict[tuple[Term, ...], tuple] = {}
+        for row in rows:
+            keys = tuple(row)
+            hit = seen.get(keys)
+            if hit is None:
+                domain = tuple(sorted(keys, key=_name))
+                hit = seen[keys] = (_values_getter(domain), members.setdefault(domain, set()).add)
+            hit[1](hit[0](row))
+        # domain -> (values -> their names), both in canonical order
+        self._parts = {
+            domain: {values: names for names, values in _by_names(members[domain])}
+            for _, domain in _by_names(members)
+        }
+        self._mappings = None
+
+    @property
+    def mappings(self) -> tuple[Mapping, ...]:
+        found = self._mappings
+        if found is None:
+            found = self._mappings = tuple(
+                Mapping._valid(zip(domain, values))
+                for domain, rows in self._parts.items()
+                for values in rows
+            )
+        return found
 
     def __iter__(self):
         return iter(self.mappings)
 
     def __len__(self) -> int:
-        return len(self.mappings)
+        return sum(map(len, self._parts.values()))
 
-    def __contains__(self, m: Mapping) -> bool:
-        return m in self._members
+    def __contains__(self, m) -> bool:
+        if not isinstance(m, Mapping):
+            return False
+        rows = self._parts.get(tuple(map(_first, m.bindings)))
+        return rows is not None and tuple(map(_second, m.bindings)) in rows
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._parts == other._parts
+
+    def __hash__(self) -> int:
+        return hash(self.mappings)
+
+    def __repr__(self) -> str:
+        return f"SolutionSet(mappings={self.mappings!r})"
 
     def __str__(self) -> str:
-        return "\n".join(str(m) for m in self.mappings)
+        lines: list[str] = []
+        for domain, rows in self._parts.items():
+            # an IRI's name is its text
+            line = "{" + ", ".join([f"{x._text}=%s" for x in domain]) + "}"
+            lines += [line % names for names in rows.values()]
+        return "\n".join(lines)
 
 
 # An intermediate result of eval_naive: groups of plain dict rows, each
@@ -199,8 +280,8 @@ def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
     """The compositional set semantics; `p` need not be well designed.
 
     Evaluated bottom up, in one sweep over the nodes in post-order (left
-    operand first), over plain dict rows grouped by domain (`Rows`); only
-    the final rows become `Mapping`s.  An intermediate result of more than
+    operand first), over plain dict rows grouped by domain (`Rows`); the
+    final rows make the `SolutionSet`.  An intermediate result of more than
     MAX_MAPPINGS rows raises `InstanceTooLarge`."""
     _check(graph)
     done: list[tuple[Rows, int]] = []  # each result with its number of rows
@@ -219,7 +300,7 @@ def eval_naive(p: GraphPattern, graph: TGraph) -> SolutionSet:
                 size = left_size + right_size
         _check_size(size)
         done.append((groups, size))
-    return SolutionSet(tuple(Mapping._valid(row) for rows in done[0][0] for row in rows))
+    return SolutionSet._of_rows(chain.from_iterable(done[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,38 +369,38 @@ def eval_forest(forest: WdPF, graph: TGraph, mu: Mapping) -> bool:
     return _decide(forest, graph, mu, None)
 
 
-def _tree_solutions(tree: WdPT, graph: TGraph, found: list[Mapping]) -> None:
-    """Append the solutions of one tree to `found`, top down: each state is
-    a binding of the nodes taken so far and the frontier still to decide.
-    A frontier node with no extension of the binding is dropped; otherwise
-    each extension takes it, and its children join the frontier.  By
-    well-designedness a node meets the taken nodes only in its parent's
-    variables, so its extensions depend on those values alone and are
-    searched once per (node, values), from the node's label, which keeps
-    the plan of that search for every later call; siblings are decided
-    independently, so each (subtree, homomorphism) pair comes out once.
-    The pending states plus `found` are held to MAX_MAPPINGS, checked
-    whenever either grows."""
-    shared = {
-        c: tuple(tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
+def _tree_solutions(tree: WdPT, graph: TGraph, found: list[dict[Term, Term]]) -> None:
+    """Append the solutions of one tree to `found` as binding rows, top
+    down: each state is a binding of the nodes taken so far and the
+    frontier still to decide.  A frontier node with no extension of the
+    binding is dropped; otherwise each extension takes it, and its
+    children join the frontier.  By well-designedness a node meets the
+    taken nodes only in its parent's variables, so its extensions depend
+    on those values alone and are searched once per (node, values): each
+    node's plan pins those variables (the plan its label keeps for every
+    later call), is read once per call, and runs on the state's own
+    binding; siblings are decided independently, so each (subtree,
+    homomorphism) pair comes out once.  The pending states plus `found`
+    are held to MAX_MAPPINGS, checked whenever either grows."""
+    plans = {
+        c: _plan(tree.label(c), tree.node_vars(c) & tree.node_vars(p)) for c, p in tree.parents.items()
     }
-    extensions: dict[tuple[int, tuple[Term, ...]], list[dict[Term, Term]]] = {}
+    extensions: dict[tuple, list[dict[Term, Term]]] = {}
     kids = tree.children(tree.root)
     stack = [(h, kids) for h in all_homomorphisms(tree.label(tree.root), graph)]
     _check_size(len(stack) + len(found))
     while stack:
         binding, frontier = stack.pop()
         if not frontier:
-            found.append(Mapping._valid(binding))
+            found.append(binding)
             _check_size(len(stack) + len(found))
             continue
         c, rest = frontier[0], frontier[1:]
-        pins = shared[c]
-        values = tuple(binding[x] for x in pins)
-        exts = extensions.get((c, values))
+        plan = plans[c]
+        key = (c, *map(binding.__getitem__, plan.pinned))
+        exts = extensions.get(key)
         if exts is None:
-            fixed = dict(zip(pins, values))
-            exts = extensions[c, values] = all_homomorphisms(tree.label(c), graph, fixed)
+            exts = extensions[key] = search_all(plan, graph, binding)
         if not exts:
             stack.append((binding, rest))
         else:
@@ -341,10 +422,10 @@ def enumerate_solutions(forest: WdPF, graph: TGraph) -> SolutionSet:
     raise `InstanceTooLarge`, as in `eval_naive`.
     """
     _check(graph)
-    found: list[Mapping] = []
+    found: list[dict[Term, Term]] = []
     for tree in forest:
         _tree_solutions(tree, graph, found)
-    return SolutionSet(tuple(found))
+    return SolutionSet._of_rows(found)
 
 
 def eval_pebble(forest: WdPF, graph: TGraph, mu: Mapping, k: int) -> bool:

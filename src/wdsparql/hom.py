@@ -51,7 +51,9 @@ is a membership test at the start.
 A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
 a target keeps its indexes: `_plan` builds one on the first search of its
 shape.  A subtree record holds one beside each child test, which `search`
-runs, and the `HomCache` interns each residual as a t-graph, so that
+runs; `evaluator.enumerate_solutions` reads the plan of each tree node
+once per call and runs it through `search_all`, which returns every
+solution; and the `HomCache` interns each residual as a t-graph, so that
 members sharing it share its plans.  A plan holds no reference to its
 t-graph, which would put every searched t-graph in a reference cycle.
 `core` plans each intermediate t-graph once for all its tries, and tries
@@ -325,6 +327,14 @@ def search(plan: Plan, target: TGraph, fixed: dict[Term, Term]) -> dict[Term, Te
     own once per call."""
     found = _solve(plan, target, fixed)
     return found[0] if found else None
+
+
+def search_all(plan: Plan, target: TGraph, fixed: dict[Term, Term]) -> list[dict[Term, Term]]:
+    """Every homomorphism the plan finds into the target, with the values
+    `fixed` gives its pinned variables; as `search`, nothing is checked and
+    `fixed` is read as it is.  `evaluator._tree_solutions` runs each
+    node's plan here on a state's own binding."""
+    return _solve(plan, target, fixed, find_all=True)
 
 
 def find_homomorphism(

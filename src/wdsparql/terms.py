@@ -275,9 +275,12 @@ def substitute(triple: Triple, sub: dict[Term, Term]) -> Triple:
 def _keyed(triples, mask: tuple[int, ...], ties: tuple[tuple[int, int], ...]) -> dict:
     """`triples` under their terms at the positions of `mask` (the key
     `key_getter(mask)` reads), only those holding equal terms at each pair
-    of `ties`, each list in the order of `triples`."""
+    of `ties`, each list in the order of `triples`.  With an empty mask
+    every kept triple is under the one key ()."""
     if ties:
         triples = [u for u in triples if all(u[i] == u[j] for i, j in ties)]
+    if not mask:
+        return {(): list(triples)} if triples else {}
     found: dict = {}
     for key, u in zip(map(key_getter(mask), triples), triples):
         hits = found.get(key)

@@ -41,6 +41,7 @@ from wdsparql.randgen import (
     random_forest,
     random_rdf_graph,
     random_tree,
+    random_wd_pattern,
 )
 from wdsparql.terms import Mapping, TGraph, Triple, iri, parse_graph, substitute, var
 from wdsparql.trees import WdPF, WdPT, forest_pattern, to_forest
@@ -207,6 +208,28 @@ def test_solution_set_membership_and_order():
     ss = SolutionSet((b, a, a))
     assert list(ss) == [a, b]
     assert a in ss and b in ss and m(z="d") not in ss
+    # the rows path (what both evaluators hand over) and the mappings path
+    # agree; the rows repeat some answers and mix three domains
+    answers = [m(x="b", y="c"), m(x="a"), m(y="a", z="b"), m(x="a", y="c"), m(x="b")]
+    rows = [dict(mu.items()) for mu in answers + answers[::2]]
+    from_rows = SolutionSet._of_rows(rows)
+    from_mappings = SolutionSet(tuple(answers[::-1]))
+    canonical = [m(x="a"), m(x="b"), m(x="a", y="c"), m(x="b", y="c"), m(y="a", z="b")]
+    assert list(from_rows) == list(from_mappings) == canonical
+    assert len(from_rows) == len(from_mappings) == 5
+    assert from_rows == from_mappings and hash(from_rows) == hash(from_mappings)
+    assert repr(from_rows) == repr(from_mappings) == f"SolutionSet(mappings={tuple(canonical)!r})"
+    assert str(from_rows) == str(from_mappings) == "\n".join(map(str, canonical))
+    assert from_rows != SolutionSet(canonical[:4]) and from_rows != canonical
+    for ss in (from_rows, from_mappings):
+        assert all(mu in ss for mu in answers)  # duplicates and mixed domains
+        # the same values under another variable miss
+        assert m(z="a") not in ss and m(x="a", z="c") not in ss and m(y="b", z="a") not in ss
+        assert m(x="c") not in ss and m(x="a", y="b") not in ss and "x" not in ss
+        # the mappings are made once and kept
+        assert ss.mappings is ss.mappings
+    assert SolutionSet() == SolutionSet._of_rows([]) and not SolutionSet()
+    assert str(SolutionSet._of_rows([{}, {}])) == "{}" and Mapping() in SolutionSet._of_rows([{}])
 
 
 def test_forest_family_has_expected_solutions():
@@ -346,6 +369,29 @@ def test_hash_join_matches_nested_loops():
     assert answered >= 150 and not_wd >= 60 and mixed >= 30, (answered, not_wd, mixed)
 
 
+def test_both_evaluators_print_the_canonical_bytes():
+    """`str` of either evaluator's answers is the nested-loop oracle's
+    answers, each printed as a `Mapping`, one per line, sorted by their
+    domain's names, then their values' names: the eval-all output of both
+    modes.  The patterns hold UNION and OPT, so domains mix, and on some
+    of them the printed lines sorted as text come in another order."""
+    rng = random.Random(181)
+    mixed = differs = 0
+    for _ in range(200):
+        p = random_wd_pattern(rng, max_trees=3, max_nodes=4)
+        graph = random_rdf_graph(rng, max_iris=4, max_triples=12)
+        answers = eval_naive_by_nested_loops(p, graph)
+        ordered = sorted(
+            answers, key=lambda mu: ([k.name for k, _ in mu.items()], [v.name for _, v in mu.items()])
+        )
+        lines = [str(mu) for mu in ordered]
+        assert str(eval_naive(p, graph)) == "\n".join(lines), serialize_pattern(p)
+        assert str(enumerate_solutions(to_forest(p), graph)) == "\n".join(lines), serialize_pattern(p)
+        mixed += len({mu.domain for mu in answers}) > 1
+        differs += sorted(lines) != lines
+    assert mixed >= 30 and differs >= 5, (mixed, differs)
+
+
 def opt_count(p) -> int:
     return 0 if isinstance(p, Leaf) else (p.op == OPT) + opt_count(p.left) + opt_count(p.right)
 
@@ -436,6 +482,56 @@ def test_enumeration_matches_the_oracles_on_deeper_forests():
         probe = random_candidate_mapping(rng, forest, graph)
         assert eval_forest_by_enumeration(forest, graph, probe) == (probe in sols)
     assert outcomes["grandchild"] >= 20 and outcomes["sibling dropped"] >= 20, outcomes
+
+
+def test_enumeration_plans_each_node_once_and_searches_once_per_pinned_values(monkeypatch):
+    """The first enumeration over a forest compiles at most one plan per
+    tree node, and a second one compiles none.  Each node's plan pins the
+    variables it shares with its parent, and one enumeration searches it
+    once per distinct value of them, however many bindings of the other
+    taken variables reach the node with that value."""
+    import wdsparql.evaluator as evaluator
+    import wdsparql.hom as hom
+
+    planned, searched = [], []
+    plan, find_all = hom.Plan, hom.search_all
+
+    def counted_plan(source, pinned=()):
+        planned.append(source)
+        return plan(source, pinned)
+
+    def spied_search_all(p, graph, fixed):
+        searched.append((p, tuple(fixed[x] for x in p.pinned)))
+        return find_all(p, graph, fixed)
+
+    monkeypatch.setattr(hom, "Plan", counted_plan)
+    monkeypatch.setattr(evaluator, "search_all", spied_search_all)
+
+    def enumerate_twice(forest, graph):
+        del planned[:], searched[:]
+        first = enumerate_solutions(forest, graph)
+        assert len(planned) <= sum(len(tree.nodes) for tree in forest)
+        assert len(searched) == len(set(searched))
+        runs = list(searched)
+        del planned[:], searched[:]
+        assert enumerate_solutions(forest, graph) == first
+        assert not planned and searched == runs
+        return runs
+
+    # two bindings of ?y reach n1 with ?x = a, and each of them reaches n2
+    # with ?z = d and with ?z = e
+    forest = to_forest(parse_pattern("((?x, p, ?y) OPT ((?x, q, ?z) OPT (?z, r, ?w)))"))
+    graph = parse_graph("a p b\na p c\na q d\na q e\nd r f\ne r f")
+    runs = enumerate_twice(forest, graph)
+    assert len(enumerate_solutions(forest, graph)) == 4
+    assert len(runs) == 3 and {values for _, values in runs} == {(iri("a"),), (iri("d"),), (iri("e"),)}
+
+    rng = random.Random(191)
+    searching = 0
+    for _ in range(100):
+        forest = random_forest(rng, max_nodes=5)
+        searching += bool(enumerate_twice(forest, random_rdf_graph(rng, max_iris=3, max_triples=20)))
+    assert searching >= 25, searching
 
 
 # ---------------------------------------------------------------------------
