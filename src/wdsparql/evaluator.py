@@ -13,13 +13,15 @@ Three routes:
   characterization for NR-normal-form forests: one scan (`_decide`) finds
   mu's matched subtree in each tree (as `matched_subtree` does: one
   lookup of the record the tree keeps for dom(mu), and the graph is
-  asked only for its image) and accepts when no child of it "extends",
-  each child decided by the compiled test its record keeps; here the
-  test is exact, the test's homomorphism search.  `enumerate_solutions`
-  turns the same characterization into a solution enumerator: it grows
-  each tree's subtrees top down from the root's homomorphisms, deciding
-  one frontier node at a time, so the search that tells whether a child
-  extends a binding is also the one that extends it.  Its pending states
+  asked only for its image, by the record's compiled check) and accepts
+  when no child of it "extends", each child decided by the compiled test
+  its record keeps; here the test is exact, the test's homomorphism
+  search, which stops at its first solution (`hom.exists`).
+  `enumerate_solutions` turns the same characterization into a solution
+  enumerator: it grows each tree's subtrees top down from the root's
+  homomorphisms, deciding one frontier node at a time, so the search
+  that tells whether a child extends a binding is also the one that
+  extends it.  Its pending states
   and found solutions share the MAX_MAPPINGS cap, and its solutions go to
   a `SolutionSet` as binding rows too.
 * `eval_pebble` is the polynomial-time relaxation: the same scan, with the
@@ -39,11 +41,16 @@ keeps in the record of the matched subtree (`WdPT.child_tests`): the
 child's core and the plan of the search that pins the subtree's
 variables, built for every child of the record when a scan first
 reaches it, so evaluation reads no width analysis.  The record's
-pattern triples are checked once per tree, by `Mapping.images_in`,
-before any test runs, so the plan is compiled from the core minus them:
-a search finds only the child's own triples.  Both tests read the same
-on a child and on its core: the two are homomorphically equivalent with the distinguished
-variables fixed, and a homomorphism extending mu exists
+pattern triples are checked once per tree, before any test runs, by the
+check the record compiles when a decision first reaches it
+(`SubtreeRecord.check`, run by `_holds`): mu's values and the pattern's
+IRIs in one tuple, and per triple a getter of its image from that tuple,
+looked up in the graph's `triple_set`.  So the plan is compiled from the
+core minus them: a search finds only the child's own triples, and it
+fetches the graph's indexes once per graph and plan (`hom._solve`).
+Both tests read the same on a child and on its core: the two are
+homomorphically equivalent with the distinguished variables fixed, and
+a homomorphism extending mu exists
 from one iff it exists from the other (compose with the map between
 them), while the existential pebble game is preserved in the same way,
 its Duplicator strategies carried across by those maps (Kolaitis and
@@ -67,23 +74,16 @@ from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import InstanceTooLarge, InvalidK, NonGroundGraph
-from .hom import _plan, all_homomorphisms, search, search_all
+from .hom import _plan, all_homomorphisms, exists, search_all
 from .patterns import OPT, UNION, GraphPattern, Leaf, _postorder
 from .pebble import duplicator_wins
-from .terms import Mapping, TGraph, Term, Triple, key_getter
-from .trees import WdPF, WdPT
+from .terms import Mapping, TGraph, Term, Triple, key_getter, tuple_getter
+from .trees import SubtreeRecord, WdPF, WdPT
 
 _name = attrgetter("name")
 _first, _second = itemgetter(0), itemgetter(1)
 
 MAX_MAPPINGS = 1_000_000
-
-
-def _values_getter(domain: tuple[Term, ...]):
-    """A function from a row over `domain` to the tuple of its values there."""
-    if len(domain) > 1:
-        return itemgetter(*domain)
-    return lambda row: tuple(map(row.__getitem__, domain))
 
 
 def _by_names(tuples) -> list[tuple[tuple[str, ...], tuple[Term, ...]]]:
@@ -128,7 +128,7 @@ class SolutionSet:
             hit = seen.get(keys)
             if hit is None:
                 domain = tuple(sorted(keys, key=_name))
-                hit = seen[keys] = (_values_getter(domain), members.setdefault(domain, set()).add)
+                hit = seen[keys] = (tuple_getter(domain), members.setdefault(domain, set()).add)
             hit[1](hit[0](row))
         # domain -> (values -> their names), both in canonical order
         self._parts = {
@@ -319,9 +319,23 @@ def matched_subtree(tree: WdPT, graph: TGraph, mu: Mapping) -> frozenset[int] | 
     (NR normal form), every node holding that variable lies below it
     (connectedness), so the walk misses that variable and finds none."""
     hit = tree.subtree_of(mu.domain)
-    if hit is None or not mu.images_in(hit.triples, graph):
+    if hit is None or not _holds(hit, mu._map, graph):
         return None
     return hit.nodes
+
+
+def _holds(record: SubtreeRecord, binding: dict[Term, Term], graph: TGraph) -> bool:
+    """Whether the graph holds the image under `binding`, a dict over
+    exactly the record's variables, of each of its pattern triples, by the
+    record's compiled check: one tuple of values, and each image read from
+    it as a plain tuple of terms and looked up in `triple_set`."""
+    pick, consts, images = record.check
+    vals = pick(binding) + consts
+    full = graph.triple_set
+    for image in images:
+        if image(vals) not in full:
+            return False
+    return True
 
 
 def _check(graph: TGraph) -> None:
@@ -337,23 +351,24 @@ def _decide(forest: WdPF, graph: TGraph, mu: Mapping, k: int | None) -> bool:
 
     Each child is decided by the compiled test the tree keeps for it
     (`WdPT.child_tests`), a core and its search plan, run on mu's own
-    binding dict.  The record's pattern triples, which every core keeps,
-    are checked here once, by `images_in`, and no plan holds them.  The
-    graph is checked once per call (`_check`).  The one check of a
-    single test left out is `hom.check_target`'s domain
-    check, which holds by construction: the matched subtree's record has
-    exactly dom(mu) as its variables, and every child and its core take
-    them as their distinguished variables."""
+    binding dict by `hom.exists`.  The record's pattern triples, which
+    every core keeps, are checked here once, by the record's compiled
+    check (`_holds`), and no plan holds them.  The graph is checked once
+    per call (`_check`).  The one check of a single test left out is
+    `hom.check_target`'s domain check, which holds by construction: the
+    matched subtree's record has exactly dom(mu) as its variables, and
+    every child and its core take them as their distinguished
+    variables."""
     _check(graph)
     variables, binding = mu.domain, mu._map
     for tree in forest.trees:
         record = tree.subtree_of(variables)
-        if record is None or not mu.images_in(record.triples, graph):
+        if record is None or not _holds(record, binding, graph):
             continue
         tests = record.tests
         for g, plan in tree.child_tests(variables) if tests is None else tests:
             if k is None:
-                if search(plan, graph, binding) is not None:
+                if exists(plan, graph, binding):
                     break
             elif duplicator_wins(g, plan, graph, mu, k):
                 break
@@ -397,7 +412,7 @@ def _tree_solutions(tree: WdPT, graph: TGraph, found: list[dict[Term, Term]]) ->
             continue
         c, rest = frontier[0], frontier[1:]
         plan = plans[c]
-        key = (c, *map(binding.__getitem__, plan.pinned))
+        key = (c, *plan.pick(binding))
         exts = extensions.get(key)
         if exts is None:
             exts = extensions[key] = search_all(plan, graph, binding)

@@ -423,8 +423,9 @@ def _check_gadget(
     original is such an image.  Through the projection the check reads
     alike on a gadget and on its frozen graph."""
     tgraph = gadget.tgraph if isinstance(gadget, GeneralizedTGraph) else gadget
-    # each triple under the projection, column by column, as plain tuples
-    # as in `Mapping.images_in`
+    # each triple under the projection, column by column, as plain tuples,
+    # which equal the `Triple`s of the same terms (as in the evaluator's
+    # compiled record checks, `evaluator._holds`)
     get = projection.get
     projected = set(zip(*(map(get, c, c) for c in zip(*tgraph.triples))))
     dist = original.dist

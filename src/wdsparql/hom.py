@@ -22,6 +22,10 @@ values; the position it outputs), answered by one read of the target's
 predicate's triples alone, or, with every position bound, a membership
 test in `TGraph.members`, and no `Triple` is built while searching.
 `_solve` runs a plan on a target with values for the pinned variables.
+It fetches the plan's indexes and sets from a target once: the first
+search of a plan on a target binds each lookup to its index and keeps
+the list in the target's table (`TGraph.readers`), which every later
+search of that plan there reads as it is.
 A triple is checked at the level of its last variable, and the first
 triple checked there is the level's driver.  The level's
 candidates are the terms at its variable's position over the target's
@@ -50,12 +54,17 @@ is a membership test at the start.
 
 A source t-graph keeps its plans, one per pinned set (`TGraph.plans`), as
 a target keeps its indexes: `_plan` builds one on the first search of its
-shape.  A subtree record holds one beside each child test, which `search`
-runs; `evaluator.enumerate_solutions` reads the plan of each tree node
+shape.  A subtree record holds one beside each child test, which
+`exists` runs: it stops at the first solution and builds no dict, as
+the scan and the pebble game's homomorphism regime need only the
+answer, and so does the `HomCache`; `search` returns the first
+solution for the callers that read it, and
+`evaluator.enumerate_solutions` reads the plan of each tree node
 once per call and runs it through `search_all`, which returns every
 solution; and the `HomCache` interns each residual as a t-graph, so that
 members sharing it share its plans.  A plan holds no reference to its
-t-graph, which would put every searched t-graph in a reference cycle.
+t-graph, or to a target, which would put every searched t-graph, and
+every target in whose table it lies, in a reference cycle.
 `core` plans each intermediate t-graph once for all its tries, and tries
 to drop only triples that hold a variable outside X, so a t-graph with
 nothing to try is not planned.
@@ -70,7 +79,7 @@ from typing import Iterable
 
 from .errors import DomainMismatch, MismatchedDistinguishedSets, NonGroundGraph, SearchTooLarge
 from .graphs import UndirectedGraph, treewidth
-from .terms import Mapping, TGraph, Term, Triple, access_path, key_getter, substitute
+from .terms import Mapping, TGraph, Term, Triple, access_path, key_getter, substitute, tuple_getter
 
 # The most candidate values one search (one `_solve` call) tries before it
 # raises SearchTooLarge; without it a search that finds nothing may try
@@ -139,37 +148,42 @@ def _connected_order(source: TGraph, free: list[Term], occurrences: dict[Term, i
 class Plan:
     """A homomorphism search from `source`, compiled once for the set of
     its variables in `pinned`, whose values each run gives; only the
-    target and those values vary from run to run, and nothing of either is
-    kept, so one plan serves any number of targets and pin values.
+    target and those values vary from run to run, and the plan keeps
+    nothing of either, so one plan serves any number of targets and pin
+    values.
 
     It holds the variable order (`_connected_order` of the unpinned
     variables), and each source variable, pinned ones first, then in that
     order, and each IRI of the source a slot in the run's list of values:
-    `names` are the variables by slot, and `tail` is that list past the
-    pinned values (blanks to assign, then the IRIs), which a run copies.
+    `names` are the variables by slot, `pick` reads the pinned values
+    from a dict, and `tail` is that list past the pinned values (blanks to
+    assign, then the IRIs), which a run copies.
     So `len(order)` is the number of free variables of a search.
     Every lookup is an access path: the (mask, ties, predicate) of
     `terms.access_path`, a key getter over the slots, the position it
     outputs and the level whose candidates it gives, if any.  A triple
-    with no unpinned variable is a lookup at the start with every position bound
-    (a membership test); so is every other triple at the level of its
-    last variable but the level's driver, whose look-ahead gave the
-    level's candidates.  A triple's look-ahead, with
-    one variable free, runs at the start when it has only one unpinned
+    with no unpinned variable is a lookup at the start with every
+    position bound (a membership test); so is every other triple at the
+    level of its last variable but the level's driver, whose look-ahead
+    gave the level's candidates.  A triple's look-ahead, with one
+    variable free, runs at the start when it has only one unpinned
     variable, and otherwise at the level of its last variable but one.  A
-    level with no driver keeps the lookups of every triple holding its
-    variable, read at the start by `_domain`.  No `Triple` is built: each
-    key is read from the slots, and each lookup is one read of the target's
-    `TGraph.by_mask` index for its mask and predicate, or, with every
-    position bound, one membership test in `TGraph.members` of its
-    predicate; each index and set is fetched once at the start of a run.
+    level with no driver keeps, in `domains` beside its index, the
+    lookups of every triple holding its variable, read at the start by
+    `_domain`.  No `Triple` is built: each key is read from the slots,
+    and each lookup is one read of the target's `TGraph.by_mask` index
+    for its mask and predicate, or, with every position bound, one
+    membership test in `TGraph.members` of its predicate; each index and
+    set is fetched once per target and plan, and kept in the target's
+    `TGraph.readers`.
     """
 
-    __slots__ = ("pinned", "order", "names", "tail", "masks", "first", "levels", "domains")
+    __slots__ = ("pinned", "pick", "order", "names", "tail", "masks", "first", "levels", "domains")
 
     def __init__(self, source: TGraph, pinned: Iterable[Term] = ()):
         src_vars = source.vars()
         self.pinned = tuple(sorted(src_vars.intersection(pinned), key=str))
+        self.pick = tuple_getter(self.pinned)
         occurrences: dict[Term, int] = dict.fromkeys(src_vars, 0)
         for t in source:
             for x in t:
@@ -213,8 +227,9 @@ class Plan:
             (ahead[steps[-2]] if len(steps) > 1 else self.first).append(look)
         self.levels = [c + a for c, a in zip(checks, ahead)]
         self.domains = [
-            None if driven[i] else [path(t, pinned_set, v) for t in source if v in t.vars()]
+            (i, [path(t, pinned_set, v) for t in source if v in t.vars()])
             for i, v in enumerate(order)
+            if not driven[i]
         ]
         self.masks = tuple(masks)
 
@@ -245,29 +260,37 @@ def _solve(
     fixed: dict[Term, Term],
     *,
     find_all: bool = False,
-) -> list[dict[Term, Term]]:
+    build: bool = True,
+) -> list:
     """All (or the first) substitutions h with dom(h) = vars(source) mapping
     every source triple into the target, where `fixed` gives the values of
-    the plan's pinned variables (other keys are ignored).
+    the plan's pinned variables (other keys are ignored); without `build`
+    each is None, so the list tells only whether one exists, and no dict
+    is made.
 
-    Depth first over the plan's order, with an explicit stack of candidate
-    iterators, one per assigned variable, so that the depth of the search
-    is not bounded by the interpreter's recursion limit.  A level's
-    candidates are the values at its variable's position over the target's
-    matches of its driver, each once and in `str` order, or its `_domain`;
-    an empty one, or a failed lookup at the start, returns [] at once.  A
-    value passes when every lookup of its level finds a match.  Past
-    MAX_SEARCH_NODES values tried, `SearchTooLarge` is raised.
+    The plan's lookups come bound to the target's indexes from the
+    target's table (`TGraph.readers`), filled here on the first search of
+    the plan on that target.  Depth first over the plan's order, with an
+    explicit stack of candidate iterators, one per assigned variable, so
+    that the depth of the search is not bounded by the interpreter's
+    recursion limit.  A level's candidates are the values at its
+    variable's position over the target's matches of its driver, each
+    once and in `str` order, or its `_domain`; an empty one, or a failed
+    lookup at the start, returns [] at once.  A value passes when every
+    lookup of its level finds a match.  Past MAX_SEARCH_NODES values
+    tried, `SearchTooLarge` is raised.
     """
     names = plan.names
-    vals = [fixed[v] for v in plan.pinned]
-    vals += plan.tail
-    # a lookup with every position bound tests membership; the others
-    # read their index
-    indexes = [
-        target.members(p).__contains__ if len(mask) == 3 else target.by_mask(mask, ties, p).get
-        for mask, ties, p in plan.masks
-    ]
+    vals = [*plan.pick(fixed), *plan.tail]
+    table = target.readers()
+    indexes = table.get(plan)
+    if indexes is None:
+        # a lookup with every position bound tests membership; the others
+        # read their index
+        indexes = table[plan] = [
+            target.members(p).__contains__ if len(mask) == 3 else target.by_mask(mask, ties, p).get
+            for mask, ties, p in plan.masks
+        ]
     order = plan.order
     cands: list[list[Term] | None] = [None] * len(order)
     for m, get, pos, j in plan.first:
@@ -276,19 +299,18 @@ def _solve(
             return []
         if j is not None:
             cands[j] = [u[pos] for u in hits]
-    for i, paths in enumerate(plan.domains):
-        if paths is not None:
-            cands[i] = _domain(paths, indexes, vals)
-            if not cands[i]:
-                return []
+    for i, paths in plan.domains:
+        cands[i] = _domain(paths, indexes, vals)
+        if not cands[i]:
+            return []
     if not order:
-        return [dict(zip(names, vals))]
+        return [dict(zip(names, vals)) if build else None]
 
     levels = plan.levels
     base = len(plan.pinned)
     cap = MAX_SEARCH_NODES
     tried = 0
-    solutions: list[dict[Term, Term]] = []
+    solutions: list = []
     stack = [iter(cands[0])]
     while stack:
         i = len(stack) - 1
@@ -312,19 +334,28 @@ def _solve(
         if i + 1 < len(order):
             stack.append(iter(cands[i + 1]))
         else:
-            solutions.append(dict(zip(names, vals)))
+            solutions.append(dict(zip(names, vals)) if build else None)
             if not find_all:
                 break
     return solutions
 
 
+def exists(plan: Plan, target: TGraph, fixed: dict[Term, Term]) -> bool:
+    """Whether the plan finds a homomorphism into the target, with the
+    values `fixed` gives its pinned variables: the search stops at its
+    first solution and builds no dict.  Nothing is checked and `fixed` is
+    read as it is, not copied: `evaluator`'s scan (`_decide`), which runs
+    every child test through here, checks its own inputs once per call,
+    `pebble.pebble_wins` checks its inputs first, and the `HomCache` pins
+    the distinguished variables to themselves."""
+    return bool(_solve(plan, target, fixed, build=False))
+
+
 def search(plan: Plan, target: TGraph, fixed: dict[Term, Term]) -> dict[Term, Term] | None:
     """The first homomorphism the plan finds into the target, with the
-    values `fixed` gives its pinned variables, or None.  Nothing is
-    checked and `fixed` is read as it is, not copied: `maps_into_graph`
-    and `pebble.pebble_wins` check their inputs first, and `evaluator`'s
-    scan (`_decide`), which runs every child test through here, checks its
-    own once per call."""
+    values `fixed` gives its pinned variables, or None; as `exists`,
+    nothing is checked and `fixed` is read as it is.  `maps_into_graph`
+    checks its inputs first."""
     found = _solve(plan, target, fixed)
     return found[0] if found else None
 

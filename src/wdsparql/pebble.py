@@ -4,8 +4,9 @@ With at least as many pebbles as free variables (|free| <= k) the Spoiler
 can pebble every free variable at once, so the Duplicator wins exactly when
 a homomorphism extending mu exists (Kolaitis and Vardi 2000).
 `duplicator_wins`, the one place that picks the regime, then runs the
-homomorphism search, which covers at most k free variables and so stays
-inside the game's own |dom|^k bound, and builds no family.  It takes the
+homomorphism search (`hom.exists`, which stops at its first solution),
+which covers at most k free variables and so stays inside the game's
+own |dom|^k bound, and builds no family.  It takes the
 search's `hom.Plan`, whose order counts the free variables: `pebble_wins`
 checks its inputs and looks the plan up, and `evaluator.eval_pebble`
 passes the plan each child test keeps.
@@ -58,7 +59,7 @@ t-graphs, whose free variables fit under the pebbles more often.
 from __future__ import annotations
 
 from .errors import InvalidK, SearchTooLarge
-from .hom import GeneralizedTGraph, Plan, _plan, check_target, search
+from .hom import GeneralizedTGraph, Plan, _plan, check_target, exists
 from .terms import Mapping, TGraph, Term, substitute
 
 _Member = frozenset  # of (variable, iri) pairs
@@ -225,7 +226,7 @@ def duplicator_wins(g: GeneralizedTGraph, plan: Plan, graph: TGraph, mu: Mapping
     subtree's pattern, `trees.WdPT.child_tests`); it keeps every free
     variable, and the fixpoint still reads all of g."""
     if len(plan.order) <= k:  # the Spoiler can pebble every free variable
-        return search(plan, graph, mu._map) is not None
+        return exists(plan, graph, mu._map)
     return frozenset() in _fixpoint(g, graph, mu, k)
 
 

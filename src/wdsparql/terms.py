@@ -37,9 +37,13 @@ homomorphism search compiles its lookups by it and reads an index
 directly, with keys of terms and no `Triple` built, and
 `TGraph.matching` answers "which triples can this pattern triple map
 onto, with these values for some of its variables", for the evaluator
-and the pebble game.  A mapping keeps a dict beside its sorted bindings;
-`Mapping.images_in` puts a triple under it as a plain tuple of terms,
-which a membership test looks up in `triple_set` as it is.
+and the pebble game.  A t-graph keeps, per search plan run on it, the
+plan's lookups bound to its indexes (`TGraph.readers`), so each index
+and set is fetched once per target and plan.  A mapping keeps a dict
+beside its sorted bindings; the evaluator's compiled record checks read
+it and put each pattern triple under it as a plain tuple of terms, made
+by a `key_getter` over a tuple of values, which a membership test looks
+up in `triple_set` as it is.
 
 File formats
 ------------
@@ -106,6 +110,17 @@ def key_getter(positions: tuple[int, ...]):
     items at `positions`: the bare item for one position, a tuple for
     more, () for none."""
     return itemgetter(*positions) if positions else _no_key
+
+
+def tuple_getter(keys: tuple):
+    """A function from a dict or a sequence to the tuple of its items at
+    `keys`, in that order, a tuple however many keys there are."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        (key,) = keys
+        return lambda items: (items[key],)
+    return _no_key
 
 
 class _Value:
@@ -297,14 +312,17 @@ class TGraph(_Value):
     It holds the triples as a sorted tuple (`triples`) and as a frozenset
     (`triple_set`); its variables, IRIs, indexes (`by_mask`) and
     per-predicate member sets (`members`) are computed on first use and
-    kept, and so are the search plans from it (`plans`).  A graph from
+    kept, and so are the search plans from it (`plans`) and the lookups
+    of each plan run on it, bound to its indexes (`readers`).  A graph from
     `parse_graph` starts instead from its distinct rows of tokens grouped
     by predicate (see `_LazyTGraph`), so a query that names a few
     predicates makes their triples alone.  Length, iteration, equality,
     hash, pickling and `serialize_graph` all read `triples`.
     """
 
-    __slots__ = ("triples", "triple_set", "_vars", "_iris", "_index", "_plans", "_parts", "_rows")
+    __slots__ = (
+        "triples", "triple_set", "_vars", "_iris", "_index", "_plans", "_readers", "_parts", "_rows"
+    )
 
     def __init__(self, triples: tuple[Triple, ...] = ()):
         members = frozenset(triples)
@@ -314,6 +332,7 @@ class TGraph(_Value):
         _set(self, "_iris", None)
         _set(self, "_index", {})
         _set(self, "_plans", None)
+        _set(self, "_readers", None)
         _set(self, "_parts", None)
         _set(self, "_rows", None)
 
@@ -407,6 +426,17 @@ class TGraph(_Value):
             _set(self, "_plans", found)
         return found
 
+    def readers(self) -> dict:
+        """Per search plan run on this t-graph, the list of its lookups
+        bound to this t-graph's indexes and sets, filled by `hom._solve` on
+        the first search of the plan here.  A plan holds no t-graph, so the
+        table puts none in a reference cycle."""
+        found = self._readers
+        if found is None:
+            found = {}
+            _set(self, "_readers", found)
+        return found
+
     def matching(self, t: Triple, values: dict | None = None) -> tuple[Triple, ...]:
         """The triples u that t maps onto once its variables in `values`
         take their values, in the order of `triples`.  A position of t is
@@ -475,6 +505,7 @@ class _LazyTGraph(TGraph):
         _set(self, "_iris", frozenset(known.values()) - variables)
         _set(self, "_index", {})
         _set(self, "_plans", None)
+        _set(self, "_readers", None)
         _set(self, "_parts", {})
         _set(self, "_rows", (known, table) if table else None)
 
@@ -570,16 +601,6 @@ class Mapping:
             worst = min(missing, key=str)
             raise UnboundVariable(f"variable {worst} is not bound")
         return substitute(t, self._map)
-
-    def images_in(self, triples, graph: TGraph) -> bool:
-        """Whether the graph holds each triple with the values of its
-        variables in the domain in place, a plain tuple of terms looked up
-        in `triple_set` as it is (equal to the `Triple` it would build)."""
-        get, full = self._map.get, graph.triple_set
-        for t in triples:
-            if tuple(map(get, t, t)) not in full:
-                return False
-        return True
 
     def __str__(self) -> str:
         inner = ", ".join([f"{k._text}={v._text}" for k, v in self.bindings])

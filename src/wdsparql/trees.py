@@ -11,7 +11,10 @@ normal form, and no layer checks it again.  In it a variable set names
 at most one root subtree, so a tree keeps, per variable set, the one
 `SubtreeRecord` that evaluation and the width analysis both work on; a
 `Subtree` is its printed handle, and a node set is resolved to its
-record in one place (`WdPT.record`).
+record in one place (`WdPT.record`).  A record compiles what a
+membership decision runs when one first reaches it: its pattern check
+(`SubtreeRecord.check`) and its children's tests (`WdPT.child_tests`),
+whose plans fetch each index of a graph once per graph and plan.
 
 `to_forest` takes each component's AND-blocks with their triples from
 the pattern layer's one pass (`patterns.and_blocks`), drops each block
@@ -36,7 +39,7 @@ from . import hom
 from .errors import InstanceTooLarge, NotNRNormalForm
 from .hom import GeneralizedTGraph, ctw
 from .patterns import AND, OPT, UNION, Block, GraphPattern, Leaf, Node, and_blocks
-from .terms import TGraph, Term, Triple, _interned, substitute
+from .terms import TGraph, Term, Triple, _interned, key_getter, substitute, tuple_getter
 
 # The most variables of a t-graph that is cored: a child t-graph past it is
 # decided uncored, and the width analysis raises on a merged one past it.
@@ -85,7 +88,7 @@ class HomCache:
         if residual is None:
             residual = self._residuals[rest] = TGraph(rest)
         pins = dist & residual.vars()
-        return hom.search(hom._plan(residual, pins), target, dict(zip(pins, pins))) is not None
+        return hom.exists(hom._plan(residual, pins), target, dict(zip(pins, pins)))
 
     def ctw(self, g: GeneralizedTGraph) -> int:
         """ctw of a member of an associated set, within the instance caps."""
@@ -108,8 +111,9 @@ ChildTest = tuple[GeneralizedTGraph, hom.Plan]
 class SubtreeRecord:
     """What a tree keeps of one root subtree, under its variable set: its
     nodes, variables and pattern triples, and, each once first asked for,
-    its pattern as a t-graph and the tests of all its children, compiled
-    together (`WdPT.child_tests`); `tests` is None until then."""
+    its pattern as a t-graph, its compiled pattern check (`check`) and the
+    tests of all its children, compiled together (`WdPT.child_tests`);
+    `tests` is None until then."""
 
     nodes: frozenset[int]
     variables: frozenset[Term]
@@ -119,6 +123,21 @@ class SubtreeRecord:
     @cached_property
     def pat(self) -> TGraph:
         return TGraph(self.triples)
+
+    @cached_property
+    def check(self) -> tuple:
+        """The pattern's image test, compiled: (pick, consts, images).  A
+        binding of exactly the record's variables gives the values
+        `pick(binding) + consts`: the variables' values, sorted by the
+        variables' text, then the pattern's IRIs.  Each `images` getter
+        reads one pattern triple's image from those values as a plain
+        tuple of terms, which a membership test looks up in
+        `TGraph.triple_set` as it is (`evaluator._holds`)."""
+        names = tuple(sorted(self.variables, key=str))
+        consts = tuple(sorted({x for t in self.triples for x in t if x.is_iri}, key=str))
+        slots = {x: i for i, x in enumerate((*names, *consts))}
+        images = tuple(key_getter(tuple(map(slots.__getitem__, t))) for t in self.triples)
+        return tuple_getter(names), consts, images
 
 
 class WdPT:

@@ -529,7 +529,7 @@ def test_enumeration_plans_each_node_once_and_searches_once_per_pinned_values(mo
     rng = random.Random(191)
     searching = 0
     for _ in range(100):
-        forest = random_forest(rng, max_nodes=5)
+        forest = random_forest(rng, max_nodes=6)
         searching += bool(enumerate_twice(forest, random_rdf_graph(rng, max_iris=3, max_triples=20)))
     assert searching >= 25, searching
 
@@ -595,6 +595,57 @@ def test_cored_children_decide_as_the_children():
                     won = pebble_wins(cored, graph, mu, dw + 1)
                     assert won == duplicator_wins_game(child, graph, mu, dw + 1)
     assert reached >= 100 and proper >= 0.2 * reached, (reached, proper)
+
+
+def test_decisions_past_the_root_agree_with_the_oracles(monkeypatch):
+    """A differential test of the decision path: on seeded forests with
+    planted loops, and graphs holding a planted subtree's image (in about
+    one call in seven less one image of a forest triple under mu),
+    `eval_forest`, `eval_pebble` with k = dw and `matched_subtree` agree
+    with the enumeration oracles.  At least 40% of the calls run a child
+    test, and each outcome occurs, so a record check that skips a triple
+    or a search that reports an extension it did not find shows."""
+    import wdsparql.evaluator as evaluator
+
+    ran = []
+    real = evaluator.exists
+
+    def counted(plan, graph, fixed):
+        ran.append(plan)
+        return real(plan, graph, fixed)
+
+    monkeypatch.setattr(evaluator, "exists", counted)
+    rng = random.Random(229)
+    calls = tested = 0
+    outcomes, matched = set(), set()
+    forests = 0
+    while forests < 120:
+        forest = random_forest(rng, max_nodes=6)
+        if all(len(tree) == 1 for tree in forest):  # no child to test
+            continue
+        forests += 1
+        forest = with_planted_loops(rng, forest)
+        dw = domination_width(forest)
+        for _ in range(5):
+            graph, mu = planted_call(rng, forest)
+            # the graph's images under mu of the forest's triples
+            images = {substitute(t, mu._map) for tree in forest for t in tree.pat()} & set(graph)
+            if images and rng.random() < 0.15:  # one of them missing
+                dropped = rng.choice(sorted(images, key=str))
+                graph = TGraph(tuple(t for t in graph if t != dropped))
+            before = len(ran)
+            exact = eval_forest(forest, graph, mu)
+            calls += 1
+            tested += len(ran) > before
+            assert exact == eval_forest_by_enumeration(forest, graph, mu)
+            assert eval_pebble(forest, graph, mu, dw) == exact
+            for tree in forest:
+                nodes = matched_subtree(tree, graph, mu)
+                assert nodes == matched_subtree_by_enumeration(tree, graph, mu)
+                matched.add(nodes is not None)
+            outcomes.add(exact)
+    assert tested >= 0.4 * calls, (tested, calls)
+    assert outcomes == {True, False} and matched == {True, False}
 
 
 def wide_child_forest(rng):
@@ -718,24 +769,24 @@ def test_each_child_core_is_planned_once_per_forest(monkeypatch):
         for g in tree.child_tgraphs(nodes)
     }
     planned, searched, pebble_searched = [], [], []
-    plan, find = hom.Plan, hom.search
+    plan, find = hom.Plan, hom.exists
 
     def counted_plan(source, pinned=()):
         built = plan(source, pinned)
         planned.append((source, frozenset(pinned), built))
         return built
 
-    def spied_search(p, graph, fixed):
+    def spied_exists(p, graph, fixed):
         searched.append((p, frozenset(fixed)))
         return find(p, graph, fixed)
 
-    def pebble_spied_search(p, *args):
+    def pebble_spied_exists(p, *args):
         pebble_searched.append(p)
-        return spied_search(p, *args)
+        return spied_exists(p, *args)
 
     monkeypatch.setattr(hom, "Plan", counted_plan)
-    monkeypatch.setattr(evaluator, "search", spied_search)
-    monkeypatch.setattr(pebble, "search", pebble_spied_search)
+    monkeypatch.setattr(evaluator, "exists", spied_exists)
+    monkeypatch.setattr(pebble, "exists", pebble_spied_exists)
     calls = [planted_call(rng, forest) for _ in range(50)]
     for graph, mu in calls:
         assert eval_forest(forest, graph, mu) == eval_forest_by_enumeration(forest, graph, mu)

@@ -20,7 +20,9 @@ several targets and pin values.  Each predicate's index (`by_mask` with a
 predicate) and member set (`members`) are checked against the same scan
 filtered by the predicate, on graphs built from triples and on the same
 graphs parsed from their files, and so are `matching` and the searches
-over parsed targets.
+over parsed targets.  A plan's lookups bound to a parsed graph before its
+triples are assembled (`TGraph.readers`) are checked, after the
+assembly, against the plan on a fresh copy read line by line.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from oracles import (
     duplicator_wins_game,
     hom_exists,
     hom_into_graph_exists,
+    parse_graph_by_lines,
 )
 from wdsparql import hom
 from wdsparql.hom import GeneralizedTGraph, all_homomorphisms, find_homomorphism, maps_into_graph
@@ -454,6 +457,38 @@ def test_one_plan_serves_many_targets_and_pin_values():
                     results.add(tuple(tuple(sorted_items(h)) for h in got))
         differ += len(results) > 1
     assert differ > 80
+
+
+def test_readers_bound_before_assembly_decide_as_on_a_fresh_copy():
+    """A plan's lookups bound on a parsed graph before its triples are
+    assembled, to a predicate's own index and member set, stay in the
+    graph's reader table once the first read of `triples` assembles it,
+    and the plan then finds exactly what it finds on a fresh copy of the
+    file read line by line, for every pin value tried."""
+    rng = random.Random(919)
+    outcomes = set()
+    for _ in range(200):
+        text = serialize_graph(random_target(rng, rng.randint(1, 30)))
+        parsed = parse_graph(text, ground=True)
+        fresh = parse_graph_by_lines(text, ground=True)
+        # IRI predicates only, so binding the lookups assembles nothing
+        pool = list(VARS[: rng.randint(1, 3)])
+        triples = [random_pattern_triple(rng, pool) for _ in range(rng.randint(1, 4))]
+        source = TGraph(tuple(t for t in triples if t.p.is_iri) or (Triple(VARS[0], PREDICATES[0], VARS[1]),))
+        pins = {v: rng.choice(NODES) for v in sorted(source.vars(), key=str) if rng.random() < 0.5}
+        plan = hom.Plan(source, pins)
+        hom.exists(plan, parsed, pins)
+        bound = parsed.readers()[plan]
+        assert type(parsed) is not TGraph  # not yet assembled
+        assert parsed.triples == fresh.triples and type(parsed) is TGraph
+        for fixed in [pins] + [{v: rng.choice(NODES) for v in pins} for _ in range(3)]:
+            found = hom._solve(plan, parsed, fixed, find_all=True)
+            assert found == hom._solve(plan, fresh, fixed, find_all=True)
+            assert hom.exists(plan, parsed, fixed) == hom.exists(plan, fresh, fixed) == bool(found)
+            assert hom.search(plan, parsed, fixed) == (found[0] if found else None)
+            outcomes.add(bool(found))
+        assert parsed.readers()[plan] is bound
+    assert outcomes == {True, False}
 
 
 def predicate_scan(graph, mask, ties, p):

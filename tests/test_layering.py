@@ -115,3 +115,50 @@ def test_the_access_path_check_sees_a_second_rule():
     assert access_path_breaches(copy) == ["Plan.__init__ does not call access_path"]
     copy = dict(sources, pebble=sources["pebble"] + "\n\ndef f(g):\n    return g.by_mask((0,))\n")
     assert access_path_breaches(copy) == ["pebble calls by_mask"]
+
+
+# a target's reader table (`TGraph.readers`, over the `_readers` slot):
+# the plans' lookups bound to the target's indexes, which only the search
+# reads and fills; the t-graph that keeps it makes it
+READER_TABLE = {"readers", "_readers"}
+READER_TABLE_USERS = {("terms", "TGraph.readers"), ("hom", "_solve")}
+
+
+def scopes(source: str):
+    """Each top-level function and each method of a top-level class of a
+    module's source, by its name (`Class.method` for a method), and each
+    other top-level statement under the name `<module>`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                name = f.name if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<class>"
+                yield f"{node.name}.{name}", f
+        else:
+            yield "<module>", node
+
+
+def reader_table_breaches(sources: dict[str, str]) -> list[str]:
+    """Where the package reads a target's reader table outside
+    READER_TABLE_USERS: any read of an attribute named in READER_TABLE."""
+    return [
+        f"{module}.{name} reads the reader table"
+        for module, source in sorted(sources.items())
+        for name, node in scopes(source)
+        if (module, name) not in READER_TABLE_USERS
+        and any(isinstance(n, ast.Attribute) and n.attr in READER_TABLE for n in ast.walk(node))
+    ]
+
+
+def test_only_the_search_reads_a_targets_reader_table():
+    assert reader_table_breaches(package_sources()) == []
+
+
+def test_the_reader_table_check_sees_another_reader():
+    sources = package_sources()
+    assert "target.readers()" in sources["hom"]
+    copy = dict(sources, pebble=sources["pebble"] + "\n\ndef f(plan, g):\n    return g.readers().get(plan)\n")
+    assert reader_table_breaches(copy) == ["pebble.f reads the reader table"]
+    copy = dict(sources, pebble=sources["pebble"] + "\n\ndef f(g):\n    return g._readers\n")
+    assert reader_table_breaches(copy) == ["pebble.f reads the reader table"]
