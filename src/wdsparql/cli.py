@@ -194,7 +194,7 @@ def cmd_selftest(args) -> int:
         for _ in range(trials):
             forest = randgen.random_forest(rng)
             pattern = forest_pattern(forest)
-            graph = randgen.random_rdf_graph(rng)
+            graph = randgen.planted_graph(rng, forest)
             naive = eval_all_answers(pattern, graph)
             if naive is None or eval_all_answers(family, graph) is None:
                 return False

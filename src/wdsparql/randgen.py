@@ -32,6 +32,28 @@ def random_rdf_graph(
     return TGraph(tuple(triples))
 
 
+def _random_root_subtree(rng: random.Random, forest: WdPF) -> tuple[WdPT, frozenset[int]]:
+    """A random tree of `forest` and a random root subtree of it, by nodes."""
+    tree = forest.trees[rng.randrange(len(forest.trees))]
+    nodesets = tree.subtree_nodesets()
+    return tree, nodesets[rng.randrange(len(nodesets))]
+
+
+def planted_graph(
+    rng: random.Random, forest: WdPF, *, max_iris: int = 6, max_triples: int = 8
+) -> TGraph:
+    """A `random_rdf_graph` plus the image of a random root subtree of one
+    tree of `forest` under a random assignment of its variables to the
+    graph's subjects and objects, so that tree has an answer, one that
+    reaches past its root whenever the subtree does, and the image meets
+    the graph's other triples."""
+    graph = random_rdf_graph(rng, max_iris=max_iris, max_triples=max_triples)
+    tree, nodes = _random_root_subtree(rng, forest)
+    pool = sorted({x for t in graph for x in (t[0], t[2])}, key=str)
+    image = {v: rng.choice(pool) for v in sorted(tree.vars(nodes), key=str)}
+    return graph | TGraph(substitute(t, image) for t in tree.pat(nodes))
+
+
 def _random_triple(rng: random.Random, vars_pool: list[Term]) -> Triple:
     def pick_term(allow_pred: bool = False) -> Term:
         if allow_pred and rng.random() < 0.85:
@@ -148,8 +170,6 @@ def random_candidate_mapping(
 ) -> Mapping:
     """A mapping that has a chance of being a solution: assign the variables
     of a random subtree of a random tree to random IRIs of the graph."""
-    tree = forest.trees[rng.randrange(len(forest.trees))]
-    nodesets = tree.subtree_nodesets()
-    nodes = nodesets[rng.randrange(len(nodesets))]
+    tree, nodes = _random_root_subtree(rng, forest)
     pool = sorted(graph.iris(), key=str) or [iri("a")]
     return Mapping.of({v: rng.choice(pool) for v in sorted(tree.vars(nodes), key=str)})

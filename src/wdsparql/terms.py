@@ -8,13 +8,21 @@ is an RDF graph.  A mapping is a partial function from variables to IRIs
 Every layer above keys sets and dicts by terms and triples, so a lookup
 must be cheap.  A term is one object per text (``?name`` for a variable,
 ``name`` for an IRI): `Term(kind, name)` returns the live term of that text
-when there is one, from a table of weak references that forgets a term
-once the program drops it.  So two terms are equal iff they are the same
-object, and compare and hash by identity, in C; the name is checked only
-when a term is made.  Each kind has its own subclass of `Term`, which
-holds `kind`, `is_var` and `is_iri` as class attributes, so making a term
-writes only its name and its text.  A triple is the tuple of its three terms, so it is
-built, hashed and compared as a tuple, in C, and equals the plain tuple
+when there is one, from a table of weak references.  The table also
+holds each term it makes until the next release: the end of the next
+full collection of the cyclic garbage collector, or sooner, once the
+terms made since the last release outnumber both a floor of a few
+thousand and the terms live just after it.  A term the program drops
+thus leaves the table when it is dropped or, when it was made since the
+last release, at the next one; made again before then, it is the same
+object, so a recurring vocabulary is made once, and the table holds at
+most about twice the terms the program holds, plus the floor.  Two
+terms are equal iff they are the same object, and compare and hash by
+identity, in C; the name is checked only when a term is made.  Each kind
+has its own subclass of `Term`, which holds `kind`, `is_var` and
+`is_iri` as class attributes, so making a term writes only its name and
+its text.  A triple is the tuple of its three terms, so it is built,
+hashed and compared as a tuple, in C, and equals the plain tuple
 of the same terms.  A t-graph keeps its triples three ways: the canonical
 sorted tuple, a frozenset for membership (`triple_set`), and indexes, each
 built on first use (`TGraph.by_mask`): for a set of bound positions, the
@@ -59,11 +67,13 @@ not start with ``#``, which would make its line of a graph file a comment.
 
 from __future__ import annotations
 
+import gc
 import re
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 
 from .errors import (
@@ -144,6 +154,30 @@ class _Ref(weakref.ref):
 
 # text -> a weak reference to the one live term with that text
 _live: dict[str, _Ref] = {}
+# the terms made since the last release, each held until the next one
+_recent: list[Term] = []
+# the least number of terms a release lets `_recent` hold
+_RECENT_FLOOR = 4096
+# a term made while `_recent` holds this many releases them
+_recent_cap = _RECENT_FLOOR
+
+
+def _release() -> None:
+    """Let go of the terms made since the last release; those nothing else
+    holds die now and leave `_live`.  The next release comes once more
+    terms are made than are live after this one and than the floor."""
+    global _recent_cap
+    _recent.clear()
+    _recent_cap = max(_RECENT_FLOOR, len(_live))
+
+
+def _after_collection(phase: str, info: dict) -> None:
+    # one hook on the collector: release at the end of each full collection
+    if phase == "stop" and info["generation"] == 2:
+        _release()
+
+
+gc.callbacks.append(_after_collection)
 
 
 def _forget(ref: _Ref) -> None:
@@ -196,10 +230,14 @@ class _Iri(Term):
 
 def _interned(kind: str, name: str) -> Term:
     """The live term of that kind and name, or a new one entered in the
-    table; the one place terms are made.  The name is not checked: `Term`
-    checks every name it is given, and the library calls this directly
-    only with names valid by construction (generated variables and frozen
-    IRIs, built from names already checked and integers)."""
+    table; the one place terms are made.  A new term is held in `_recent`
+    until the next release (`_release`: at the end of the next full
+    collection, or when a term is made while `_recent` is full), so if it
+    is dropped and made again before then, it is the same object.  The
+    name is not checked: `Term` checks every name it is given, and the
+    library calls this directly only with names valid by construction
+    (generated variables and frozen IRIs, built from names already
+    checked and integers)."""
     # IRIs never start with "?", so the text alone tells terms apart
     if kind == "var":
         text = "?" + name
@@ -217,6 +255,9 @@ def _interned(kind: str, name: str) -> Term:
     _set(term, "_text", text)
     ref = _live[text] = _Ref(term, _forget)
     ref.text = text
+    if len(_recent) >= _recent_cap:
+        _release()
+    _recent.append(term)
     return term
 
 
@@ -324,9 +365,15 @@ class TGraph(_Value):
         "triples", "triple_set", "_vars", "_iris", "_index", "_plans", "_readers", "_parts", "_rows"
     )
 
-    def __init__(self, triples: tuple[Triple, ...] = ()):
-        members = frozenset(triples)
-        _set(self, "triples", tuple(sorted(members, key=_triple_text)))
+    def __init__(self, triples: Iterable[Triple] = ()):
+        # sorted in the order given, so the sort merges the sorted runs a
+        # caller passes (a gadget's templates, the halves of `|`); equal
+        # triples have one text, so a repeat sits beside its first copy
+        ordered = sorted(triples, key=_triple_text)
+        members = frozenset(ordered)
+        if len(members) != len(ordered):
+            ordered = [t for t, _ in groupby(ordered)]
+        _set(self, "triples", tuple(ordered))
         _set(self, "triple_set", members)
         _set(self, "_vars", None)
         _set(self, "_iris", None)

@@ -13,11 +13,12 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fixtures import P1_TEXT, P2_TEXT, TRIANGLE_TAIL_MAPPING_TEXT, TRIANGLE_TAIL_TEXT, complete_graph_text
 from oracles import eval_forest_by_enumeration
-from wdsparql import cli
+from wdsparql import cli, randgen
 from wdsparql.cli import main
+from wdsparql.evaluator import eval_naive
 from wdsparql.patterns import parse_pattern
 from wdsparql.terms import parse_graph, parse_mapping
-from wdsparql.trees import to_forest
+from wdsparql.trees import forest_pattern, to_forest
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -384,6 +385,18 @@ def test_selftest_is_seed_reproducible():
     a = run("selftest", "--seed", "11", "--trials", "4")
     b = run("selftest", "--seed", "11", "--trials", "4")
     assert a == b
+
+
+def test_selftest_trial_graphs_have_answers():
+    # the oracle triangle plants the image of a root subtree in each
+    # trial's graph, so few trials check an empty answer set
+    for s in range(5):
+        rng = random.Random(s)
+        answered = 0
+        for _ in range(40):
+            forest = randgen.random_forest(rng)
+            answered += bool(eval_naive(forest_pattern(forest), randgen.planted_graph(rng, forest)))
+        assert answered >= 30, (s, answered)
 
 
 def test_pebble_dist_file(tmp_path):

@@ -37,6 +37,7 @@ from wdsparql.pebble import pebble_wins
 from wdsparql.randgen import (
     IRIS,
     PREDICATES,
+    planted_graph,
     random_candidate_mapping,
     random_forest,
     random_rdf_graph,
@@ -530,8 +531,8 @@ def test_enumeration_plans_each_node_once_and_searches_once_per_pinned_values(mo
     searching = 0
     for _ in range(100):
         forest = random_forest(rng, max_nodes=6)
-        searching += bool(enumerate_twice(forest, random_rdf_graph(rng, max_iris=3, max_triples=20)))
-    assert searching >= 25, searching
+        searching += bool(enumerate_twice(forest, planted_graph(rng, forest, max_iris=3, max_triples=20)))
+    assert searching >= 60, searching
 
 
 # ---------------------------------------------------------------------------

@@ -162,3 +162,71 @@ def test_the_reader_table_check_sees_another_reader():
     assert reader_table_breaches(copy) == ["pebble.f reads the reader table"]
     copy = dict(sources, pebble=sources["pebble"] + "\n\ndef f(g):\n    return g._readers\n")
     assert reader_table_breaches(copy) == ["pebble.f reads the reader table"]
+
+
+# the term table's release: only `terms` hooks the cyclic collector, and
+# only `_interned`, which makes every term, holds a new term until the
+# next release
+RECENT_WRITERS = {("terms", "_interned")}
+GROWING = {"append", "extend", "insert"}
+
+
+def imports_gc(source: str) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def grows_recent(node: ast.AST) -> bool:
+    """Whether `node` grows a list named `_recent`: a call of one of
+    GROWING on it, or an augmented assignment to it."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in GROWING:
+        target = node.func.value
+    elif isinstance(node, ast.AugAssign):
+        target = node.target
+    else:
+        return False
+    return (isinstance(target, ast.Name) and target.id == "_recent") or (
+        isinstance(target, ast.Attribute) and target.attr == "_recent"
+    )
+
+
+def release_breaches(sources: dict[str, str]) -> list[str]:
+    """Where the package leaves the term table's release to others: a
+    module other than `terms` that imports gc, or a scope outside
+    RECENT_WRITERS that grows `_recent`."""
+    out = [
+        f"{module} imports gc"
+        for module, source in sorted(sources.items())
+        if module != "terms" and imports_gc(source)
+    ]
+    out += [
+        f"{module}.{name} appends to _recent"
+        for module, source in sorted(sources.items())
+        for name, node in scopes(source)
+        if (module, name) not in RECENT_WRITERS and any(map(grows_recent, ast.walk(node)))
+    ]
+    return out
+
+
+def test_only_the_term_table_holds_terms_until_a_release():
+    sources = package_sources()
+    assert imports_gc(sources["terms"])
+    assert "_recent.append(term)" in sources["terms"]
+    assert release_breaches(sources) == []
+
+
+def test_the_release_check_sees_another_holder():
+    sources = package_sources()
+    copy = dict(sources, hardness=sources["hardness"] + "\n\ndef f(t):\n    terms._recent.append(t)\n")
+    assert release_breaches(copy) == ["hardness.f appends to _recent"]
+    copy = dict(sources, hardness=sources["hardness"] + "\n\ndef f(t):\n    _recent += [t]\n")
+    assert release_breaches(copy) == ["hardness.f appends to _recent"]
+    copy = dict(sources, pebble="import gc\n" + sources["pebble"])
+    assert release_breaches(copy) == ["pebble imports gc"]
+    copy = dict(sources, pebble="from gc import collect\n" + sources["pebble"])
+    assert release_breaches(copy) == ["pebble imports gc"]
+    copy = dict(sources, terms=sources["terms"].replace("_recent.clear()", "_recent.extend(())"))
+    assert release_breaches(copy) == ["terms._release appends to _recent"]

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,27 @@ def test_canonical_order_is_stable():
     t2 = Triple(iri("a"), iri("p"), iri("b"))
     assert TGraph((t1, t2)) == TGraph((t2, t1))
     assert [str(t) for t in TGraph((t1, t2))] == ["a p b", "b p a"]
+
+
+def test_a_built_graph_is_its_sorted_distinct_set_whatever_it_is_given():
+    # the sort takes the triples in the order given and a repeat is dropped
+    # after it, so any order, repeats or a one-pass iterator give one graph
+    rng = random.Random(61)
+    pool = [iri(n) for n in ("a", "a:b", "ab", "b")] + [var(n) for n in ("x", "x#1", "xy")]
+    for _ in range(200):
+        ts = [Triple(*rng.choices(pool, k=3)) for _ in range(rng.randint(0, 12))]
+        distinct = tuple(sorted(set(ts), key=str))
+        expected = TGraph(distinct)
+        assert expected.triples == distinct and expected.triple_set == frozenset(ts)
+        shuffled = rng.sample(ts, len(ts))
+        repeated = shuffled + rng.choices(ts, k=len(ts))
+        runs = sorted(ts[: len(ts) // 2], key=str) + sorted(ts[len(ts) // 2 :], key=str)
+        for given in (ts, shuffled, tuple(repeated), runs, iter(repeated), (t for t in repeated)):
+            g = TGraph(given)
+            assert g.triples == distinct and g.triple_set == expected.triple_set
+            assert g == expected and hash(g) == hash(expected)
+        ground = [t for t in repeated if not t.vars()]
+        assert TGraph._ground(t for t in ground) == TGraph(ground)
 
 
 # names that are prefixes of one another (a, a:b, ab; ?x, ?x#1, ?xy):
@@ -265,6 +287,38 @@ def test_a_dropped_term_leaves_the_table():
     assert text not in terms._live
     again = iri(text)
     assert terms._live[text]() is again and str(again) == text
+
+
+def test_a_dropped_term_made_again_before_the_next_release_is_the_same_object():
+    text = "held_until_the_release"
+    gc.collect()  # a release: what follows makes few terms, so none comes
+    gc.disable()
+    try:
+        ref = weakref.ref(iri(text))
+        other = weakref.ref(iri(text + "_too"))
+        assert ref() is not None and other() is not None
+        assert iri(text) is ref() and terms._live[text]() is ref()
+    finally:
+        gc.enable()
+    gc.collect()
+    assert ref() is None and other() is None
+    assert text not in terms._live and text + "_too" not in terms._live
+
+
+def test_with_the_collector_off_the_table_stays_within_twice_the_held_terms():
+    gc.collect()
+    gc.disable()
+    try:
+        held = len(terms._live)  # no term is held for a release now
+        bound = 2 * held + terms._RECENT_FLOOR
+        for i in range(100_000):
+            iri(f"unheld_{i}")
+            if i % 1000 == 999:
+                assert len(terms._live) <= bound, (i, len(terms._live), held)
+    finally:
+        gc.enable()
+    gc.collect()
+    assert "unheld_99999" not in terms._live
 
 
 def test_every_way_of_making_a_term_gives_the_one_term_of_its_text():
